@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .category import (Backend, CatObject, FiniteGroup, Morphism, VEC,
-                       YetterDrinfeldBackend)
+from .category import Backend, CatObject, FiniteGroup, Morphism, VEC
 from .hopf import HopfAlgebra, make_bialgebra
 from .linalg import Matrix
 
@@ -125,10 +124,6 @@ def conjugation_yd_object(group: FiniteGroup) -> CatObject:
         Matrix.from_entries(n, n, ((group.conjugate(h, g), g, 1) for g in range(n)))
         for h in range(n))
     return CatObject(n, grading=tuple(range(n)), action=action)
-
-
-def yd_backend(group: FiniteGroup) -> YetterDrinfeldBackend:
-    return YetterDrinfeldBackend(group)
 
 
 def basis_morphism(backend: Backend, dom: CatObject, cod: CatObject,

@@ -170,6 +170,17 @@ def _require_grading(x: CatObject) -> tuple[int, ...]:
     return x.grading
 
 
+def _grade_check(f: Morphism) -> CheckResult:
+    """grade_preserving, witnessed by the first entry (column-major) joining two grades."""
+    gd, gc = _require_grading(f.dom), _require_grading(f.cod)
+    for j in range(f.mat.cols):
+        for i in sorted(f.mat.column(j)):
+            if gc[i] != gd[j]:
+                return CheckResult("grade_preserving", "fail",
+                                   witness=f"({i},{j}):lhs={f.mat.entry(i, j)}:rhs=0")
+    return CheckResult("grade_preserving", "pass")
+
+
 class _GradedBackend(Backend):
     """Shared grade bookkeeping for the sign-graded style backends."""
 
@@ -190,20 +201,7 @@ class _GradedBackend(Backend):
         return CatObject(x.dim * y.dim, grading=grading)
 
     def morphism_report(self, f: Morphism) -> list[CheckResult]:
-        gd, gc = _require_grading(f.dom), _require_grading(f.cod)
-        bad = None
-        for j in range(f.mat.cols):
-            for i in sorted(f.mat.column(j)):
-                if gc[i] != gd[j]:
-                    bad = (i, j)
-                    break
-            if bad:
-                break
-        if bad is None:
-            return [CheckResult("grade_preserving", "pass")]
-        i, j = bad
-        return [CheckResult("grade_preserving", "fail",
-                            witness=f"({i},{j}):lhs={f.mat.entry(i, j)}:rhs=0")]
+        return [_grade_check(f)]
 
 
 @dataclass(frozen=True)
@@ -355,23 +353,8 @@ class YetterDrinfeldBackend(Backend):
         return Matrix.from_entries(x.dim * y.dim, y.dim * x.dim, entries)
 
     def morphism_report(self, f: Morphism) -> list[CheckResult]:
-        gd, gc = _require_grading(f.dom), _require_grading(f.cod)
+        checks = [_grade_check(f)]
         ad, ac = _require_action(f.dom), _require_action(f.cod)
-        bad = None
-        for j in range(f.mat.cols):
-            for i in sorted(f.mat.column(j)):
-                if gc[i] != gd[j]:
-                    bad = (i, j)
-                    break
-            if bad:
-                break
-        checks = []
-        if bad is None:
-            checks.append(CheckResult("grade_preserving", "pass"))
-        else:
-            i, j = bad
-            checks.append(CheckResult("grade_preserving", "fail",
-                                      witness=f"({i},{j}):lhs={f.mat.entry(i, j)}:rhs=0"))
         for g in range(len(self.group.elements)):
             if f.mat * ad[g] != ac[g] * f.mat:
                 checks.append(CheckResult(
@@ -385,14 +368,6 @@ class YetterDrinfeldBackend(Backend):
 
 VEC = VecBackend()
 SUPER = SuperVecBackend()
-
-
-def tensor_obj(backend: Backend, x: CatObject, y: CatObject) -> CatObject:
-    return backend.tensor(x, y)
-
-
-def verify_morphism(backend: Backend, f: Morphism) -> list[CheckResult]:
-    return backend.morphism_report(f)
 
 
 def verify_braiding_axioms(backend: Backend, x: CatObject, y: CatObject, z: CatObject,

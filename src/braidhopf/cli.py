@@ -351,17 +351,13 @@ def dispatch(argv: list[str]) -> tuple[int, Report | None, str | None]:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    style = "plain"
-    if "--report" in argv:
-        k = argv.index("--report")
-        if k + 1 < len(argv):
-            style = argv[k + 1]
     code, report, error = dispatch(argv)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if report is not None:
-        print(report.render(style))
+        # dispatch produced a report, so argv parses; argparse owns --report's spellings
+        print(report.render(build_parser().parse_args(argv).report))
     return code
 
 

@@ -16,7 +16,8 @@ from fractions import Fraction
 from .category import CatObject, Morphism
 from .hopf import (BraidedBialgebra, Coalgebra, HopfAlgebra,
                    solve_total_integral, verify_antipode)
-from .linalg import Matrix, hstack, kernel_basis, kron, pipeline
+from .linalg import (Matrix, _eliminate, hstack, kernel_basis, kron, pipeline,
+                     solve_matrix)
 from .report import CheckResult, bool_check, merge_checks
 
 
@@ -47,8 +48,7 @@ class FiltrationReport:
 
 def subspace_contains(emb: Matrix, vectors: Matrix) -> bool:
     """True when every column of vectors lies in the column span of emb."""
-    base = emb.rank()
-    return hstack(emb, vectors).rank() == base
+    return solve_matrix(emb, vectors) is not None
 
 
 def full_subobject(ambient: CatObject) -> Subobject:
@@ -65,17 +65,10 @@ def quotient_projection(sub: Subobject) -> Matrix:
     emb = sub.embedding
     n = sub.ambient.dim
     r = emb.cols
-    current = emb
-    rank = emb.rank()
-    for i in range(n):
-        if rank == n:
-            break
-        cand = hstack(current, Matrix.basis_column(n, i))
-        if cand.rank() > rank:
-            current = cand
-            rank += 1
-    inv = current.inverse()
-    rows = inv.dense_rows()[r:]
+    # the pivots of [emb | I] past r are the greedy ascending complement
+    _, pivots = _eliminate(hstack(emb, Matrix.identity(n)))
+    complement = [Matrix.basis_column(n, p - r) for p in pivots if p >= r]
+    rows = hstack(emb, *complement).inverse().dense_rows()[r:]
     return Matrix.from_rows(rows) if rows else Matrix.zeros(0, n)
 
 

@@ -187,58 +187,9 @@ def verify_cosep_section(h: HopfAlgebra, theta: Matrix) -> list[CheckResult]:
     ]
 
 
-def solve_antipode(a: BraidedBialgebra) -> tuple[Matrix, int] | None:
-    """Solve the antipode axiom for S; returns (S, ambiguity dim) or None.
-
-    S is input data everywhere else in the package; this helper exists only
-    as a convenience and reports non-uniqueness instead of hiding it.
-    """
-    n = a.dim
-    d, m, u, e = a.delta.mat, a.m.mat, a.u.mat, a.eps.mat
-    ue = compose(e, u)
-    rows, rhs = [], []
-    # m (S (x) A) Delta = u eps and m (A (x) S) Delta = u eps, linear in S
-    for j in range(n):
-        dcol = d.column(j)
-        for i in range(n):
-            left = [0] * (n * n)
-            right = [0] * (n * n)
-            for kl, v in dcol.items():
-                k, l = divmod(kl, n)
-                # left: sum_t S[t,k] m[i, t*n+l] v ; right: sum_t S[t,l] m[i, k*n+t] v
-                for t in range(n):
-                    mv = m.entry(i, t * n + l)
-                    if mv:
-                        left[t * n + k] += mv * v
-                    mv = m.entry(i, k * n + t)
-                    if mv:
-                        right[t * n + l] += mv * v
-            rows.append(left)
-            rhs.append(ue.entry(i, j))
-            rows.append(right)
-            rhs.append(ue.entry(i, j))
-    sol = solve_affine(Matrix.from_rows(rows), rhs)
-    if sol is None:
-        return None
-    x, hom = sol
-    s = Matrix.from_entries(n, n, ((i, j, x[i * n + j]) for i in range(n) for j in range(n)))
-    return s, len(hom)
-
-
 def full_axiom_report(a: BraidedBialgebra) -> list[CheckResult]:
     checks = verify_bialgebra(a)
     if isinstance(a, HopfAlgebra):
         checks += verify_antipode(a)
     return checks
 
-
-def integral_is_counit_of_identity(h: BraidedBialgebra, integral: Integral) -> bool:
-    """True when lam is the coefficient-of-identity functional."""
-    lam, u = integral.lam.mat, h.u.mat
-    if compose(u, lam) != Matrix.identity(1):
-        return False
-    # off the unit line, lam must kill every basis vector not hit by u
-    for j in range(h.dim):
-        if u.entry(j, 0) == 0 and lam.entry(0, j) != 0:
-            return False
-    return True

@@ -4,9 +4,13 @@ All entries are ``fractions.Fraction`` values, so every comparison in the
 package is exact; there is no tolerance anywhere.  Matrices have dense
 semantics (a rows x cols grid) but store one ``{row: value}`` dict per
 column, which keeps the large Kronecker composites arising from tensor
-formulas cheap.  Every basis computed here follows one fixed pivot rule,
-first nonzero entry scanning columns left to right and rows top down, so
-identical inputs always produce bit-identical outputs.
+formulas cheap.
+
+``_eliminate`` is the only row reduction: rank, inverse, kernels, equalizers
+and every solve go through it.  Its pivot rule is fixed: scan the columns
+left to right and take the first nonzero entry at or below the current row,
+top down.  So identical inputs always produce bit-identical bases and
+solutions.
 """
 
 from __future__ import annotations
@@ -21,10 +25,6 @@ _ONE = Fraction(1)
 
 
 class ShapeMismatch(ValueError):
-    pass
-
-
-class NotIdempotent(ValueError):
     pass
 
 
@@ -178,18 +178,7 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        cols = []
-        for bc in other._cols:
-            out: dict = {}
-            for k, v in bc.items():
-                for i, w in self._cols[k].items():
-                    nv = out.get(i, _ZERO) + v * w
-                    if nv:
-                        out[i] = nv
-                    elif i in out:
-                        del out[i]
-            cols.append(out)
-        return Matrix(self.rows, other.cols, cols)
+        return Matrix(self.rows, other.cols, [_apply_plain(self, bc) for bc in other._cols])
 
     def transpose(self) -> "Matrix":
         cols: list[dict] = [dict() for _ in range(self.rows)]
@@ -204,19 +193,16 @@ class Matrix:
         return sum((c.get(j, _ZERO) for j, c in enumerate(self._cols)), _ZERO)
 
     def rank(self) -> int:
-        _, pivots = _rref(self.dense_rows(), self.cols)
-        return len(pivots)
+        return len(_eliminate(self)[1])
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ShapeMismatch("inverse of non-square matrix")
         n = self.rows
-        aug = [row + [_ONE if i == j else _ZERO for j in range(n)]
-               for i, row in enumerate(self.dense_rows())]
-        red, pivots = _rref(aug, 2 * n)
-        if pivots[:n] != list(range(n)) or len(pivots) != n:
+        red, pivots = _eliminate(self, Matrix.identity(n))
+        if len(pivots) != n:
             raise ShapeMismatch("matrix is singular")
-        return Matrix.from_rows([row[n:] for row in red[:n]])
+        return Matrix.from_rows([row[n:] for row in red])
 
 
 def hstack(*mats: Matrix) -> Matrix:
@@ -231,12 +217,17 @@ def hstack(*mats: Matrix) -> Matrix:
 
 # -- reduction and solving --------------------------------------------------
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns)."""
+def _eliminate(a: Matrix, b: Matrix | None = None) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan reduction of [a | b], pivoting only in a's columns.
+
+    Returns the reduced dense rows (b's columns after a's) and a's pivot
+    columns in ascending order.
+    """
+    rows = (a if b is None else hstack(a, b)).dense_rows()
     pivots: list[int] = []
     pr = 0
     nrows = len(rows)
-    for c in range(ncols):
+    for c in range(a.cols):
         pivot = None
         for r in range(pr, nrows):
             if rows[r][c]:
@@ -252,7 +243,7 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]],
         for r in range(nrows):
             if r != pr and rows[r][c]:
                 f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+                rows[r] = [x - f * y for x, y in zip(rows[r], prow)]
         pivots.append(c)
         pr += 1
         if pr == nrows:
@@ -260,21 +251,33 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]],
     return rows, pivots
 
 
-def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right null space, one vector per free column, ascending."""
-    red, pivots = _rref(m.dense_rows(), m.cols)
+def _kernel(red: list[list[Fraction]], pivots: list[int], n: int) -> list[tuple[Fraction, ...]]:
+    """Null space of the first n columns of a reduced system, one vector per free column."""
     pivset = set(pivots)
     basis = []
-    for f in range(m.cols):
+    for f in range(n):
         if f in pivset:
             continue
-        v = [_ZERO] * m.cols
+        v = [_ZERO] * n
         v[f] = _ONE
         for r, pc in enumerate(pivots):
             if red[r][f]:
                 v[pc] = -red[r][f]
         basis.append(tuple(v))
     return basis
+
+
+def _particular(red: list[list[Fraction]], pivots: list[int], n: int, k: int) -> Matrix | None:
+    """The n x k solution read off a reduced [a | b] (free coordinates zero), or None."""
+    if any(any(row[n:]) for row in red[len(pivots):]):
+        return None
+    return Matrix(n, k, [{pc: red[r][n + j] for r, pc in enumerate(pivots) if red[r][n + j]}
+                         for j in range(k)])
+
+
+def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
+    """Basis of the right null space, one vector per free column, ascending."""
+    return _kernel(*_eliminate(m), m.cols)
 
 
 def solve_affine(a: Matrix, b: Sequence) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]] | None:
@@ -284,58 +287,18 @@ def solve_affine(a: Matrix, b: Sequence) -> tuple[tuple[Fraction, ...], list[tup
     """
     if len(b) != a.rows:
         raise ShapeMismatch("right hand side of wrong length")
-    aug = [row + [_frac(bv)] for row, bv in zip(a.dense_rows(), b)]
-    red, pivots = _rref(aug, a.cols + 1)
-    if pivots and pivots[-1] == a.cols:
+    red, pivots = _eliminate(a, Matrix.from_cols(a.rows, [b]))
+    x = _particular(red, pivots, a.cols, 1)
+    if x is None:
         return None
-    x = [_ZERO] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][a.cols]
-    # the first a.cols columns of red are the rref of a, so reuse them
-    pivset = set(pivots)
-    basis = []
-    for f in range(a.cols):
-        if f in pivset:
-            continue
-        v = [_ZERO] * a.cols
-        v[f] = _ONE
-        for r, pc in enumerate(pivots):
-            if red[r][f]:
-                v[pc] = -red[r][f]
-        basis.append(tuple(v))
-    return tuple(x), basis
+    return tuple(x.entry(i, 0) for i in range(a.cols)), _kernel(red, pivots, a.cols)
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
     """Particular solution X of a*X = b (free coordinates zero), or None."""
     if a.rows != b.rows:
         raise ShapeMismatch("solve_matrix row mismatch")
-    cols = []
-    for j in range(b.cols):
-        rhs = [b.entry(i, j) for i in range(b.rows)]
-        sol = solve_affine(a, rhs)
-        if sol is None:
-            return None
-        cols.append(sol[0])
-    return Matrix.from_cols(a.cols, cols)
-
-
-def split_idempotent(e: Matrix) -> tuple[Matrix, Matrix]:
-    """Split e = i*p with p*i the identity on the rank of e.
-
-    i's columns are the nonzero columns of the column-reduced form of e
-    (leading ones at ascending row indices); p is the unique solution of
-    i*p = e.
-    """
-    if e.rows != e.cols:
-        raise ShapeMismatch("idempotent must be square")
-    if e * e != e:
-        raise NotIdempotent("matrix is not idempotent")
-    red, pivots = _rref(e.transpose().dense_rows(), e.rows)
-    i = Matrix.from_cols(e.rows, [red[r] for r in range(len(pivots))])
-    p = solve_matrix(i, e)
-    assert p is not None and p * i == Matrix.identity(i.cols)
-    return i, p
+    return _particular(*_eliminate(a, b), a.cols, b.cols)
 
 
 def equalizer(f: Matrix, g: Matrix) -> Matrix:

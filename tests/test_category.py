@@ -4,8 +4,7 @@ from braidhopf.builders import (conjugation_yd_object, cyclic_group, s3_group,
                                 symmetric_group)
 from braidhopf.category import (CatObject, FiniteGroup, MissingGrading,
                                 Morphism, SignGradedBackend, SUPER, VEC,
-                                YetterDrinfeldBackend, verify_braiding_axioms,
-                                verify_morphism)
+                                YetterDrinfeldBackend, verify_braiding_axioms)
 from braidhopf.linalg import Matrix
 
 
@@ -134,7 +133,7 @@ def test_yd_naturality_with_class_sum_projection():
     cls = [g.index("c"), g.index("c2")]
     proj = Matrix.from_entries(6, 6, ((i, i, 1) for i in cls))
     f = Morphism(reg, reg, proj)
-    assert all_pass(verify_morphism(backend, f))
+    assert all_pass(backend.morphism_report(f))
     assert all_pass(verify_braiding_axioms(backend, reg, reg, reg, [(f, f)]))
 
 
@@ -143,20 +142,20 @@ def test_yd_naturality_with_class_sum_projection():
 def test_identity_is_valid_everywhere():
     x = CatObject(2, grading=(0, 1))
     f = Morphism(x, x, Matrix.identity(2))
-    assert all_pass(verify_morphism(SUPER, f))
+    assert all_pass(SUPER.morphism_report(f))
 
 
 def test_flip_on_super_square_is_degree_preserving():
     line = CatObject(1, grading=(1,))
     sq = SUPER.tensor(line, line)
     f = Morphism(sq, sq, Matrix.identity(1))
-    assert all_pass(verify_morphism(SUPER, f))
+    assert all_pass(SUPER.morphism_report(f))
 
 
 def test_grade_mixing_map_fails_with_witness():
     x = CatObject(2, grading=(0, 1))
     f = Morphism(x, x, Matrix.from_rows([[0, 1], [1, 0]]))
-    checks = verify_morphism(SUPER, f)
+    checks = SUPER.morphism_report(f)
     assert any(c.status == "fail" and c.witness for c in checks)
 
 
@@ -166,7 +165,7 @@ def test_yd_equivariance_violation_detected():
     neg = Matrix.from_rows([[1, 0], [0, -1]])
     w = CatObject(2, grading=(0, 0), action=(Matrix.identity(2), neg))
     swap = Morphism(w, w, Matrix.from_rows([[0, 1], [1, 0]]))
-    checks = verify_morphism(backend, swap)
+    checks = backend.morphism_report(swap)
     assert any(c.name == "equivariance" and c.status == "fail" for c in checks)
 
 

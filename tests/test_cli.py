@@ -33,10 +33,12 @@ def test_integral_h4_fails_with_exit_one():
 
 
 def test_integral_machine_line(capsys):
-    code = main(["--report", "machine", "integral", corpus("algebras", "h4.alg")])
-    out = capsys.readouterr().out
-    assert "check=total_integral status=fail witness=no_solution" in out
-    assert code == 1
+    # every spelling argparse accepts selects the machine format
+    for flag in (["--report", "machine"], ["--report=machine"], ["--rep", "machine"]):
+        code = main(flag + ["integral", corpus("algebras", "h4.alg")])
+        out = capsys.readouterr().out
+        assert "check=total_integral status=fail witness=no_solution" in out, flag
+        assert code == 1
 
 
 def test_bd_suite_has_twelve_pass_lines():

@@ -2,10 +2,10 @@ import pytest
 
 from braidhopf.builders import (cyclic_group, exterior_line, group_algebra,
                                 s3_group, sweedler_h4)
-from braidhopf.category import CatObject, SUPER, VEC
+from braidhopf.category import SUPER, VEC
 from braidhopf.hopf import (build_cosep_section, full_axiom_report,
                             integral_from_section, is_cocommutative,
-                            make_bialgebra, solve_antipode,
+                            make_bialgebra,
                             solve_total_integral, verify_algebra,
                             verify_antipode, verify_bialgebra,
                             verify_coalgebra, verify_cosep_section)
@@ -145,21 +145,3 @@ def test_degenerate_map_is_not_a_section(kc2):
     checks = verify_cosep_section(kc2, fake)
     assert "section_of_delta" in failing_names(checks)
 
-
-# -- antipode synthesis ----------------------------------------------------------
-
-def test_solve_antipode_recovers_group_inverse(ks3):
-    s, ambiguity = solve_antipode(ks3)
-    assert s == ks3.s.mat
-    assert ambiguity == 0
-
-
-def test_solve_antipode_on_bialgebra_without_one():
-    # free 2-dim bialgebra on a group-like g with g^2 = g has no antipode
-    m = Matrix.from_entries(2, 4, [(0, 0, 1), (1, 1, 1), (1, 2, 1), (1, 3, 1)])
-    u = Matrix.from_entries(2, 1, [(0, 0, 1)])
-    delta = Matrix.from_entries(4, 2, [(0, 0, 1), (3, 1, 1)])
-    eps = Matrix.from_rows([[1, 1]])
-    alg = make_bialgebra(VEC, CatObject(2), m, u, delta, eps)
-    assert all_pass(verify_bialgebra(alg))
-    assert solve_antipode(alg) is None

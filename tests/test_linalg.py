@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidhopf.linalg import (Matrix, NotIdempotent, ShapeMismatch, compose,
-                              equalizer, hstack, kernel_basis, kron, pipeline,
-                              solve_affine, solve_matrix, split_idempotent)
+from braidhopf.linalg import (Matrix, ShapeMismatch, compose, equalizer, hstack,
+                              kernel_basis, kron, pipeline, solve_affine,
+                              solve_matrix)
 
 F = Fraction
 
@@ -23,6 +23,18 @@ scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 def matrices(rows, cols):
     return st.lists(st.lists(scalars, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows).map(Matrix.from_rows)
+
+
+@st.composite
+def systems(draw, square=False):
+    """A matrix of random shape; half of them factor through a narrow middle,
+    so rank deficiency is common."""
+    rows, cols, mid = (draw(st.integers(1, 4)) for _ in range(3))
+    if square:
+        cols = rows
+    if draw(st.booleans()):
+        return draw(matrices(rows, mid)) * draw(matrices(mid, cols))
+    return draw(matrices(rows, cols))
 
 
 # -- basic arithmetic --------------------------------------------------------
@@ -118,30 +130,32 @@ def test_solve_affine_is_solution(a, b):
 
 
 # -- idempotent splitting ----------------------------------------------------
+# An idempotent e splits as e = i*p with p*i = 1 the way the diagram splits
+# Pi2: i embeds the fixed points of e, and p solves i*p = e.
+
+def split(e):
+    i = equalizer(e, Matrix.identity(e.rows))
+    return i, solve_matrix(i, e)
+
 
 def test_split_identity():
-    i, p = split_idempotent(Matrix.identity(3))
+    i, p = split(Matrix.identity(3))
     assert i == Matrix.identity(3) and p == Matrix.identity(3)
 
 
 def test_split_zero():
-    i, p = split_idempotent(Matrix.zeros(2, 2))
+    i, p = split(Matrix.zeros(2, 2))
     assert (i.rows, i.cols) == (2, 0)
     assert (p.rows, p.cols) == (0, 2)
 
 
 def test_split_rank_one():
     e = mat([[1, 1], [0, 0]])
-    i, p = split_idempotent(e)
+    i, p = split(e)
     assert i == mat([[1], [0]])
     assert p == mat([[1, 1]])
     assert i * p == e
     assert p * i == Matrix.identity(1)
-
-
-def test_split_rejects_non_idempotent():
-    with pytest.raises(NotIdempotent):
-        split_idempotent(mat([[2, 0], [0, 0]]))
 
 
 @given(matrices(4, 2), matrices(2, 4))
@@ -152,7 +166,7 @@ def test_split_random_idempotents(a, b):
         return
     e = a * ba.inverse() * b
     assert e * e == e
-    i, p = split_idempotent(e)
+    i, p = split(e)
     assert i * p == e
     assert p * i == Matrix.identity(i.cols)
 
@@ -230,3 +244,56 @@ def test_pipeline_factor_stage_equals_kron(a, b, c):
 def test_pipeline_three_factor_stage(a, b, c):
     from braidhopf.linalg import tensor
     assert pipeline((a, b, c)) == tensor(a, b, c)
+
+
+# -- differential tests against sympy's exact matrices ------------------------
+
+def to_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(m.rows, m.cols,
+                        lambda i, j: sympy.Rational(m.entry(i, j).numerator,
+                                                    m.entry(i, j).denominator))
+
+
+def from_sympy(column):
+    return tuple(F(int(x.p), int(x.q)) for x in column)
+
+
+@given(systems())
+@settings(max_examples=60, deadline=None)
+def test_rank_matches_sympy(m):
+    assert m.rank() == to_sympy(m).rank()
+
+
+@given(systems())
+@settings(max_examples=60, deadline=None)
+def test_kernel_basis_matches_sympy_nullspace(m):
+    assert kernel_basis(m) == [from_sympy(v) for v in to_sympy(m).nullspace()]
+
+
+@given(systems(square=True))
+@settings(max_examples=60, deadline=None)
+def test_inverse_matches_sympy(m):
+    sym = to_sympy(m)
+    if sym.det() == 0:
+        with pytest.raises(ShapeMismatch):
+            m.inverse()
+        return
+    inv = sym.inv()
+    assert m.inverse() == Matrix.from_cols(m.rows, [from_sympy(inv.col(j)) for j in range(m.cols)])
+
+
+@given(systems(), st.integers(1, 3), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_solve_matrix_matches_columnwise_solves(a, k, consistent, data):
+    # a consistent right hand side half the time, an arbitrary one otherwise
+    b = (a * data.draw(matrices(a.cols, k)) if consistent
+         else data.draw(matrices(a.rows, k)))
+    x = solve_matrix(a, b)
+    sols = [solve_affine(a, [b.entry(i, j) for i in range(b.rows)]) for j in range(k)]
+    sym_a = to_sympy(a)
+    assert (x is None) == (sym_a.rank() != sym_a.row_join(to_sympy(b)).rank())
+    if x is None:
+        assert any(sol is None for sol in sols)
+    else:
+        assert x == Matrix.from_cols(a.cols, [sol[0] for sol in sols])
