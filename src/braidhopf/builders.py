@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .category import Backend, CatObject, FiniteGroup, Morphism, VEC
+from .category import Backend, CatObject, FiniteGroup, VEC
 from .hopf import HopfAlgebra, make_bialgebra
 from .linalg import Matrix
 
@@ -124,9 +124,3 @@ def conjugation_yd_object(group: FiniteGroup) -> CatObject:
         Matrix.from_entries(n, n, ((group.conjugate(h, g), g, 1) for g in range(n)))
         for h in range(n))
     return CatObject(n, grading=tuple(range(n)), action=action)
-
-
-def basis_morphism(backend: Backend, dom: CatObject, cod: CatObject,
-                   entries: list[tuple[int, int, int]]) -> Morphism:
-    return Morphism(dom, cod, Matrix.from_entries(cod.dim, dom.dim,
-                                                  ((i, j, v) for j, i, v in entries)))

@@ -129,22 +129,11 @@ class Backend:
     def braiding_inv_mat(self, x: CatObject, y: CatObject) -> Matrix:
         raise NotImplementedError
 
-    def braiding(self, x: CatObject, y: CatObject) -> Morphism:
-        return Morphism(self.tensor(x, y), self.tensor(y, x), self.braiding_mat(x, y))
-
-    def braiding_inv(self, x: CatObject, y: CatObject) -> Morphism:
-        return Morphism(self.tensor(y, x), self.tensor(x, y), self.braiding_inv_mat(x, y))
-
     def object_report(self, x: CatObject) -> list[CheckResult]:
         return []
 
     def morphism_report(self, f: Morphism) -> list[CheckResult]:
         return [CheckResult("morphism_shape", "pass")]
-
-    def check_object(self, x: CatObject) -> None:
-        for c in self.object_report(x):
-            if c.status == "fail":
-                raise BackendMismatch(f"invalid object: {c.name} ({c.witness})")
 
 
 @dataclass(frozen=True)

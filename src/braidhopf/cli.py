@@ -19,7 +19,7 @@ from .products import (MatchedPair, NotInvertible, PreconditionFailed,
                        build_cross_product, build_double_cross,
                        check_matched_pair, cross_product_report,
                        derive_actions_general, make_factorization)
-from .report import CheckResult, Report, bool_check, make_report
+from .report import CheckResult, Report, bool_check, make_report, prefixed
 from .textio import (LoadedAlgebra, ParseError, inclusion_by_names,
                      parse_algebra_file, parse_morphism_file, tensor_names)
 from .weakproj import (SplitFailure, build_context, run_bd_suite,
@@ -154,11 +154,7 @@ def cmd_build(args) -> list[CheckResult]:
         if fc is None:
             return checks
         mp, derive_checks = derive_actions_general(fc)
-        product = build_double_cross(mp)
-        checks = derive_checks
-        for c in verify_bialgebra(product):
-            checks.append(CheckResult("doublecross_" + c.name, c.status, c.witness))
-        return checks
+        return derive_checks + prefixed("doublecross_", verify_bialgebra(build_double_cross(mp)))
     # smash: the cocommutative route through a weak projection context
     a, b, sigma, pi = _load_context_files(args.a, args.b, args.sigma, args.pi)
     try:

@@ -104,6 +104,19 @@ def verify_bialgebra(a: BraidedBialgebra) -> list[CheckResult]:
     return checks
 
 
+def verify_bialgebra_map(f: Matrix, src: BraidedBialgebra, dst: BraidedBialgebra,
+                         names: tuple[str, str, str, str]) -> list[CheckResult]:
+    """f: src -> dst multiplicative, unital, comultiplicative and counital,
+    in that order, under the caller's four names."""
+    mult, unit, comult, counit = names
+    return [
+        eq_check(mult, compose(src.m.mat, f), pipeline((f, f), dst.m.mat)),
+        eq_check(unit, compose(src.u.mat, f), dst.u.mat),
+        eq_check(comult, compose(f, dst.delta.mat), pipeline(src.delta.mat, (f, f))),
+        eq_check(counit, compose(f, dst.eps.mat), src.eps.mat),
+    ]
+
+
 def verify_antipode(h: HopfAlgebra) -> list[CheckResult]:
     """Antipode axiom plus both anti-homomorphism identities."""
     m, u, d, e, s = h.m.mat, h.u.mat, h.delta.mat, h.eps.mat, h.s.mat

@@ -117,9 +117,6 @@ class Matrix:
     def nnz(self) -> int:
         return sum(len(c) for c in self._cols)
 
-    def is_zero(self) -> bool:
-        return all(not c for c in self._cols)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -166,12 +163,6 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
-    def scale(self, s) -> "Matrix":
-        fs = _frac(s)
-        if not fs:
-            return Matrix.zeros(self.rows, self.cols)
-        return Matrix(self.rows, self.cols, [{i: v * fs for i, v in c.items()} for c in self._cols])
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         """Matrix product self*other (other is applied first)."""
         if not isinstance(other, Matrix):
@@ -186,11 +177,6 @@ class Matrix:
             for i, v in col.items():
                 cols[i][j] = v
         return Matrix(self.cols, self.rows, cols)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ShapeMismatch("trace of non-square matrix")
-        return sum((c.get(j, _ZERO) for j, c in enumerate(self._cols)), _ZERO)
 
     def rank(self) -> int:
         return len(_eliminate(self)[1])
@@ -324,13 +310,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                     col[base + ib] = va * vb
             cols.append(col)
     return Matrix(a.rows * b.rows, a.cols * b.cols, cols)
-
-
-def tensor(*mats: Matrix) -> Matrix:
-    out = mats[0]
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
 
 
 def _stage_shape(stage) -> tuple[int, int]:

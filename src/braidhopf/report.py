@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .linalg import Matrix
 
@@ -47,6 +47,11 @@ def bool_check(name: str, ok: bool, witness: str = "condition_violated", value: 
     if ok:
         return CheckResult(name, "pass", value=value)
     return CheckResult(name, "fail", witness=witness, value=value)
+
+
+def prefixed(prefix: str, checks: list[CheckResult]) -> list[CheckResult]:
+    """A sub-report under one name prefix, every other field kept."""
+    return [replace(c, name=prefix + c.name) for c in checks]
 
 
 def merge_checks(name: str, checks: list[CheckResult]) -> CheckResult:

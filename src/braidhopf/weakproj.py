@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import CatObject, Morphism
-from .hopf import BraidedBialgebra, HopfAlgebra, verify_coalgebra, Coalgebra
+from .hopf import (BraidedBialgebra, Coalgebra, HopfAlgebra, verify_bialgebra_map,
+                   verify_coalgebra)
 from .linalg import (Matrix, compose, equalizer, kron, pipeline, solve_affine,
                      solve_matrix)
-from .report import CheckResult, bool_check, chain_eq_check, eq_check, merge_checks
+from .report import (CheckResult, bool_check, chain_eq_check, eq_check, merge_checks,
+                     prefixed)
 
 
 class SplitFailure(RuntimeError):
@@ -79,10 +81,8 @@ def verify_weak_projection(a: BraidedBialgebra, b: HopfAlgebra,
     checks = [
         merge_checks("sigma_valid_morphism", a.backend.morphism_report(sigma)),
         merge_checks("pi_valid_morphism", a.backend.morphism_report(pi)),
-        eq_check("sigma_multiplicative", compose(b.m.mat, sm), pipeline((sm, sm), a.m.mat)),
-        eq_check("sigma_unital", compose(b.u.mat, sm), a.u.mat),
-        eq_check("sigma_comultiplicative", compose(sm, a.delta.mat), pipeline(b.delta.mat, (sm, sm))),
-        eq_check("sigma_counital", compose(sm, a.eps.mat), b.eps.mat),
+        *verify_bialgebra_map(sm, b, a, ("sigma_multiplicative", "sigma_unital",
+                                         "sigma_comultiplicative", "sigma_counital")),
         eq_check("pi_comultiplicative", compose(pm, b.delta.mat), pipeline(a.delta.mat, (pm, pm))),
         eq_check("pi_counital", compose(pm, b.eps.mat), a.eps.mat),
         eq_check("pi_right_linear",
@@ -222,9 +222,7 @@ def structure_report(ctx: WeakProjectionContext) -> list[CheckResult]:
                    witness=f"dimR={ctx.r_dim}:dimB={ctx.b.dim}:dimA={ctx.a.dim}"),
         eq_check("pi_of_i", compose(i, ctx.pi.mat), compose(ctx.maps.counit, ctx.b.u.mat)),
     ]
-    for c in verify_coalgebra(r_coalgebra(ctx)):
-        checks.append(CheckResult("r_" + c.name, c.status, c.witness))
-    return checks
+    return checks + prefixed("r_", verify_coalgebra(r_coalgebra(ctx)))
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ def ks3():
 def test_quotient_projection_kills_the_subobject(h4):
     s = sub(h4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     q = quotient_projection(s)
-    assert (q * s.embedding).is_zero()
+    assert q * s.embedding == Matrix.zeros(q.rows, s.embedding.cols)
     assert q.rank() == 2
 
 

@@ -5,15 +5,16 @@ from braidhopf.builders import (cyclic_group, group_algebra, s3_group,
                                 subgroup_closure, symmetric_group)
 from braidhopf.category import Morphism
 from braidhopf.hopf import verify_bialgebra
-from braidhopf.linalg import Matrix, compose, kron
-from braidhopf.products import (CrossProductData, MatchedPair,
+from braidhopf import products
+from braidhopf.linalg import Matrix, compose, kron, pipeline
+from braidhopf.products import (CrossProductData, MatchedPair, NotInvertible,
                                 PreconditionFailed, TranscriptionMismatch,
                                 build_cross_product, build_double_cross,
                                 build_smash, bosonization_checks,
                                 check_matched_pair, cross_product_report,
                                 derive_actions_cocomm, derive_actions_general,
                                 exact_factorization_pair, make_factorization,
-                                xi_is_trivial)
+                                r_bialgebra, xi_is_trivial)
 from braidhopf.weakproj import build_context
 
 
@@ -73,7 +74,6 @@ def test_cross_product_h4_is_h4_transported():
 
 
 def pipeline_roundtrip(data: CrossProductData, a) -> bool:
-    from braidhopf.linalg import pipeline
     m_back = pipeline((data.iso_bwd, data.iso_bwd), data.product.m.mat, data.iso_fwd)
     return m_back == a.m.mat
 
@@ -101,7 +101,6 @@ def test_trivial_matched_pair_of_commuting_factors():
     # trivial actions give the tensor product bialgebra
     idr, idb = Matrix.identity(2), Matrix.identity(3)
     flip = r.backend.braiding_mat(b.carrier, r.carrier)
-    from braidhopf.linalg import pipeline
     tens_m = pipeline((idr, flip, idb), (r.m.mat, b.m.mat))
     assert dc.m.mat == tens_m
 
@@ -203,6 +202,27 @@ def test_derive_actions_general_s3_over_c3():
     assert mp.act_r == kron(b.eps.mat, Matrix.identity(2))
 
 
+def test_make_factorization_rejects_non_square_phi():
+    # R (x) B is 4-dimensional, A is 6-dimensional
+    a = group_algebra(s3_group())
+    c2 = group_algebra(cyclic_group(2))
+    into_a = Morphism(c2.carrier, a.carrier, Matrix.from_entries(6, 2, [(0, 0, 1), (3, 1, 1)]))
+    with pytest.raises(NotInvertible):
+        make_factorization(a, c2, c2, into_a, into_a)
+
+
+def test_make_factorization_rejects_singular_square_phi():
+    # sigma sends both elements of C2 to e, so m_A (i (x) sigma) has rank 3 of 6
+    a = group_algebra(s3_group())
+    b = group_algebra(cyclic_group(2))
+    r = group_algebra(cyclic_group(3, names=["e", "g1", "g2"]))
+    sigma = Morphism(b.carrier, a.carrier, Matrix.from_entries(6, 2, [(0, 0, 1), (0, 1, 1)]))
+    include = Morphism(r.carrier, a.carrier,
+                       Matrix.from_entries(6, 3, [(0, 0, 1), (1, 1, 1), (2, 2, 1)]))
+    with pytest.raises(NotInvertible, match="singular"):
+        make_factorization(a, b, r, sigma, include)
+
+
 def test_derive_actions_on_tensor_bialgebra():
     r = group_algebra(cyclic_group(2, names=["e", "t"]))
     b = group_algebra(cyclic_group(3, names=["e", "g1", "g2"]))
@@ -219,8 +239,17 @@ def test_derive_actions_on_tensor_bialgebra():
 
 def test_derive_actions_cocomm_s3():
     ctx = build_context(*s3_c2())
-    pair, checks = derive_actions_cocomm(ctx)
-    assert all_pass(checks)
+    a, b, mp = ctx.a, ctx.b, ctx.maps
+    assert mp.coact_left == kron(b.u.mat, Matrix.identity(ctx.r_dim))
+    assert (pipeline(ctx.include, a.delta.mat, (ctx.pi.mat, ctx.pi.mat))
+            == compose(mp.counit, kron(b.u.mat, b.u.mat)))
+    assert all_pass(verify_bialgebra(r_bialgebra(ctx)))
+    pair = derive_actions_cocomm(ctx)
+    assert all_pass(check_matched_pair(pair))
+    include = Morphism(ctx.r_obj, a.carrier, ctx.include)
+    general, _ = derive_actions_general(make_factorization(a, b, pair.r, ctx.sigma, include))
+    assert pair.act_r == general.act_r
+    assert pair.act_b == general.act_b
     assert pair.act_r == conj_action_oracle(s3_group(), ["e", "t"], ["e", "c", "c2"])
 
 
@@ -268,6 +297,21 @@ def test_bosonization_s3_over_c2():
         assert checks[name].status == "pass", name
 
 
+def test_bosonization_does_not_run_the_general_derivation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the smash route derived the general factorization")
+    monkeypatch.setattr(products, "make_factorization", refuse)
+    monkeypatch.setattr(products, "derive_actions_general", refuse)
+    checks = bosonization_checks(build_context(*s3_c2()))
+    assert [c.name for c in checks[:11]] == [
+        "act_b_trivial", "pi_left_linear", "triviality_iff_left_linear", "pi_of_i",
+        "left_action_is_adjoint", "smash_equals_double_cross_mul",
+        "smash_iso_multiplicative", "smash_iso_unital", "smash_iso_comultiplicative",
+        "smash_iso_counital", "smash_iso_invertible"]
+    assert len(checks) == 11 + 14      # plus the prefixed bialgebra suite of the smash product
+    assert all_pass(checks)
+
+
 def test_bosonization_contrapositive_s3_over_c3():
     ctx = build_context(*s3_c3())
     checks = by_name(bosonization_checks(ctx))
@@ -283,7 +327,6 @@ def test_smash_with_trivial_action_is_tensor_product():
     b = group_algebra(cyclic_group(3))
     smash = build_smash(r, b, kron(b.eps.mat, Matrix.identity(2)))
     assert all_pass(verify_bialgebra(smash))
-    from braidhopf.linalg import pipeline
     idr, idb = Matrix.identity(2), Matrix.identity(3)
     flip = r.backend.braiding_mat(b.carrier, r.carrier)
     assert smash.m.mat == pipeline((idr, flip, idb), (r.m.mat, b.m.mat))
