@@ -107,9 +107,11 @@ class Morphism:
                 f"{self.cod.dim}x{self.dom.dim}")
 
 
-def _flip(dx: int, dy: int) -> Matrix:
-    return Matrix.from_entries(dx * dy, dx * dy,
-                               ((j * dx + i, i * dy + j, 1) for i in range(dx) for j in range(dy)))
+def _flip(x: CatObject, y: CatObject, sign) -> Matrix:
+    """v_i (x) w_j -> sign(i, j) w_j (x) v_i; with sign +-1 its inverse is its transpose."""
+    return Matrix.from_entries(x.dim * y.dim, x.dim * y.dim,
+                               ((j * x.dim + i, i * y.dim + j, sign(i, j))
+                                for i in range(x.dim) for j in range(y.dim)))
 
 
 class Backend:
@@ -147,10 +149,10 @@ class VecBackend(Backend):
         return CatObject(x.dim * y.dim)
 
     def braiding_mat(self, x: CatObject, y: CatObject) -> Matrix:
-        return _flip(x.dim, y.dim)
+        return _flip(x, y, lambda i, j: 1)
 
     def braiding_inv_mat(self, x: CatObject, y: CatObject) -> Matrix:
-        return _flip(y.dim, x.dim)
+        return self.braiding_mat(x, y).transpose()
 
 
 def _require_grading(x: CatObject) -> tuple[int, ...]:
@@ -189,6 +191,9 @@ class _GradedBackend(Backend):
         grading = tuple(self._grade_mul(a, b) for a in gx for b in gy)
         return CatObject(x.dim * y.dim, grading=grading)
 
+    def braiding_inv_mat(self, x: CatObject, y: CatObject) -> Matrix:
+        return self.braiding_mat(x, y).transpose()
+
     def morphism_report(self, f: Morphism) -> list[CheckResult]:
         return [_grade_check(f)]
 
@@ -208,17 +213,7 @@ class SuperVecBackend(_GradedBackend):
 
     def braiding_mat(self, x: CatObject, y: CatObject) -> Matrix:
         gx, gy = _require_grading(x), _require_grading(y)
-        return Matrix.from_entries(
-            x.dim * y.dim, x.dim * y.dim,
-            ((j * x.dim + i, i * y.dim + j, -1 if gx[i] and gy[j] else 1)
-             for i in range(x.dim) for j in range(y.dim)))
-
-    def braiding_inv_mat(self, x: CatObject, y: CatObject) -> Matrix:
-        gx, gy = _require_grading(x), _require_grading(y)
-        return Matrix.from_entries(
-            x.dim * y.dim, y.dim * x.dim,
-            ((i * y.dim + j, j * x.dim + i, -1 if gx[i] and gy[j] else 1)
-             for i in range(x.dim) for j in range(y.dim)))
+        return _flip(x, y, lambda i, j: -1 if gx[i] and gy[j] else 1)
 
 
 @dataclass(frozen=True)
@@ -259,17 +254,7 @@ class SignGradedBackend(_GradedBackend):
 
     def braiding_mat(self, x: CatObject, y: CatObject) -> Matrix:
         gx, gy = _require_grading(x), _require_grading(y)
-        return Matrix.from_entries(
-            x.dim * y.dim, x.dim * y.dim,
-            ((j * x.dim + i, i * y.dim + j, self.bichar[gx[i]][gy[j]])
-             for i in range(x.dim) for j in range(y.dim)))
-
-    def braiding_inv_mat(self, x: CatObject, y: CatObject) -> Matrix:
-        gx, gy = _require_grading(x), _require_grading(y)
-        return Matrix.from_entries(
-            x.dim * y.dim, y.dim * x.dim,
-            ((i * y.dim + j, j * x.dim + i, self.bichar[gx[i]][gy[j]])
-             for i in range(x.dim) for j in range(y.dim)))
+        return _flip(x, y, lambda i, j: self.bichar[gx[i]][gy[j]])
 
 
 def _require_action(x: CatObject) -> tuple[Matrix, ...]:

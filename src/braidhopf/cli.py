@@ -12,8 +12,8 @@ import sys
 from .category import Morphism
 from .filtration import (NotSubcoalgebra, Subobject, b_adic_filtration,
                          check_magnum_preconditions, coradical)
-from .hopf import (HopfAlgebra, build_cosep_section, solve_total_integral,
-                   verify_antipode, verify_bialgebra, verify_cosep_section)
+from .hopf import (build_cosep_section, full_axiom_report, solve_total_integral,
+                   verify_bialgebra, verify_cosep_section)
 from .products import (MatchedPair, NotInvertible, PreconditionFailed,
                        TranscriptionMismatch, bosonization_checks,
                        build_cross_product, build_double_cross,
@@ -54,6 +54,15 @@ def load_morphism(path: str, dom, cod) -> Morphism:
     return parse_morphism_file(_read(path), dom, cod)
 
 
+def _morphism_or_inclusion(path: str | None, dom: LoadedAlgebra, cod: LoadedAlgebra) -> Morphism:
+    """The morphism file at path, or the inclusion of dom into cod by basis names."""
+    return load_morphism(path, dom, cod) if path is not None else inclusion_by_names(dom, cod)
+
+
+def _failed(name: str, exc: Exception) -> list[CheckResult]:
+    return [CheckResult(name, "fail", witness=str(exc).replace(" ", "_"))]
+
+
 def _require_same_backend(*loaded: LoadedAlgebra) -> None:
     first = loaded[0].backend
     for other in loaded[1:]:
@@ -79,8 +88,7 @@ def _weakproj_args(args) -> tuple[LoadedAlgebra, LoadedAlgebra, Morphism, Morphi
         return a, b, sigma, pi
     if len(files) >= 2:
         raise InputError("weakproj search takes at most a sigma file")
-    sigma = load_morphism(files[0], b, a) if files else inclusion_by_names(b, a)
-    return a, b, sigma, None
+    return a, b, _morphism_or_inclusion(args.sigma, b, a), None
 
 
 def _lincomb(column: dict, names) -> str:
@@ -89,11 +97,7 @@ def _lincomb(column: dict, names) -> str:
 
 
 def cmd_check(args) -> list[CheckResult]:
-    loaded = load_algebra(args.file, kinds=(args.kind,))
-    checks = verify_bialgebra(loaded.algebra)
-    if args.kind == "hopf":
-        checks += verify_antipode(loaded.algebra)
-    return checks
+    return full_axiom_report(load_algebra(args.file, kinds=(args.kind,)).algebra)
 
 
 def cmd_integral(args) -> list[CheckResult]:
@@ -128,7 +132,7 @@ def cmd_weakproj(args) -> list[CheckResult]:
         try:
             ctx = build_context(alg_a, alg_b, sigma, pi)
         except SplitFailure as exc:
-            return [CheckResult("diagram_split", "fail", witness=str(exc).replace(" ", "_"))]
+            return _failed("diagram_split", exc)
         checks = [CheckResult("diagram_split", "pass", value=f"dim_r={ctx.r_dim}")]
         return checks + structure_report(ctx)
     result = search_weak_projection(alg_a, alg_b, sigma)
@@ -146,8 +150,7 @@ def cmd_build(args) -> list[CheckResult]:
             ctx = build_context(a.algebra, b.algebra, sigma, pi)
             data = build_cross_product(ctx)
         except (SplitFailure, TranscriptionMismatch) as exc:
-            return [CheckResult("cross_product_built", "fail",
-                                witness=str(exc).replace(" ", "_"))]
+            return _failed("cross_product_built", exc)
         return cross_product_report(data)
     if args.what == "doublecross":
         fc, checks = _factorization_from_files(args)
@@ -161,18 +164,14 @@ def cmd_build(args) -> list[CheckResult]:
         ctx = build_context(a.algebra, b.algebra, sigma, pi)
         return bosonization_checks(ctx)
     except (SplitFailure, PreconditionFailed) as exc:
-        return [CheckResult("smash_preconditions", "fail",
-                            witness=str(exc).replace(" ", "_"))]
+        return _failed("smash_preconditions", exc)
 
 
 def _load_context_files(a_path, b_path, sigma_path, pi_path):
     a = load_algebra(a_path)
     b = load_hopf(b_path)
     _require_same_backend(a, b)
-    sigma = (load_morphism(sigma_path, b, a) if sigma_path is not None
-             else inclusion_by_names(b, a))
-    pi = load_morphism(pi_path, a, b)
-    return a, b, sigma, pi
+    return a, b, _morphism_or_inclusion(sigma_path, b, a), load_morphism(pi_path, a, b)
 
 
 def _factorization_from_files(args):
@@ -180,15 +179,12 @@ def _factorization_from_files(args):
     b = load_algebra(args.b)
     r = load_algebra(args.r)
     _require_same_backend(a, b, r)
-    sigma = (load_morphism(args.sigma, b, a) if args.sigma is not None
-             else inclusion_by_names(b, a))
-    include = (load_morphism(args.include, r, a) if args.include is not None
-               else inclusion_by_names(r, a))
+    sigma = _morphism_or_inclusion(args.sigma, b, a)
+    include = _morphism_or_inclusion(args.include, r, a)
     try:
         return make_factorization(a.algebra, b.algebra, r.algebra, sigma, include), []
     except NotInvertible as exc:
-        return None, [CheckResult("factorization_invertible", "fail",
-                                  witness=str(exc).replace(" ", "_"))]
+        return None, _failed("factorization_invertible", exc)
 
 
 def cmd_matchedpair(args) -> list[CheckResult]:
@@ -238,10 +234,7 @@ def cmd_magnum(args) -> list[CheckResult]:
     a = load_algebra(args.a)
     b = load_hopf(args.b)
     _require_same_backend(a, b)
-    sigma = (load_morphism(args.sigma, b, a) if args.sigma is not None
-             else inclusion_by_names(b, a))
-    if not isinstance(b.algebra, HopfAlgebra):
-        raise InputError("magnum needs a hopf file for B")
+    sigma = _morphism_or_inclusion(args.sigma, b, a)
     return check_magnum_preconditions(a.algebra, b.algebra, sigma, args.max_n)
 
 

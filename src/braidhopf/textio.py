@@ -15,6 +15,11 @@ Files are line oriented; '#' starts a comment.  An algebra file looks like
     grade v -> 1                 # super: 0/1, graded/yd: a group element name
     action g v -> w -1/2         # yd files only
 
+Each structure-map line is one matrix entry of a map A^(x in) -> A^(x out),
+with `in` basis names, `->`, `out` basis names and the coefficient; tensors of
+basis vectors are indexed in Kronecker (base-dim) order.  The arities (in, out)
+are mul (2, 1), unit (0, 1), comul (1, 2), counit (1, 0), antipode (1, 1).
+
 Group and bicharacter blocks may appear in the same file:
 
     group c2
@@ -35,10 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .category import (Backend, CatObject, FiniteGroup, Morphism,
                        SignGradedBackend, SUPER, VEC, YetterDrinfeldBackend)
-from .hopf import Coalgebra, HopfAlgebra, make_bialgebra
+from .hopf import Coalgebra, make_bialgebra
 from .linalg import Matrix
 
 
@@ -83,7 +89,20 @@ def _tokenize(text: str):
             yield lineno, line.split()
 
 
-_KINDS = ("hopf", "bialgebra", "coalgebra", "object")
+# keyword -> (field, in, out): each entry is one matrix entry of A^(x in) -> A^(x out)
+_MAPS = {"mul": ("m", 2, 1), "unit": ("u", 0, 1), "comul": ("delta", 1, 2),
+         "counit": ("eps", 1, 0), "antipode": ("s", 1, 1)}
+# the keywords each kind may carry, in _MAPS order
+_CARRIES = {"object": (), "coalgebra": ("comul", "counit"),
+            "bialgebra": ("mul", "unit", "comul", "counit"), "hopf": tuple(_MAPS)}
+
+
+def _kron_index(idx, n: int) -> int:
+    """Position of e_i1 (x) ... (x) e_ik in the Kronecker basis of A^(x k)."""
+    flat = 0
+    for i in idx:
+        flat = flat * n + i
+    return flat
 
 
 def parse_algebra_file(text: str) -> LoadedAlgebra:
@@ -92,11 +111,7 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
     backend_line = None
     dim = None
     basis: list[str] | None = None
-    mul: list = []
-    unit: list = []
-    comul: list = []
-    counit: list = []
-    antipode: list = []
+    entries: dict[str, list] = {kw: [] for kw in _MAPS}   # (in indices, out indices, coeff)
     grades: dict[str, tuple[str, int]] = {}
     actions: list = []
     groups: dict[str, dict] = {}
@@ -119,7 +134,7 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
 
     for line, toks in _tokenize(text):
         head = toks[0]
-        if head in _KINDS:
+        if head in _CARRIES:
             if kind is not None:
                 raise ParseError(line, "duplicate header (one definition per file)")
             if len(toks) != 2:
@@ -166,34 +181,15 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
             if len(set(toks[1:])) != dim:
                 raise ParseError(line, "duplicate basis names")
             basis = toks[1:]
-        elif head == "mul":
+        elif head in _MAPS:
+            _, k_in, k_out = _MAPS[head]
             lhs, rhs = split_arrow(toks[1:], line)
-            if len(lhs) != 2 or len(rhs) != 2:
-                raise ParseError(line, "usage: mul <i> <j> -> <k> <coeff>")
-            mul.append((need_basis(lhs[0], line), need_basis(lhs[1], line),
-                        need_basis(rhs[0], line), parse_scalar(rhs[1], line)))
-        elif head == "unit":
-            lhs, rhs = split_arrow(toks[1:], line)
-            if lhs or len(rhs) != 2:
-                raise ParseError(line, "usage: unit -> <i> <coeff>")
-            unit.append((need_basis(rhs[0], line), parse_scalar(rhs[1], line)))
-        elif head == "comul":
-            lhs, rhs = split_arrow(toks[1:], line)
-            if len(lhs) != 1 or len(rhs) != 3:
-                raise ParseError(line, "usage: comul <i> -> <j> <k> <coeff>")
-            comul.append((need_basis(lhs[0], line), need_basis(rhs[0], line),
-                          need_basis(rhs[1], line), parse_scalar(rhs[2], line)))
-        elif head == "counit":
-            lhs, rhs = split_arrow(toks[1:], line)
-            if len(lhs) != 1 or len(rhs) != 1:
-                raise ParseError(line, "usage: counit <i> -> <coeff>")
-            counit.append((need_basis(lhs[0], line), parse_scalar(rhs[0], line)))
-        elif head == "antipode":
-            lhs, rhs = split_arrow(toks[1:], line)
-            if len(lhs) != 1 or len(rhs) != 2:
-                raise ParseError(line, "usage: antipode <i> -> <j> <coeff>")
-            antipode.append((need_basis(lhs[0], line), need_basis(rhs[0], line),
-                             parse_scalar(rhs[1], line)))
+            if len(lhs) != k_in or len(rhs) != k_out + 1:
+                slots = [f"<{c}>" for c in "ijk"[:k_in + k_out]]
+                raise ParseError(line, " ".join(["usage:", head, *slots[:k_in], "->",
+                                                 *slots[k_in:], "<coeff>"]))
+            idx = [need_basis(tok, line) for tok in lhs + rhs[:-1]]
+            entries[head].append((idx[:k_in], idx[k_in:], parse_scalar(rhs[-1], line)))
         elif head == "grade":
             lhs, rhs = split_arrow(toks[1:], line)
             if len(lhs) != 1 or len(rhs) != 1:
@@ -240,37 +236,25 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
         if c.status == "fail":
             raise ParseError(None, f"invalid object data: {c.name}")
 
+    for kw in _MAPS:
+        if entries[kw] and kw not in _CARRIES[kind]:
+            raise ParseError(None, f"{kind} files cannot carry {kw} entries")
+    if kind == "hopf" and not entries["antipode"]:
+        raise ParseError(None, "hopf files need antipode entries")
+    mats = {}
+    for kw in _CARRIES[kind]:
+        field, k_in, k_out = _MAPS[kw]
+        mats[field] = Matrix.from_entries(
+            dim ** k_out, dim ** k_in,
+            ((_kron_index(o, dim), _kron_index(i, dim), v) for i, o, v in entries[kw]))
     if kind == "object":
-        for section, label in ((mul, "mul"), (unit, "unit"), (comul, "comul"),
-                               (counit, "counit"), (antipode, "antipode")):
-            if section:
-                raise ParseError(None, f"object files cannot carry {label} entries")
-        return LoadedAlgebra(kind, name, backend, tuple(basis), obj, None, built_groups)
-
-    n = dim
-    delta = Matrix.from_entries(n * n, n, ((j * n + k, i, v) for i, j, k, v in comul))
-    eps = Matrix.from_entries(1, n, ((0, i, v) for i, v in counit))
-    if kind == "coalgebra":
-        for section, label in ((mul, "mul"), (unit, "unit"), (antipode, "antipode")):
-            if section:
-                raise ParseError(None, f"coalgebra files cannot carry {label} entries")
-        unit_obj = backend.unit()
-        coalg = Coalgebra(backend, obj,
-                          Morphism(obj, backend.tensor(obj, obj), delta),
-                          Morphism(obj, unit_obj, eps))
-        return LoadedAlgebra(kind, name, backend, tuple(basis), obj, coalg, built_groups)
-
-    m = Matrix.from_entries(n, n * n, ((k, i * n + j, v) for i, j, k, v in mul))
-    u = Matrix.from_entries(n, 1, ((i, 0, v) for i, v in unit))
-    if kind == "hopf":
-        if not antipode:
-            raise ParseError(None, "hopf files need antipode entries")
-        s = Matrix.from_entries(n, n, ((j, i, v) for i, j, v in antipode))
-        alg = make_bialgebra(backend, obj, m, u, delta, eps, s)
+        alg = None
+    elif kind == "coalgebra":
+        alg = Coalgebra(backend, obj,
+                        Morphism(obj, backend.tensor(obj, obj), mats["delta"]),
+                        Morphism(obj, backend.unit(), mats["eps"]))
     else:
-        if antipode:
-            raise ParseError(None, "bialgebra files cannot carry antipode entries")
-        alg = make_bialgebra(backend, obj, m, u, delta, eps)
+        alg = make_bialgebra(backend, obj, **mats)
     return LoadedAlgebra(kind, name, backend, tuple(basis), obj, alg, built_groups)
 
 
@@ -401,8 +385,10 @@ def inclusion_by_names(b: LoadedAlgebra, a: LoadedAlgebra) -> Morphism:
 
 # -- canonical rendering -------------------------------------------------------
 
-def _coeff(v: Fraction) -> str:
-    return str(v)
+def _entry_lines(kw: str, mat: Matrix, col_names: list[tuple], row_names: list[tuple]) -> list[str]:
+    """`<kw> <col names> -> <row names> <coeff>` for each nonzero entry, column-major."""
+    return [" ".join((kw, *col, "->", *row_names[i], str(v)))
+            for j, col in enumerate(col_names) for i, v in sorted(mat.column(j).items())]
 
 
 def render_group(g: FiniteGroup) -> str:
@@ -415,7 +401,6 @@ def render_group(g: FiniteGroup) -> str:
 def render_algebra(loaded: LoadedAlgebra) -> str:
     """Canonical text form; sparse entries in ascending index order."""
     basis = loaded.basis
-    n = loaded.dim
     lines = [f"{loaded.kind} {loaded.name}"]
     backend = loaded.backend
     if backend.kind == "vec":
@@ -432,7 +417,7 @@ def render_algebra(loaded: LoadedAlgebra) -> str:
         lines.append("bichar chi")
         for row in backend.bichar:
             lines.append("table " + " ".join(str(v) for v in row))
-    lines.append(f"dim {n}")
+    lines.append(f"dim {loaded.dim}")
     lines.append("basis " + " ".join(basis))
     obj = loaded.obj
     if obj.grading is not None:
@@ -440,40 +425,16 @@ def render_algebra(loaded: LoadedAlgebra) -> str:
             deg = obj.grading[i]
             tok = str(deg) if backend.kind == "super" else backend.group.elements[deg]
             lines.append(f"grade {b} -> {tok}")
+    names = [list(product(basis, repeat=k)) for k in range(3)]   # bases of A^(x k)
     if obj.action is not None:
         for g, mat in enumerate(obj.action):
-            gname = backend.group.elements[g]
-            for j in range(n):
-                for i, v in sorted(mat.column(j).items()):
-                    lines.append(f"action {gname} {basis[j]} -> {basis[i]} {_coeff(v)}")
-    alg = loaded.algebra
-    if alg is None:
-        return "\n".join(lines) + "\n"
-    if hasattr(alg, "m"):
-        for col in range(n * n):
-            i, j = divmod(col, n)
-            for k, v in sorted(alg.m.mat.column(col).items()):
-                lines.append(f"mul {basis[i]} {basis[j]} -> {basis[k]} {_coeff(v)}")
-        for i, v in sorted(alg.u.mat.column(0).items()):
-            lines.append(f"unit -> {basis[i]} {_coeff(v)}")
-    for i in range(n):
-        for jk, v in sorted(alg.delta.mat.column(i).items()):
-            j, k = divmod(jk, n)
-            lines.append(f"comul {basis[i]} -> {basis[j]} {basis[k]} {_coeff(v)}")
-    for i in range(n):
-        v = alg.eps.mat.entry(0, i)
-        if v:
-            lines.append(f"counit {basis[i]} -> {_coeff(v)}")
-    if isinstance(alg, HopfAlgebra):
-        for i in range(n):
-            for j, v in sorted(alg.s.mat.column(i).items()):
-                lines.append(f"antipode {basis[i]} -> {basis[j]} {_coeff(v)}")
+            lines += _entry_lines(f"action {backend.group.elements[g]}", mat, names[1], names[1])
+    for kw in _CARRIES[loaded.kind]:
+        field, k_in, k_out = _MAPS[kw]
+        lines += _entry_lines(kw, getattr(loaded.algebra, field).mat, names[k_in], names[k_out])
     return "\n".join(lines) + "\n"
 
 
 def render_morphism(mat: Matrix, dom_names: list[str], cod_names: list[str]) -> str:
-    lines = []
-    for j, nm in enumerate(dom_names):
-        for i, v in sorted(mat.column(j).items()):
-            lines.append(f"map {nm} -> {cod_names[i]} {_coeff(v)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_entry_lines("map", mat, [(nm,) for nm in dom_names],
+                                   [(nm,) for nm in cod_names])) + "\n"

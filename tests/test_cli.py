@@ -215,3 +215,13 @@ def test_witness_self_validation(tmp_path):
     assert str(left.entry(i, j)) == lhs
     assert str(right.entry(i, j)) == rhs
     assert lhs != rhs
+
+
+def test_explicit_sigma_file_matches_the_name_inclusion():
+    a, b = corpus("algebras", "h4.alg"), corpus("algebras", "c2_in_h4.alg")
+    sigma = corpus("morphisms", "sigma_c2_h4.map")
+    for prefix in (["magnum"], ["weakproj", "search"]):
+        code, implicit, _ = run(prefix + [a, b])
+        code_file, explicit, _ = run(prefix + [a, b, sigma])
+        assert code_file == code
+        assert explicit.checks == implicit.checks, prefix

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -172,3 +173,53 @@ def test_inclusion_by_names():
     b = parse_algebra_file(btext)
     mor = inclusion_by_names(b, a)
     assert mor.mat == Matrix.from_entries(4, 2, [(0, 0, 1), (1, 1, 1)])
+
+
+# -- the grammar, pinned message by message --------------------------------------
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+HEAD = "hopf t\nbackend vec\ndim 1\nbasis z\n"
+
+
+@pytest.mark.parametrize("line, usage", [
+    ("mul z -> z 1", "usage: mul <i> <j> -> <k> <coeff>"),
+    ("unit z -> z 1", "usage: unit -> <i> <coeff>"),
+    ("comul z -> z 1", "usage: comul <i> -> <j> <k> <coeff>"),
+    ("counit z -> z 1", "usage: counit <i> -> <coeff>"),
+    ("antipode z -> 1", "usage: antipode <i> -> <j> <coeff>"),
+])
+def test_wrong_arity_gives_the_usage_line(line, usage):
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file(HEAD + line + "\n")
+    assert str(err.value) == f"line 5: {usage}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("object t\nbackend vec\ndim 1\nbasis z\nmul z z -> z 1\n",
+     "object files cannot carry mul entries"),
+    ("coalgebra t\nbackend vec\ndim 1\nbasis z\ncomul z -> z z 1\ncounit z -> 1\n"
+     "unit -> z 1\n", "coalgebra files cannot carry unit entries"),
+    (H4_TEXT.replace("hopf h4", "bialgebra h4"), "bialgebra files cannot carry antipode entries"),
+    ("\n".join(l for l in H4_TEXT.splitlines() if not l.startswith("antipode")),
+     "hopf files need antipode entries"),
+])
+def test_kind_rules_give_their_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file(text)
+    assert err.value.line is None and str(err.value) == message
+
+
+CORPUS_DEFINITIONS = sorted(
+    os.path.join(sub, name) for sub in ("algebras", "objects")
+    for name in os.listdir(os.path.join(CORPUS, sub)))
+
+
+def test_corpus_has_seventeen_definition_files():
+    assert len(CORPUS_DEFINITIONS) == 17
+
+
+@pytest.mark.parametrize("relpath", CORPUS_DEFINITIONS)
+def test_corpus_definitions_render_back_to_their_text(relpath):
+    with open(os.path.join(CORPUS, relpath), encoding="utf-8") as fh:
+        text = fh.read()
+    assert render_algebra(parse_algebra_file(text)) == text
