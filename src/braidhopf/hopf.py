@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import Backend, CatObject, Morphism
-from .linalg import Matrix, compose, kron, pipeline, solve_affine
+from .linalg import Matrix, compose, kron, map_system, pipeline, solve_affine
 from .report import CheckResult, eq_check, merge_checks
 
 
@@ -145,21 +145,12 @@ def solve_total_integral(h: BraidedBialgebra) -> Integral | None:
     the solution set the particular solution with zero free coordinates is
     returned, or None when the system is inconsistent.
     """
-    n = h.dim
+    n, idb = h.dim, Matrix.identity(h.dim)
     d, u = h.delta.mat, h.u.mat
-    rows = []
-    rhs = []
-    # (B (x) lam) Delta = u lam, one equation per matrix entry (k, j)
-    for j in range(n):
-        dcol = d.column(j)
-        for k in range(n):
-            row = [dcol.get(k * n + l, 0) for l in range(n)]
-            row[j] = row[j] - u.entry(k, 0)
-            rows.append(row)
-            rhs.append(0)
-    rows.append([u.entry(l, 0) for l in range(n)])
-    rhs.append(1)
-    sol = solve_affine(Matrix.from_rows(rows), rhs)
+    sol = solve_affine(*map_system(1, n, [
+        (lambda lam: pipeline(d, (idb, lam)) - compose(lam, u), Matrix.zeros(n, n)),
+        (lambda lam: compose(u, lam), Matrix.identity(1)),
+    ]))
     if sol is None:
         return None
     lam = Matrix.from_rows([list(sol[0])])

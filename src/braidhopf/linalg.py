@@ -11,6 +11,10 @@ and every solve go through it.  Its pivot rule is fixed: scan the columns
 left to right and take the first nonzero entry at or below the current row,
 top down.  So identical inputs always produce bit-identical bases and
 solutions.
+
+``map_system`` builds every system whose unknown is a map: it turns the
+identities the map must satisfy, written as tensor formulas, into exact
+coefficient columns.  ``_eliminate`` still solves it.
 """
 
 from __future__ import annotations
@@ -278,6 +282,35 @@ def solve_affine(a: Matrix, b: Sequence) -> tuple[tuple[Fraction, ...], list[tup
     if x is None:
         return None
     return tuple(x.entry(i, 0) for i in range(a.cols)), _kernel(red, pivots, a.cols)
+
+
+def map_system(rows: int, cols: int, conditions) -> tuple[Matrix, list[Fraction]]:
+    """The exact linear system f(X) = c for an unknown rows x cols map X.
+
+    Each condition is a pair (f, c) with f linear in X.  Unknown k is
+    X[k // cols, k % cols] and column k is f applied to the basis map E_k.
+    The equations are the entries of each f(X) in row-major order, stacked
+    in the order the conditions are given.
+    """
+    rhs: list[Fraction] = []
+    offsets = []
+    for _, c in conditions:
+        offsets.append(len(rhs))
+        rhs.extend(c.entry(i, j) for i in range(c.rows) for j in range(c.cols))
+    columns = []
+    for k in range(rows * cols):
+        e_k = Matrix.from_entries(rows, cols, [(k // cols, k % cols, 1)])
+        column = {}
+        for (f, c), off in zip(conditions, offsets):
+            fx = f(e_k)
+            if (fx.rows, fx.cols) != (c.rows, c.cols):
+                raise ShapeMismatch(f"condition gives {fx.rows}x{fx.cols}, "
+                                    f"right hand side is {c.rows}x{c.cols}")
+            for j, col in enumerate(fx._cols):
+                for i, v in col.items():
+                    column[off + i * c.cols + j] = v
+        columns.append(column)
+    return Matrix(len(rhs), rows * cols, columns), rhs
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:

@@ -19,6 +19,7 @@ Each structure-map line is one matrix entry of a map A^(x in) -> A^(x out),
 with `in` basis names, `->`, `out` basis names and the coefficient; tensors of
 basis vectors are indexed in Kronecker (base-dim) order.  The arities (in, out)
 are mul (2, 1), unit (0, 1), comul (1, 2), counit (1, 0), antipode (1, 1).
+The header, backend, dim and basis lines appear once each.
 
 Group and bicharacter blocks may appear in the same file:
 
@@ -170,10 +171,14 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
             if toks[1:] != ["rational"]:
                 raise ParseError(line, "only 'field rational' is supported")
         elif head == "dim":
+            if dim is not None:
+                raise ParseError(line, "duplicate dim line")
             if len(toks) != 2 or not toks[1].isdigit():
                 raise ParseError(line, "usage: dim <n>")
             dim = int(toks[1])
         elif head == "basis":
+            if basis is not None:
+                raise ParseError(line, "duplicate basis line")
             if dim is None:
                 raise ParseError(line, "dim must precede basis")
             if len(toks[1:]) != dim:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidhopf.linalg import (Matrix, ShapeMismatch, compose, equalizer, hstack,
-                              kernel_basis, kron, pipeline, solve_affine,
+                              kernel_basis, kron, map_system, pipeline, solve_affine,
                               solve_matrix)
 
 F = Fraction
@@ -127,6 +127,60 @@ def test_solve_affine_is_solution(a, b):
     assert a * col == Matrix.from_cols(3, [tuple(b)])
     for h in basis:
         assert a * Matrix.from_cols(3, [h]) == Matrix.zeros(3, 1)
+
+
+# -- systems for an unknown map ----------------------------------------------
+
+def int_matrices(rows, cols):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(Matrix.from_rows)
+
+
+def row_major(m):
+    return [m.entry(i, j) for i in range(m.rows) for j in range(m.cols)]
+
+
+def reshape(vec, rows, cols):
+    return Matrix.from_rows([vec[i * cols:(i + 1) * cols] for i in range(rows)])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_map_system_columns_are_the_conditions_on_basis_maps(data):
+    """For X of shape r x c: f1(X) = L X R and f2(X) = (X (x) K) N, with
+    right-hand sides drawn at random or as f(X0) for some X0."""
+    r, c, s, t, kr, kc = (data.draw(st.integers(1, 3)) for _ in range(6))
+    left, right = data.draw(int_matrices(s, r)), data.draw(int_matrices(c, t))
+    k, n = data.draw(int_matrices(kr, kc)), data.draw(int_matrices(2, r * kr))
+    fs = [lambda x: compose(right, x, left), lambda x: pipeline((x, k), n)]
+    x0 = data.draw(int_matrices(r, c)) if data.draw(st.booleans()) else None
+    shapes = [(s, t), (2, c * kc)]
+    rhs_maps = [f(x0) if x0 is not None else data.draw(int_matrices(*shape))
+                for f, shape in zip(fs, shapes)]
+    system, rhs = map_system(r, c, list(zip(fs, rhs_maps)))
+
+    assert (system.rows, system.cols) == (s * t + 2 * c * kc, r * c)
+    assert rhs == row_major(rhs_maps[0]) + row_major(rhs_maps[1])
+    for col in range(r * c):
+        e_k = Matrix.from_entries(r, c, [(col // c, col % c, 1)])
+        expected = row_major(fs[0](e_k)) + row_major(fs[1](e_k))
+        assert [system.entry(i, col) for i in range(system.rows)] == expected
+
+    sol = solve_affine(system, rhs)
+    if x0 is not None:
+        assert sol is not None
+    if sol is None:
+        return
+    part, basis = sol
+    for f, want in zip(fs, rhs_maps):
+        assert f(reshape(part, r, c)) == want
+        for h in basis:
+            assert f(reshape(h, r, c)) == Matrix.zeros(want.rows, want.cols)
+
+
+def test_map_system_rejects_a_right_hand_side_of_the_wrong_shape():
+    with pytest.raises(ShapeMismatch):
+        map_system(2, 2, [(lambda x: x, Matrix.zeros(2, 3))])
 
 
 # -- idempotent splitting ----------------------------------------------------

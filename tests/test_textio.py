@@ -187,6 +187,8 @@ HEAD = "hopf t\nbackend vec\ndim 1\nbasis z\n"
     ("comul z -> z 1", "usage: comul <i> -> <j> <k> <coeff>"),
     ("counit z -> z 1", "usage: counit <i> -> <coeff>"),
     ("antipode z -> 1", "usage: antipode <i> -> <j> <coeff>"),
+    ("dim 1", "duplicate dim line"),
+    ("basis z", "duplicate basis line"),
 ])
 def test_wrong_arity_gives_the_usage_line(line, usage):
     with pytest.raises(ParseError) as err:

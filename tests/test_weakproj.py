@@ -187,5 +187,5 @@ def test_search_reports_unsolvable_system():
                      Matrix.from_entries(4, 2, [(0, 0, 1), (0, 1, 1)]))
     result = search_weak_projection(a, b, sigma)
     assert result.pi is None and not result.solvable
-    assert any(c.name == "linear_system_solvable" and c.status == "fail"
-               for c in result.checks)
+    assert [(c.name, c.status, c.witness) for c in result.checks] == [
+        ("linear_system_solvable", "fail", "rank=8:unknowns=8")]
