@@ -4,10 +4,10 @@ from .category import (CatObject, FiniteGroup, Morphism, SignGradedBackend,
                        SuperVecBackend, SUPER, VEC, VecBackend,
                        YetterDrinfeldBackend)
 from .hopf import BraidedBialgebra, Coalgebra, HopfAlgebra, Integral
-from .linalg import Matrix, Scalar
+from .linalg import Matrix
 
 __all__ = [
     "BraidedBialgebra", "CatObject", "Coalgebra", "FiniteGroup", "HopfAlgebra",
-    "Integral", "Matrix", "Morphism", "Scalar", "SignGradedBackend", "SUPER",
+    "Integral", "Matrix", "Morphism", "SignGradedBackend", "SUPER",
     "SuperVecBackend", "VEC", "VecBackend", "YetterDrinfeldBackend",
 ]

@@ -11,7 +11,6 @@ algebra (valid in characteristic zero).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .category import CatObject, Morphism
 from .hopf import (BraidedBialgebra, Coalgebra, HopfAlgebra,
@@ -68,8 +67,9 @@ def quotient_projection(sub: Subobject) -> Matrix:
     # the pivots of [emb | I] past r are the greedy ascending complement
     _, pivots = _eliminate(hstack(emb, Matrix.identity(n)))
     complement = [Matrix.basis_column(n, p - r) for p in pivots if p >= r]
-    rows = hstack(emb, *complement).inverse().dense_rows()[r:]
-    return Matrix.from_rows(rows) if rows else Matrix.zeros(0, n)
+    inv = hstack(emb, *complement).inverse()
+    return Matrix(n - r, n, [{i - r: v for i, v in inv.column(j).items() if i >= r}
+                             for j in range(n)])
 
 
 def wedge(x: Subobject, y: Subobject, coalg: Coalgebra | BraidedBialgebra) -> Subobject:
@@ -126,8 +126,8 @@ def coradical(a: Coalgebra | BraidedBialgebra) -> Subobject:
     d = a.delta.mat
     # dual multiplication constants: e^i e^j = sum_k Delta[(i,j), k] e^k, so
     # left multiplication by e^i has trace sum_j Delta[(i,j), j]
-    traces = [sum((d.entry(i * n + j, j) for j in range(n)), Fraction(0)) for i in range(n)]
-    tform = [[sum((d.entry(i * n + j, k) * traces[k] for k in range(n)), Fraction(0))
+    traces = [sum((d.entry(i * n + j, j) for j in range(n)), 0) for i in range(n)]
+    tform = [[sum((d.entry(i * n + j, k) * traces[k] for k in range(n)), 0)
               for j in range(n)] for i in range(n)]
     rad = kernel_basis(Matrix.from_rows(tform).transpose())
     if not rad:

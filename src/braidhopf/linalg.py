@@ -1,16 +1,21 @@
 """Exact rational matrices: the substrate every identity is decided on.
 
-All entries are ``fractions.Fraction`` values, so every comparison in the
+Entries are ``int`` or ``fractions.Fraction`` values.  Integer input stays
+machine ``int`` through products, Kronecker products and pipelines, and
+``_frac`` turns an integral ``Fraction`` into an ``int``; a ``Fraction``
+appears only where the input or a division makes one.  An ``int`` and an
+equal ``Fraction`` compare, hash and print alike, so every comparison in the
 package is exact; there is no tolerance anywhere.  Matrices have dense
 semantics (a rows x cols grid) but store one ``{row: value}`` dict per
 column, which keeps the large Kronecker composites arising from tensor
 formulas cheap.
 
 ``_eliminate`` is the only row reduction: rank, inverse, kernels, equalizers
-and every solve go through it.  Its pivot rule is fixed: scan the columns
-left to right and take the first nonzero entry at or below the current row,
-top down.  So identical inputs always produce bit-identical bases and
-solutions.
+and every solve go through it.  It works on sparse ``{col: value}`` rows.
+Its pivot rule: leftmost pivot columns; the row with the fewest entries;
+outputs are the unique reduced form.  Which row carries a pivot changes no
+result, because the reduced row echelon form is unique, so identical inputs
+always produce identical bases and solutions.
 
 ``map_system`` builds every system whose unknown is a map: it turns the
 identities the map must satisfy, written as tensor formulas, into exact
@@ -22,21 +27,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Scalar = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class ShapeMismatch(ValueError):
     pass
 
 
-def _frac(x) -> Fraction:
+def _frac(x) -> int | Fraction:
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
@@ -83,7 +83,7 @@ class Matrix:
         for i, j, v in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ShapeMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
-            fv = coldicts[j].get(i, _ZERO) + _frac(v)
+            fv = coldicts[j].get(i, 0) + _frac(v)
             if fv:
                 coldicts[j][i] = fv
             elif i in coldicts[j]:
@@ -92,7 +92,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [{i: _ONE} for i in range(n)])
+        return Matrix(n, n, [{i: 1} for i in range(n)])
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
@@ -100,22 +100,15 @@ class Matrix:
 
     @staticmethod
     def basis_column(n: int, i: int) -> "Matrix":
-        return Matrix(n, 1, [{i: _ONE}])
+        return Matrix(n, 1, [{i: 1}])
 
     # -- inspection --------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._cols[j].get(i, _ZERO)
+    def entry(self, i: int, j: int) -> int | Fraction:
+        return self._cols[j].get(i, 0)
 
     def column(self, j: int) -> dict:
         return dict(self._cols[j])
-
-    def dense_rows(self) -> list[list[Fraction]]:
-        out = [[_ZERO] * self.cols for _ in range(self.rows)]
-        for j, col in enumerate(self._cols):
-            for i, v in col.items():
-                out[i][j] = v
-        return out
 
     @property
     def nnz(self) -> int:
@@ -140,7 +133,7 @@ class Matrix:
             if a == b:
                 continue
             for i in sorted(set(a) | set(b)):
-                if a.get(i, _ZERO) != b.get(i, _ZERO):
+                if a.get(i, 0) != b.get(i, 0):
                     return (i, j)
         return None
 
@@ -153,7 +146,7 @@ class Matrix:
         for a, b in zip(self._cols, other._cols):
             c = dict(a)
             for i, v in b.items():
-                nv = c.get(i, _ZERO) + v
+                nv = c.get(i, 0) + v
                 if nv:
                     c[i] = nv
                 elif i in c:
@@ -192,7 +185,7 @@ class Matrix:
         red, pivots = _eliminate(self, Matrix.identity(n))
         if len(pivots) != n:
             raise ShapeMismatch("matrix is singular")
-        return Matrix.from_rows([row[n:] for row in red])
+        return _particular(red, pivots, n, n)
 
 
 def hstack(*mats: Matrix) -> Matrix:
@@ -207,70 +200,83 @@ def hstack(*mats: Matrix) -> Matrix:
 
 # -- reduction and solving --------------------------------------------------
 
-def _eliminate(a: Matrix, b: Matrix | None = None) -> tuple[list[list[Fraction]], list[int]]:
+def _eliminate(a: Matrix, b: Matrix | None = None) -> tuple[list[dict], list[int]]:
     """Gauss-Jordan reduction of [a | b], pivoting only in a's columns.
 
-    Returns the reduced dense rows (b's columns after a's) and a's pivot
-    columns in ascending order.
+    Returns the reduced rows as {col: value} dicts (b's columns after a's)
+    and a's pivot columns in ascending order.  Row r carries pivot r; the
+    rows past the pivots are zero in a's columns.
     """
-    rows = (a if b is None else hstack(a, b)).dense_rows()
+    na = a.cols
+    rows: list[dict] = [{} for _ in range(a.rows)]
+    in_col: list[set] = [set() for _ in range(na)]   # a's column -> rows nonzero in it
+    for j, col in enumerate((a if b is None else hstack(a, b))._cols):
+        for i, v in col.items():
+            if v:
+                rows[i][j] = v
+                if j < na:
+                    in_col[j].add(i)
+    unused = set(range(a.rows))                       # rows not yet carrying a pivot
     pivots: list[int] = []
-    pr = 0
-    nrows = len(rows)
-    for c in range(a.cols):
-        pivot = None
-        for r in range(pr, nrows):
-            if rows[r][c]:
-                pivot = r
-                break
-        if pivot is None:
+    order: list[int] = []
+    for c in range(na):
+        p = min(in_col[c] & unused, key=lambda r: (len(rows[r]), r), default=None)
+        if p is None:
             continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        inv = _ONE / rows[pr][c]
-        if inv != 1:
-            rows[pr] = [v * inv for v in rows[pr]]
-        prow = rows[pr]
-        for r in range(nrows):
-            if r != pr and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], prow)]
+        unused.discard(p)
+        prow = rows[p]
+        if prow[c] != 1:
+            inv = Fraction(1, prow[c])
+            prow = rows[p] = {j: v * inv for j, v in prow.items()}
+        for r in in_col[c] - {p}:
+            row = rows[r]
+            f = row[c]
+            for j, y in prow.items():
+                nv = row.get(j, 0) - f * y
+                if nv:
+                    row[j] = nv
+                    if j < na:
+                        in_col[j].add(r)
+                else:
+                    del row[j]
+                    if j < na:
+                        in_col[j].discard(r)
         pivots.append(c)
-        pr += 1
-        if pr == nrows:
+        order.append(p)
+        if not unused:
             break
-    return rows, pivots
+    return [rows[p] for p in order] + [rows[r] for r in unused], pivots
 
 
-def _kernel(red: list[list[Fraction]], pivots: list[int], n: int) -> list[tuple[Fraction, ...]]:
+def _kernel(red: list[dict], pivots: list[int], n: int) -> list[tuple]:
     """Null space of the first n columns of a reduced system, one vector per free column."""
     pivset = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivset:
-            continue
-        v = [_ZERO] * n
-        v[f] = _ONE
-        for r, pc in enumerate(pivots):
-            if red[r][f]:
-                v[pc] = -red[r][f]
-        basis.append(tuple(v))
-    return basis
+    vecs = {f: [int(j == f) for j in range(n)] for f in range(n) if f not in pivset}
+    for row, pc in zip(red, pivots):
+        for j, x in row.items():
+            if j < n and j != pc:
+                vecs[j][pc] = -x
+    return [tuple(v) for v in vecs.values()]
 
 
-def _particular(red: list[list[Fraction]], pivots: list[int], n: int, k: int) -> Matrix | None:
+def _particular(red: list[dict], pivots: list[int], n: int, k: int) -> Matrix | None:
     """The n x k solution read off a reduced [a | b] (free coordinates zero), or None."""
-    if any(any(row[n:]) for row in red[len(pivots):]):
+    if any(red[len(pivots):]):
         return None
-    return Matrix(n, k, [{pc: red[r][n + j] for r, pc in enumerate(pivots) if red[r][n + j]}
-                         for j in range(k)])
+    cols: list[dict] = [{} for _ in range(k)]
+    for row, pc in zip(red, pivots):
+        for j, x in row.items():
+            if j >= n:
+                cols[j - n][pc] = x
+    return Matrix(n, k, cols)
 
 
-def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
+def kernel_basis(m: Matrix) -> list[tuple]:
     """Basis of the right null space, one vector per free column, ascending."""
     return _kernel(*_eliminate(m), m.cols)
 
 
-def solve_affine(a: Matrix, b: Sequence) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]] | None:
+def solve_affine(a: Matrix, b: Sequence) -> tuple[tuple, list[tuple]] | None:
     """Full affine solution set of a*x = b, or None if inconsistent.
 
     The particular solution has zeros in all free coordinates.
@@ -284,7 +290,7 @@ def solve_affine(a: Matrix, b: Sequence) -> tuple[tuple[Fraction, ...], list[tup
     return tuple(x.entry(i, 0) for i in range(a.cols)), _kernel(red, pivots, a.cols)
 
 
-def map_system(rows: int, cols: int, conditions) -> tuple[Matrix, list[Fraction]]:
+def map_system(rows: int, cols: int, conditions) -> tuple[Matrix, list]:
     """The exact linear system f(X) = c for an unknown rows x cols map X.
 
     Each condition is a pair (f, c) with f linear in X.  Unknown k is
@@ -292,7 +298,7 @@ def map_system(rows: int, cols: int, conditions) -> tuple[Matrix, list[Fraction]
     The equations are the entries of each f(X) in row-major order, stacked
     in the order the conditions are given.
     """
-    rhs: list[Fraction] = []
+    rhs: list = []
     offsets = []
     for _, c in conditions:
         offsets.append(len(rhs))
@@ -359,7 +365,7 @@ def _apply_plain(mat: Matrix, vec: dict) -> dict:
     out: dict = {}
     for i, v in vec.items():
         for r, w in mat._cols[i].items():
-            nv = out.get(r, _ZERO) + v * w
+            nv = out.get(r, 0) + v * w
             if nv:
                 out[r] = nv
             elif r in out:
@@ -395,7 +401,7 @@ def _apply_factors(factors: Sequence[Matrix], vec: dict) -> dict:
                     nacc[oi + r * stride] = ov * rv
             acc = nacc
         for k, v in acc.items():
-            nv = out.get(k, _ZERO) + v
+            nv = out.get(k, 0) + v
             if nv:
                 out[k] = nv
             elif k in out:
@@ -421,7 +427,7 @@ def pipeline(*stages) -> Matrix:
         cur = cout
     cols = []
     for j in range(dom):
-        vec: dict = {j: _ONE}
+        vec: dict = {j: 1}
         for st in stages:
             if isinstance(st, Matrix):
                 vec = _apply_plain(st, vec)

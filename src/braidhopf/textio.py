@@ -46,7 +46,7 @@ from itertools import product
 from .category import (Backend, CatObject, FiniteGroup, Morphism,
                        SignGradedBackend, SUPER, VEC, YetterDrinfeldBackend)
 from .hopf import Coalgebra, make_bialgebra
-from .linalg import Matrix
+from .linalg import Matrix, _frac
 
 
 class ParseError(ValueError):
@@ -73,12 +73,13 @@ class LoadedAlgebra:
         return len(self.basis)
 
 
-def parse_scalar(tok: str, line: int) -> Fraction:
+def parse_scalar(tok: str, line: int) -> int | Fraction:
+    """An integer or p/q coefficient; an integral one comes back as an int."""
     try:
         if "/" in tok:
             num, den = tok.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(tok))
+            return _frac(Fraction(int(num), int(den)))
+        return int(tok)
     except (ValueError, ZeroDivisionError):
         raise ParseError(line, f"bad coefficient {tok!r}")
 

@@ -249,7 +249,6 @@ def search_weak_projection(a: BraidedBialgebra, b: HopfAlgebra,
     na, nb = a.dim, b.dim
     sm, idb = sigma.mat, Matrix.identity(nb)
     m_sig = pipeline((Matrix.identity(na), sm), a.m.mat)   # A (x) B -> A
-    # section first: this order eliminates in under half the time verify_weak_projection's takes
     system, rhs = map_system(nb, na, [
         (lambda x: compose(sm, x), idb),
         (lambda x: compose(m_sig, x) - pipeline((x, idb), b.m.mat), Matrix.zeros(nb, na * nb)),

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from functools import reduce
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidhopf.linalg import (Matrix, ShapeMismatch, compose, equalizer, hstack,
+from braidhopf.linalg import (Matrix, ShapeMismatch, _frac, compose, equalizer, hstack,
                               kernel_basis, kron, map_system, pipeline, solve_affine,
                               solve_matrix)
 
@@ -178,6 +180,24 @@ def test_map_system_columns_are_the_conditions_on_basis_maps(data):
             assert f(reshape(h, r, c)) == Matrix.zeros(want.rows, want.cols)
 
 
+def entries(m):
+    return [v for j in range(m.cols) for v in m.column(j).values()]
+
+
+@given(int_matrices(2, 3), int_matrices(3, 2), int_matrices(2, 2))
+@settings(max_examples=40)
+def test_integer_input_keeps_int_entries(a, b, c):
+    results = [a, Matrix.from_entries(2, 2, [(0, 0, 1), (0, 0, 2), (1, 1, F(6, 3))]),
+               kron(a, b), a * b, pipeline(kron(c, c), (c, c), (a * b, c)), pipeline(b, a)]
+    assert all(type(v) is int for m in results for v in entries(m))
+
+
+def test_frac_turns_an_integral_fraction_into_an_int():
+    assert _frac(F(4, 2)) == 2 and type(_frac(F(4, 2))) is int
+    assert type(_frac(True)) is int
+    assert _frac(F(1, 2)) == F(1, 2)
+
+
 def test_map_system_rejects_a_right_hand_side_of_the_wrong_shape():
     with pytest.raises(ShapeMismatch):
         map_system(2, 2, [(lambda x: x, Matrix.zeros(2, 3))])
@@ -299,6 +319,50 @@ def test_pipeline_three_factor_stage(a, b, c):
     assert pipeline((a, b, c)) == kron(kron(a, b), c)
 
 
+@st.composite
+def factors(draw, cols, pool):
+    """A factor with the given number of columns: random, identity, zero, or
+    one drawn before (so that stages repeat factors)."""
+    kind = draw(st.sampled_from(["random", "identity", "zero", "repeat"]))
+    if kind == "repeat" and pool.get(cols):
+        return draw(st.sampled_from(pool[cols]))
+    if kind == "identity":
+        return Matrix.identity(cols)
+    rows = draw(st.integers(1, 3))
+    f = Matrix.zeros(rows, cols) if kind == "zero" else draw(matrices(rows, cols))
+    pool.setdefault(cols, []).append(f)
+    return f
+
+
+@st.composite
+def stage_lists(draw):
+    """One to four stages; each a plain matrix or a tuple of one to three
+    factors whose column counts multiply to the current dimension."""
+    pool: dict = {}
+    dim = draw(st.integers(1, 4))
+    stages = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            stage = draw(factors(dim, pool))
+        else:
+            col_dims, rest = [], dim
+            for _ in range(draw(st.integers(0, 2))):
+                d = draw(st.sampled_from([d for d in range(1, rest + 1) if rest % d == 0]))
+                col_dims.append(d)
+                rest //= d
+            stage = tuple(draw(factors(d, pool)) for d in col_dims + [rest])
+        stages.append(stage)
+        dim = stage.rows if isinstance(stage, Matrix) else prod(f.rows for f in stage)
+    return stages
+
+
+@given(stage_lists())
+@settings(max_examples=100, deadline=None)
+def test_pipeline_equals_the_product_of_materialized_stages(stages):
+    mats = [s if isinstance(s, Matrix) else reduce(kron, s) for s in stages]
+    assert pipeline(*stages) == compose(*mats)
+
+
 # -- differential tests against sympy's exact matrices ------------------------
 
 def to_sympy(m):
@@ -350,3 +414,36 @@ def test_solve_matrix_matches_columnwise_solves(a, k, consistent, data):
         assert any(sol is None for sol in sols)
     else:
         assert x == Matrix.from_cols(a.cols, [sol[0] for sol in sols])
+
+
+# -- the pivot row is free ---------------------------------------------------
+# The reduced row echelon form is unique, so no result may depend on the
+# order of the equations.  A permutation matrix P reorders them.
+
+def permute_rows(m, perm):
+    return Matrix.from_rows([[m.entry(p, j) for j in range(m.cols)] for p in perm])
+
+
+def inverse_or_none(m):
+    try:
+        return m.inverse()
+    except ShapeMismatch:    # singular or not square
+        return None
+
+
+@given(st.booleans(), st.integers(1, 3), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_row_order_changes_no_result(square, k, consistent, data):
+    a = data.draw(systems(square=square))
+    b = (a * data.draw(matrices(a.cols, k)) if consistent
+         else data.draw(matrices(a.rows, k)))
+    perm = data.draw(st.permutations(range(a.rows)))
+    pa, pb = permute_rows(a, perm), permute_rows(b, perm)
+    assert pa.rank() == a.rank()
+    assert kernel_basis(pa) == kernel_basis(a)
+    assert solve_matrix(pa, pb) == solve_matrix(a, b)
+    # the inverse of P a is a^-1 P^-1
+    inv, pinv = inverse_or_none(a), inverse_or_none(pa)
+    assert (pinv is None) == (inv is None)
+    if inv is not None:
+        assert pinv * permute_rows(Matrix.identity(a.rows), perm) == inv

@@ -8,7 +8,7 @@ from braidhopf.category import VEC
 from braidhopf.hopf import full_axiom_report
 from braidhopf.linalg import Matrix
 from braidhopf.textio import (LoadedAlgebra, ParseError, inclusion_by_names,
-                              parse_algebra_file, parse_morphism_file,
+                              parse_algebra_file, parse_morphism_file, parse_scalar,
                               render_algebra, render_morphism, tensor_names)
 
 H4_TEXT = """
@@ -97,6 +97,12 @@ def test_fraction_coefficients():
     loaded = parse_algebra_file(text)
     assert loaded.algebra.m.mat.entry(0, 0) == Fraction(2, 3)
     assert loaded.algebra.u.mat.entry(0, 0) == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("tok, value", [("3", 3), ("-4/2", -2), ("6/3", 2), ("2/3", Fraction(2, 3))])
+def test_parse_scalar_gives_an_int_for_an_integral_coefficient(tok, value):
+    got = parse_scalar(tok, 1)
+    assert got == value and type(got) is type(value)
 
 
 def test_grade_entries_need_a_graded_backend():
