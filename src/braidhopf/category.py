@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, kron, pipeline
+from .linalg import Matrix, ShapeMismatch, kron, pipeline
 from .report import CheckResult, bool_check, eq_check
 
 
@@ -128,9 +128,6 @@ class Backend:
     def braiding_mat(self, x: CatObject, y: CatObject) -> Matrix:
         raise NotImplementedError
 
-    def braiding_inv_mat(self, x: CatObject, y: CatObject) -> Matrix:
-        raise NotImplementedError
-
     def object_report(self, x: CatObject) -> list[CheckResult]:
         return []
 
@@ -150,9 +147,6 @@ class VecBackend(Backend):
 
     def braiding_mat(self, x: CatObject, y: CatObject) -> Matrix:
         return _flip(x, y, lambda i, j: 1)
-
-    def braiding_inv_mat(self, x: CatObject, y: CatObject) -> Matrix:
-        return self.braiding_mat(x, y).transpose()
 
 
 def _require_grading(x: CatObject) -> tuple[int, ...]:
@@ -190,9 +184,6 @@ class _GradedBackend(Backend):
         gx, gy = _require_grading(x), _require_grading(y)
         grading = tuple(self._grade_mul(a, b) for a in gx for b in gy)
         return CatObject(x.dim * y.dim, grading=grading)
-
-    def braiding_inv_mat(self, x: CatObject, y: CatObject) -> Matrix:
-        return self.braiding_mat(x, y).transpose()
 
     def morphism_report(self, f: Morphism) -> list[CheckResult]:
         return [_grade_check(f)]
@@ -314,18 +305,6 @@ class YetterDrinfeldBackend(Backend):
                     entries.append((k * x.dim + i, i * y.dim + j, v))
         return Matrix.from_entries(x.dim * y.dim, x.dim * y.dim, entries)
 
-    def braiding_inv_mat(self, x: CatObject, y: CatObject) -> Matrix:
-        grading = _require_grading(x)
-        ay = _require_action(y)
-        inv = self.group.inverses
-        entries = []
-        for i in range(x.dim):
-            act = ay[inv[grading[i]]]
-            for j in range(y.dim):
-                for k, v in act.column(j).items():
-                    entries.append((i * y.dim + k, j * x.dim + i, v))
-        return Matrix.from_entries(x.dim * y.dim, y.dim * x.dim, entries)
-
     def morphism_report(self, f: Morphism) -> list[CheckResult]:
         checks = [_grade_check(f)]
         ad, ac = _require_action(f.dom), _require_action(f.cod)
@@ -357,15 +336,15 @@ def verify_braiding_axioms(backend: Backend, x: CatObject, y: CatObject, z: CatO
     idx = Matrix.identity(x.dim)
     idy = Matrix.identity(y.dim)
     idz = Matrix.identity(z.dim)
+    try:
+        c_xy.inverse()
+        invertible = True
+    except ShapeMismatch:           # inverse() raises on a singular matrix
+        invertible = False
     checks = [
         eq_check("hexagon_first", c_xy_z, pipeline((idx, c_yz), (c_xz, idy))),
         eq_check("hexagon_second", c_x_yz, pipeline((c_xy, idz), (idy, c_xz))),
-        eq_check("braiding_right_inverse",
-                 backend.braiding_mat(x, y) * backend.braiding_inv_mat(x, y),
-                 Matrix.identity(x.dim * y.dim)),
-        eq_check("braiding_left_inverse",
-                 backend.braiding_inv_mat(x, y) * backend.braiding_mat(x, y),
-                 Matrix.identity(x.dim * y.dim)),
+        bool_check("braiding_invertible", invertible, witness="singular"),
     ]
     for k, (f, g) in enumerate(sample_morphisms):
         lhs = backend.braiding_mat(f.cod, g.cod) * kron(f.mat, g.mat)

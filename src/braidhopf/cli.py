@@ -238,6 +238,13 @@ def cmd_magnum(args) -> list[CheckResult]:
     return check_magnum_preconditions(a.algebra, b.algebra, sigma, args.max_n)
 
 
+def _count(text: str) -> int:
+    """argparse type of a count N >= 0; anything else is bad input (exit 2)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer N >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidhopf",
@@ -303,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("filtration", help="the iterated wedge filtration against B")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=_count, default=None)
     p.set_defaults(fn=cmd_filtration)
 
     p = subs.add_parser("coradical", help="largest cosemisimple subcoalgebra")
@@ -314,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("sigma", nargs="?")
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=_count, default=None)
     p.set_defaults(fn=cmd_magnum)
 
     return parser

@@ -148,8 +148,8 @@ def solve_total_integral(h: BraidedBialgebra) -> Integral | None:
     n, idb = h.dim, Matrix.identity(h.dim)
     d, u = h.delta.mat, h.u.mat
     sol = solve_affine(*map_system(1, n, [
-        (lambda lam: pipeline(d, (idb, lam)) - compose(lam, u), Matrix.zeros(n, n)),
-        (lambda lam: compose(u, lam), Matrix.identity(1)),
+        (lambda lam: pipeline(d, (idb, lam)), lambda lam: compose(lam, u)),
+        (lambda lam: compose(u, lam), lambda lam: Matrix.identity(1)),
     ]))
     if sol is None:
         return None
@@ -174,16 +174,15 @@ def integral_from_section(h: HopfAlgebra, theta: Matrix) -> Integral:
 def verify_cosep_section(h: HopfAlgebra, theta: Matrix) -> list[CheckResult]:
     """Bicolinearity, the section property, right B-linearity, and the
     two-sided expression for theta itself."""
-    m, d, s, e = h.m.mat, h.delta.mat, h.s.mat, h.eps.mat
+    m, d, s = h.m.mat, h.delta.mat, h.s.mat
     idb = Matrix.identity(h.dim)
     c = h.braiding()
-    lam = integral_from_section(h, theta).lam.mat
-    lam_m = compose(m, lam)
-    lhs_two_sided = pipeline((idb, d), (idb, s, idb), (lam_m, idb))
+    integral = integral_from_section(h, theta)
+    lam_m = compose(m, integral.lam.mat)
     rhs_two_sided = pipeline((d, idb), (idb, idb, s), (idb, lam_m))
     mod_action = pipeline((idb, idb, d), (idb, c, idb), (m, m))  # (B(x)B)(x)B module structure
     return [
-        eq_check("two_sided_expression", lhs_two_sided, rhs_two_sided),
+        eq_check("two_sided_expression", build_cosep_section(h, integral), rhs_two_sided),
         eq_check("left_colinear", compose(theta, d), pipeline((d, idb), (idb, theta))),
         eq_check("right_colinear", compose(theta, d), pipeline((idb, d), (theta, idb))),
         eq_check("section_of_delta", compose(d, theta), idb),

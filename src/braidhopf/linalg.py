@@ -17,9 +17,10 @@ outputs are the unique reduced form.  Which row carries a pivot changes no
 result, because the reduced row echelon form is unique, so identical inputs
 always produce identical bases and solutions.
 
-``map_system`` builds every system whose unknown is a map: it turns the
-identities the map must satisfy, written as tensor formulas, into exact
-coefficient columns.  ``_eliminate`` still solves it.
+``map_system`` builds every system whose unknown is a map X: each identity
+the map must satisfy is a pair (lhs, rhs) of tensor formulas affine in X,
+written as it is checked.  With d = lhs - rhs, column k of the system is
+d(E_k) - d(0) and the right-hand side is -d(0).  ``_eliminate`` solves it.
 """
 
 from __future__ import annotations
@@ -291,32 +292,43 @@ def solve_affine(a: Matrix, b: Sequence) -> tuple[tuple, list[tuple]] | None:
 
 
 def map_system(rows: int, cols: int, conditions) -> tuple[Matrix, list]:
-    """The exact linear system f(X) = c for an unknown rows x cols map X.
+    """The exact linear system lhs(X) = rhs(X) for an unknown rows x cols map X.
 
-    Each condition is a pair (f, c) with f linear in X.  Unknown k is
-    X[k // cols, k % cols] and column k is f applied to the basis map E_k.
-    The equations are the entries of each f(X) in row-major order, stacked
+    Each condition is a pair (lhs, rhs) of functions of X, each affine in X.
+    With d = lhs - rhs, unknown k is X[k // cols, k % cols], column k is
+    d(E_k) - d(0) for the basis map E_k, and the right-hand side is -d(0).
+    The equations are the entries of each d(X) in row-major order, stacked
     in the order the conditions are given.
     """
-    rhs: list = []
-    offsets = []
-    for _, c in conditions:
-        offsets.append(len(rhs))
-        rhs.extend(c.entry(i, j) for i in range(c.rows) for j in range(c.cols))
+    def add_d(acc: dict, x: Matrix, sign: int) -> int:
+        """acc += sign * d(x), entry (i, j) of a condition at its offset plus
+        i * width + j; returns the number of equations."""
+        off = 0
+        for lhs, rhs in conditions:
+            lx, rx = lhs(x), rhs(x)
+            if (lx.rows, lx.cols) != (rx.rows, rx.cols):
+                raise ShapeMismatch(f"left side is {lx.rows}x{lx.cols}, "
+                                    f"right side is {rx.rows}x{rx.cols}")
+            for m, s in ((lx, sign), (rx, -sign)):
+                for j, col in enumerate(m._cols):
+                    for i, v in col.items():
+                        key = off + i * m.cols + j
+                        nv = acc.get(key, 0) + s * v
+                        if nv:
+                            acc[key] = nv
+                        else:
+                            del acc[key]
+            off += lx.rows * lx.cols
+        return off
+
+    neg_d0: dict = {}
+    n_eq = add_d(neg_d0, Matrix.zeros(rows, cols), -1)
     columns = []
     for k in range(rows * cols):
-        e_k = Matrix.from_entries(rows, cols, [(k // cols, k % cols, 1)])
-        column = {}
-        for (f, c), off in zip(conditions, offsets):
-            fx = f(e_k)
-            if (fx.rows, fx.cols) != (c.rows, c.cols):
-                raise ShapeMismatch(f"condition gives {fx.rows}x{fx.cols}, "
-                                    f"right hand side is {c.rows}x{c.cols}")
-            for j, col in enumerate(fx._cols):
-                for i, v in col.items():
-                    column[off + i * c.cols + j] = v
+        column = dict(neg_d0)
+        add_d(column, Matrix.from_entries(rows, cols, [(k // cols, k % cols, 1)]), 1)
         columns.append(column)
-    return Matrix(len(rhs), rows * cols, columns), rhs
+    return Matrix(n_eq, rows * cols, columns), [neg_d0.get(e, 0) for e in range(n_eq)]
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:

@@ -56,9 +56,7 @@ class FactorizationContext:
     sigma: Morphism      # B -> A
     include: Morphism    # R -> A
     phi_factor: Matrix   # m_A (i (x) sigma)
-    phi_inv: Matrix
-    theta: Matrix        # m_A (sigma (x) i)
-    psi: Matrix          # phi_factor^-1 theta : B (x) R -> R (x) B
+    psi: Matrix          # phi_factor^-1 m_A (sigma (x) i) : B (x) R -> R (x) B
 
 
 def delta_on_br(b: BraidedBialgebra, r: BraidedBialgebra) -> Matrix:
@@ -77,9 +75,8 @@ def make_factorization(a: BraidedBialgebra, b: BraidedBialgebra, r: BraidedBialg
         phi_inv = phi.inverse()
     except ShapeMismatch:
         raise NotInvertible("m_A(i (x) sigma) is singular") from None
-    theta = pipeline((sigma.mat, include.mat), a.m.mat)
-    psi = compose(theta, phi_inv)
-    return FactorizationContext(a, b, r, sigma, include, phi, phi_inv, theta, psi)
+    psi = pipeline((sigma.mat, include.mat), a.m.mat, phi_inv)
+    return FactorizationContext(a, b, r, sigma, include, phi, psi)
 
 
 def build_cross_product(ctx: WeakProjectionContext) -> CrossProductData:

@@ -50,9 +50,7 @@ class WeakProjectionContext:
     b: HopfAlgebra
     sigma: Morphism
     pi: Morphism
-    phi_proj: Matrix     # sigma S_B pi
-    pi1: Matrix          # sigma pi
-    pi2: Matrix          # m_A (A (x) phi_proj) Delta_A
+    pi2: Matrix          # m_A (A (x) sigma S_B pi) Delta_A
     r_obj: CatObject
     include: Matrix      # i : R -> A
     project: Matrix      # p : A -> R
@@ -73,24 +71,31 @@ def projection_operators(a: BraidedBialgebra, b: HopfAlgebra,
     return phi, pi1, pi2
 
 
+def pi_affine_conditions(a: BraidedBialgebra, b: HopfAlgebra, sigma: Morphism):
+    """The identities on pi that are affine in pi, as (name, lhs, rhs) with
+    each side a function of pi's matrix: eps_B pi = eps_A, right B-linearity
+    and pi sigma = Id_B."""
+    sm, idb = sigma.mat, Matrix.identity(b.dim)
+    m_sig = pipeline((Matrix.identity(a.dim), sm), a.m.mat)   # A (x) B -> A
+    return [
+        ("pi_counital", lambda x: compose(x, b.eps.mat), lambda x: a.eps.mat),
+        ("pi_right_linear", lambda x: compose(m_sig, x), lambda x: pipeline((x, idb), b.m.mat)),
+        ("pi_section_of_sigma", lambda x: compose(sm, x), lambda x: idb),
+    ]
+
+
 def verify_weak_projection(a: BraidedBialgebra, b: HopfAlgebra,
                            sigma: Morphism, pi: Morphism) -> list[CheckResult]:
     """sigma a bialgebra morphism, pi a right B-linear coalgebra retraction."""
     sm, pm = sigma.mat, pi.mat
-    ida, idb = Matrix.identity(a.dim), Matrix.identity(b.dim)
-    checks = [
+    return [
         merge_checks("sigma_valid_morphism", a.backend.morphism_report(sigma)),
         merge_checks("pi_valid_morphism", a.backend.morphism_report(pi)),
         *verify_bialgebra_map(sm, b, a, ("sigma_multiplicative", "sigma_unital",
                                          "sigma_comultiplicative", "sigma_counital")),
         eq_check("pi_comultiplicative", compose(pm, b.delta.mat), pipeline(a.delta.mat, (pm, pm))),
-        eq_check("pi_counital", compose(pm, b.eps.mat), a.eps.mat),
-        eq_check("pi_right_linear",
-                 pipeline((ida, sm), a.m.mat, pm),
-                 pipeline((pm, idb), b.m.mat)),
-        eq_check("pi_section_of_sigma", compose(sm, pm), idb),
+        *(eq_check(name, lhs(pm), rhs(pm)) for name, lhs, rhs in pi_affine_conditions(a, b, sigma)),
     ]
-    return checks
 
 
 def run_bd_suite(a: BraidedBialgebra, b: HopfAlgebra,
@@ -196,11 +201,10 @@ def derive_structure_maps(a: BraidedBialgebra, sigma: Morphism, pi: Morphism,
 
 def build_context(a: BraidedBialgebra, b: HopfAlgebra,
                   sigma: Morphism, pi: Morphism) -> WeakProjectionContext:
-    phi, p1, p2 = projection_operators(a, b, sigma, pi)
+    _, _, p2 = projection_operators(a, b, sigma, pi)
     r_obj, include, project = compute_diagram(a, b, sigma, pi)
     maps = derive_structure_maps(a, sigma, pi, include, project)
-    return WeakProjectionContext(a, b, sigma, pi, phi, p1, p2,
-                                 r_obj, include, project, maps)
+    return WeakProjectionContext(a, b, sigma, pi, p2, r_obj, include, project, maps)
 
 
 def r_coalgebra(ctx: WeakProjectionContext) -> Coalgebra:
@@ -238,23 +242,18 @@ def search_weak_projection(a: BraidedBialgebra, b: HopfAlgebra,
     """Solve the affine part of the weak projection conditions, then test
     the quadratic coalgebra condition on finitely many candidates.
 
-    The affine conditions are the tensor formulas of verify_weak_projection
-    with pi unknown: pi sigma = Id_B, right B-linearity and eps_B pi = eps_A;
-    linalg.map_system turns them into one exact system for the dim(B) x
-    dim(A) entries of pi.  The particular solution is tried first, then the
-    particular plus each homogeneous basis vector; the first candidate
-    passing the full verification is returned.  The search is a documented
-    heuristic, not a decision procedure.
+    The affine conditions are verify_weak_projection's list,
+    pi_affine_conditions, with pi unknown; linalg.map_system turns them into
+    one exact system for the dim(B) x dim(A) entries of pi, in row-major
+    order.  The particular solution is tried first, then the particular plus
+    each homogeneous basis vector; the first candidate passing the full
+    verification is returned.  The search is a documented heuristic, not a
+    decision procedure.
     """
     na, nb = a.dim, b.dim
-    sm, idb = sigma.mat, Matrix.identity(nb)
-    m_sig = pipeline((Matrix.identity(na), sm), a.m.mat)   # A (x) B -> A
-    system, rhs = map_system(nb, na, [
-        (lambda x: compose(sm, x), idb),
-        (lambda x: compose(m_sig, x) - pipeline((x, idb), b.m.mat), Matrix.zeros(nb, na * nb)),
-        (lambda x: compose(x, b.eps.mat), a.eps.mat),
-    ])
-    sol = solve_affine(system, rhs)
+    system, target = map_system(nb, na, [(lhs, rhs) for _, lhs, rhs
+                                         in pi_affine_conditions(a, b, sigma)])
+    sol = solve_affine(system, target)
     if sol is None:
         checks = (bool_check("linear_system_solvable", False,
                              witness=f"rank={system.rank()}:unknowns={na * nb}"),)

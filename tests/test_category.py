@@ -3,7 +3,7 @@ import pytest
 from braidhopf.builders import (conjugation_yd_object, cyclic_group, s3_group,
                                 symmetric_group)
 from braidhopf.category import (CatObject, FiniteGroup, MissingGrading,
-                                Morphism, SignGradedBackend, SUPER, VEC,
+                                Morphism, SignGradedBackend, SUPER, VEC, VecBackend,
                                 YetterDrinfeldBackend, verify_braiding_axioms)
 from braidhopf.linalg import Matrix
 
@@ -102,8 +102,8 @@ def test_yd_braiding_acts_then_flips():
     flip = VEC.braiding_mat(CatObject(1), CatObject(2))
     from braidhopf.linalg import kron
     assert c == flip * kron(Matrix.identity(1), neg)
-    inv = backend.braiding_inv_mat(v, w)
-    assert inv * c == Matrix.identity(2)
+    checks = {ch.name: ch for ch in verify_braiding_axioms(backend, v, w, v)}
+    assert checks["braiding_invertible"].status == "pass"
 
 
 def test_braiding_axioms_vec():
@@ -115,6 +115,22 @@ def test_braiding_axioms_super_odd():
     line = CatObject(1, grading=(1,))
     plane = CatObject(2, grading=(0, 1))
     assert all_pass(verify_braiding_axioms(SUPER, line, plane, line))
+
+
+class SingularBraiding(VecBackend):
+    """Vec with the zero map as braiding: hexagons and naturality hold, invertibility does not."""
+
+    def braiding_mat(self, x, y):
+        return Matrix.zeros(x.dim * y.dim, x.dim * y.dim)
+
+
+def test_singular_braiding_fails_invertibility_without_raising():
+    objs = [CatObject(1), CatObject(2), CatObject(2)]
+    f = Morphism(objs[1], objs[1], Matrix.identity(2))
+    checks = {c.name: c for c in verify_braiding_axioms(SingularBraiding(), *objs, [(f, f)])}
+    assert checks["braiding_invertible"].status == "fail"
+    assert checks["braiding_invertible"].witness == "singular"
+    assert all(c.status == "pass" for name, c in checks.items() if name != "braiding_invertible")
 
 
 def test_braiding_axioms_yd_s3_regular():

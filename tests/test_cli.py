@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from braidhopf.cli import dispatch, main
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -126,6 +128,15 @@ def test_filtration_values():
     assert code == 0
     dims = [c for c in report.checks if c.name == "b_adic_dims"][0]
     assert dims.value == "2,4"
+
+
+@pytest.mark.parametrize("command", ["filtration", "magnum"])
+@pytest.mark.parametrize("max_n", ["-1", "two"])
+def test_max_n_below_zero_or_not_a_number_is_bad_input(command, max_n, capsys):
+    argv = [command, corpus("algebras", "h4.alg"), corpus("algebras", "c2_in_h4.alg"),
+            f"--max-n={max_n}"]
+    assert main(argv) == 2
+    assert "N >= 0" in capsys.readouterr().err
 
 
 def test_coradical_of_ut2():

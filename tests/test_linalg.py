@@ -149,23 +149,32 @@ def reshape(vec, rows, cols):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_map_system_columns_are_the_conditions_on_basis_maps(data):
-    """For X of shape r x c: f1(X) = L X R and f2(X) = (X (x) K) N, with
-    right-hand sides drawn at random or as f(X0) for some X0."""
+    """For X of shape r x c, three conditions (lhs, rhs): L X R = T1 and
+    (X (x) K) N = T2 with constant right sides, and the affine L X R + C =
+    L2 X R2.  The targets are drawn at random or made to hold at some X0."""
     r, c, s, t, kr, kc = (data.draw(st.integers(1, 3)) for _ in range(6))
     left, right = data.draw(int_matrices(s, r)), data.draw(int_matrices(c, t))
+    left2, right2 = data.draw(int_matrices(s, r)), data.draw(int_matrices(c, t))
     k, n = data.draw(int_matrices(kr, kc)), data.draw(int_matrices(2, r * kr))
-    fs = [lambda x: compose(right, x, left), lambda x: pipeline((x, k), n)]
+    f1 = lambda x: compose(right, x, left)
+    f2 = lambda x: pipeline((x, k), n)
+    f3 = lambda x: compose(right2, x, left2)
     x0 = data.draw(int_matrices(r, c)) if data.draw(st.booleans()) else None
-    shapes = [(s, t), (2, c * kc)]
-    rhs_maps = [f(x0) if x0 is not None else data.draw(int_matrices(*shape))
-                for f, shape in zip(fs, shapes)]
-    system, rhs = map_system(r, c, list(zip(fs, rhs_maps)))
+    if x0 is None:
+        t1, t2 = data.draw(int_matrices(s, t)), data.draw(int_matrices(2, c * kc))
+        const = data.draw(int_matrices(s, t))
+    else:
+        t1, t2, const = f1(x0), f2(x0), f3(x0) - f1(x0)
+    conditions = [(f1, lambda x: t1), (f2, lambda x: t2), (lambda x: f1(x) + const, f3)]
+    system, rhs = map_system(r, c, conditions)
 
-    assert (system.rows, system.cols) == (s * t + 2 * c * kc, r * c)
-    assert rhs == row_major(rhs_maps[0]) + row_major(rhs_maps[1])
+    assert (system.rows, system.cols) == (2 * s * t + 2 * c * kc, r * c)
+    # the right-hand side is -d(0) with d = lhs - rhs
+    assert rhs == row_major(t1) + row_major(t2) + row_major(-const)
     for col in range(r * c):
         e_k = Matrix.from_entries(r, c, [(col // c, col % c, 1)])
-        expected = row_major(fs[0](e_k)) + row_major(fs[1](e_k))
+        # column k is d(E_k) - d(0): the constants drop out
+        expected = row_major(f1(e_k)) + row_major(f2(e_k)) + row_major(f1(e_k) - f3(e_k))
         assert [system.entry(i, col) for i in range(system.rows)] == expected
 
     sol = solve_affine(system, rhs)
@@ -174,10 +183,22 @@ def test_map_system_columns_are_the_conditions_on_basis_maps(data):
     if sol is None:
         return
     part, basis = sol
-    for f, want in zip(fs, rhs_maps):
-        assert f(reshape(part, r, c)) == want
+    zero = Matrix.zeros(r, c)
+    for lhs, rhs_fn in conditions:
+        assert lhs(reshape(part, r, c)) == rhs_fn(reshape(part, r, c))
         for h in basis:
-            assert f(reshape(h, r, c)) == Matrix.zeros(want.rows, want.cols)
+            x = reshape(h, r, c)
+            assert lhs(x) - lhs(zero) == rhs_fn(x) - rhs_fn(zero)
+
+
+def test_map_system_on_a_constant_right_side_and_an_affine_left_side():
+    # X is 1 x 2: X = [3, 4] has a constant right side, X + [1, 1] = 2 X an affine left side
+    system, rhs = map_system(1, 2, [
+        (lambda x: x, lambda x: mat([[3, 4]])),
+        (lambda x: x + mat([[1, 1]]), lambda x: compose(x, mat([[2]]))),
+    ])
+    assert system == mat([[1, 0], [0, 1], [-1, 0], [0, -1]])
+    assert rhs == [3, 4, -1, -1]
 
 
 def entries(m):
@@ -199,8 +220,8 @@ def test_frac_turns_an_integral_fraction_into_an_int():
 
 
 def test_map_system_rejects_a_right_hand_side_of_the_wrong_shape():
-    with pytest.raises(ShapeMismatch):
-        map_system(2, 2, [(lambda x: x, Matrix.zeros(2, 3))])
+    with pytest.raises(ShapeMismatch, match="left side is 2x2, right side is 2x3"):
+        map_system(2, 2, [(lambda x: x, lambda x: Matrix.zeros(2, 3))])
 
 
 # -- idempotent splitting ----------------------------------------------------

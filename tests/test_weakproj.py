@@ -4,9 +4,9 @@ from contexts import h4_c2, s3_c2, s3_c3, trivial
 from braidhopf.builders import cyclic_group, group_algebra, sweedler_h4
 from braidhopf.category import Morphism
 from braidhopf.hopf import verify_coalgebra
-from braidhopf.linalg import Matrix, compose
+from braidhopf.linalg import Matrix, compose, map_system
 from braidhopf.weakproj import (SplitFailure, build_context, compute_diagram,
-                                projection_operators, run_bd_suite,
+                                pi_affine_conditions, projection_operators, run_bd_suite,
                                 search_weak_projection, structure_report,
                                 verify_weak_projection)
 
@@ -160,6 +160,19 @@ def test_r_is_a_coalgebra():
 
 
 # -- searching for pi -----------------------------------------------------------------
+
+@pytest.mark.parametrize("ctx", [h4_c2, s3_c2, s3_c3])
+def test_known_pi_solves_the_system_built_from_the_shared_conditions(ctx):
+    a, b, sigma, pi = ctx()
+    conditions = pi_affine_conditions(a, b, sigma)
+    assert [name for name, _, _ in conditions] == [
+        c.name for c in verify_weak_projection(a, b, sigma, pi)[-3:]]
+    system, rhs = map_system(b.dim, a.dim, [(lhs, rhs) for _, lhs, rhs in conditions])
+    # unknown k is pi[k // dim A, k % dim A]: the search reshapes candidates the same way
+    vec_pi = Matrix.from_cols(b.dim * a.dim, [[pi.mat.entry(k // a.dim, k % a.dim)
+                                               for k in range(b.dim * a.dim)]])
+    assert system * vec_pi == Matrix.from_cols(system.rows, [rhs])
+
 
 def test_search_finds_canonical_pi_h4():
     a, b, sigma, pi = h4_c2()
