@@ -17,6 +17,12 @@ outputs are the unique reduced form.  Which row carries a pivot changes no
 result, because the reduced row echelon form is unique, so identical inputs
 always produce identical bases and solutions.
 
+``pipeline`` evaluates every tensor formula, one basis column at a time.  A
+tuple stage (the Kronecker product of its factors) is compiled once per call:
+adjacent identity factors merge into one run of index digits passed through,
+and the other factors' columns are precomputed with their output strides, so
+the product is never materialized.
+
 ``map_system`` builds every system whose unknown is a map X: each identity
 the map must satisfy is a pair (lhs, rhs) of tensor formulas affine in X,
 written as it is checked.  With d = lhs - rhs, column k of the system is
@@ -26,6 +32,8 @@ d(E_k) - d(0) and the right-hand side is -d(0).  ``_eliminate`` solves it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
+from math import prod
 from typing import Iterable, Sequence
 
 
@@ -366,11 +374,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 def _stage_shape(stage) -> tuple[int, int]:
     if isinstance(stage, Matrix):
         return stage.cols, stage.rows
-    cin = cout = 1
-    for f in stage:
-        cin *= f.cols
-        cout *= f.rows
-    return cin, cout
+    return prod(f.cols for f in stage), prod(f.rows for f in stage)
 
 
 def _apply_plain(mat: Matrix, vec: dict) -> dict:
@@ -385,38 +389,55 @@ def _apply_plain(mat: Matrix, vec: dict) -> dict:
     return out
 
 
-def _apply_factors(factors: Sequence[Matrix], vec: dict) -> dict:
-    in_dims = [f.cols for f in factors]
-    out_strides = []
-    s = 1
-    for f in reversed(factors):
-        out_strides.append(s)
-        s *= f.rows
-    out_strides.reverse()
+def _is_identity(f: Matrix) -> bool:
+    return f.rows == f.cols and all(len(c) == 1 and c.get(j) == 1 for j, c in enumerate(f._cols))
+
+
+def _compile_factors(factors: Sequence[Matrix]) -> tuple[list, list]:
+    """(runs, tables) applying the Kronecker product of factors to a vector.
+
+    A factor's digit of input index idx is ``idx // in_stride % size``.  A run
+    of adjacent identities, (in_stride, size, out_stride), adds its digit
+    times out_stride to the output index; any other factor is (in_stride,
+    size, table) with ``table[digit]`` its column as (row * out_stride, value).
+    """
+    runs, tables = [], []
+    in_stride = out_stride = 1
+    for is_identity, group in groupby(reversed(factors), _is_identity):
+        if is_identity:
+            size = prod(f.cols for f in group)
+            runs.append((in_stride, size, out_stride))
+            in_stride *= size
+            out_stride *= size
+            continue
+        for f in group:
+            tables.append((in_stride, f.cols,
+                           [[(r * out_stride, v) for r, v in c.items()] for c in f._cols]))
+            in_stride *= f.cols
+            out_stride *= f.rows
+    return runs, tables
+
+
+def _apply_compiled(compiled: tuple[list, list], vec: dict) -> dict:
+    runs, tables = compiled
     out: dict = {}
     for idx, val in vec.items():
-        digits = []
-        rem = idx
-        for d in reversed(in_dims):
-            rem, dig = divmod(rem, d)
-            digits.append(dig)
-        digits.reverse()
-        acc = {0: val}
-        for f, dig, stride in zip(factors, digits, out_strides):
-            col = f._cols[dig]
-            if not col:
-                acc = {}
-                break
-            nacc = {}
-            for oi, ov in acc.items():
-                for r, rv in col.items():
-                    nacc[oi + r * stride] = ov * rv
-            acc = nacc
-        for k, v in acc.items():
+        base = 0
+        for in_stride, size, out_stride in runs:
+            base += idx // in_stride % size * out_stride
+        terms = {base: val}
+        for in_stride, size, table in tables:
+            col = table[idx // in_stride % size]
+            terms = {o + r: w * v for o, w in terms.items() for r, v in col}
+        if not out:
+            # the output indices of one entry are distinct and its values nonzero
+            out = terms
+            continue
+        for k, v in terms.items():
             nv = out.get(k, 0) + v
             if nv:
                 out[k] = nv
-            elif k in out:
+            else:
                 del out[k]
     return out
 
@@ -425,9 +446,10 @@ def pipeline(*stages) -> Matrix:
     """Compose stages applied in the given order (first stage acts first).
 
     Each stage is a Matrix or a tuple of Matrices meaning their Kronecker
-    product; tuple stages are applied factor-wise so the product is never
-    materialized.  This is how every long tensor formula in the package is
-    evaluated.
+    product.  Every stage shape is checked before any column is computed;
+    then each tuple stage is compiled once (``_compile_factors``), identity
+    runs merged, so the product is never materialized.  This is how every
+    long tensor formula in the package is evaluated.
     """
     if not stages:
         raise ValueError("pipeline needs at least one stage")
@@ -437,17 +459,15 @@ def pipeline(*stages) -> Matrix:
         if cin != cur:
             raise ShapeMismatch(f"stage expects domain {cin}, got {cur}")
         cur = cout
+    steps = [(_apply_plain, st) if isinstance(st, Matrix) else
+             (_apply_compiled, _compile_factors(st)) for st in stages]
     cols = []
     for j in range(dom):
         vec: dict = {j: 1}
-        for st in stages:
-            if isinstance(st, Matrix):
-                vec = _apply_plain(st, vec)
-            else:
-                vec = _apply_factors(st, vec)
+        for apply, arg in steps:
+            vec = apply(arg, vec)
         cols.append(vec)
-    _, out_dim = _stage_shape(stages[-1])
-    return Matrix(out_dim, dom, cols)
+    return Matrix(cur, dom, cols)
 
 
 def compose(*mats: Matrix) -> Matrix:

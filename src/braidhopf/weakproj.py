@@ -164,9 +164,8 @@ def _subobject(backend, ambient: CatObject, emb: Matrix) -> CatObject:
 
 
 def compute_diagram(a: BraidedBialgebra, b: HopfAlgebra,
-                    sigma: Morphism, pi: Morphism) -> tuple[CatObject, Matrix, Matrix]:
-    """(R, i, p): the coinvariant equalizer splitting the idempotent Pi2."""
-    _, _, p2 = projection_operators(a, b, sigma, pi)
+                    pi: Morphism, p2: Matrix) -> tuple[CatObject, Matrix, Matrix]:
+    """(R, i, p): the coinvariant equalizer splitting the idempotent Pi2 = p2."""
     ida = Matrix.identity(a.dim)
     f = pipeline(a.delta.mat, (ida, pi.mat))
     g = kron(ida, b.u.mat)
@@ -202,7 +201,7 @@ def derive_structure_maps(a: BraidedBialgebra, sigma: Morphism, pi: Morphism,
 def build_context(a: BraidedBialgebra, b: HopfAlgebra,
                   sigma: Morphism, pi: Morphism) -> WeakProjectionContext:
     _, _, p2 = projection_operators(a, b, sigma, pi)
-    r_obj, include, project = compute_diagram(a, b, sigma, pi)
+    r_obj, include, project = compute_diagram(a, b, pi, p2)
     maps = derive_structure_maps(a, sigma, pi, include, project)
     return WeakProjectionContext(a, b, sigma, pi, p2, r_obj, include, project, maps)
 

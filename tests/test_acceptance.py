@@ -30,7 +30,7 @@ from braidhopf.products import (MatchedPair, PreconditionFailed,
                                 exact_factorization_pair, make_factorization,
                                 r_bialgebra)
 from braidhopf.weakproj import (SplitFailure, build_context, compute_diagram,
-                                run_bd_suite, search_weak_projection,
+                                projection_operators, run_bd_suite, search_weak_projection,
                                 structure_report, verify_weak_projection)
 
 
@@ -369,7 +369,8 @@ def test_criterion_11_mutation_sensitivity():
         # 7: corrupted pi makes the idempotent unsplittable
         bad_pi = Morphism(pi.dom, pi.cod, corrupt(pi.mat, 0, 2))
         with pytest.raises(SplitFailure):
-            compute_diagram(a, b, sigma, bad_pi)
+            compute_diagram(a, b, bad_pi,
+                            projection_operators(a, b, sigma, bad_pi)[2])
         hits += 1
 
         # 8: corrupted cocycle makes the cross product transcription loud

@@ -341,47 +341,102 @@ def test_pipeline_three_factor_stage(a, b, c):
 
 
 @st.composite
+def near_identities(draw, n):
+    """An n-column factor that is not the identity but looks close to it: the
+    identity with one diagonal entry 2, a permutation, the identity plus one
+    off-diagonal entry, or a taller matrix whose top block is the identity."""
+    kind = draw(st.sampled_from(["scaled", "taller"] +
+                                (["permutation", "off_diagonal"] if n > 1 else [])))
+    if kind == "scaled":
+        i = draw(st.integers(0, n - 1))
+        return Matrix.identity(n) + Matrix.from_entries(n, n, [(i, i, 1)])
+    if kind == "permutation":
+        shift = draw(st.integers(1, n - 1))
+        return Matrix(n, n, [{(j + shift) % n: 1} for j in range(n)])
+    if kind == "off_diagonal":
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        return Matrix.identity(n) + Matrix.from_entries(n, n, [(i, j, draw(scalars.filter(bool)))])
+    return Matrix(n + draw(st.integers(1, 2)), n, [{j: 1} for j in range(n)])
+
+
+@st.composite
 def factors(draw, cols, pool):
-    """A factor with the given number of columns: random, identity, zero, or
-    one drawn before (so that stages repeat factors)."""
-    kind = draw(st.sampled_from(["random", "identity", "zero", "repeat"]))
+    """A factor with the given number of columns: random, identity (drawn
+    twice as often, so that identities stand next to each other), near the
+    identity, zero, or one drawn before (so that stages repeat factors)."""
+    kind = draw(st.sampled_from(["random", "identity", "identity", "near_identity", "zero",
+                                 "repeat"]))
     if kind == "repeat" and pool.get(cols):
         return draw(st.sampled_from(pool[cols]))
     if kind == "identity":
         return Matrix.identity(cols)
-    rows = draw(st.integers(1, 3))
-    f = Matrix.zeros(rows, cols) if kind == "zero" else draw(matrices(rows, cols))
+    if kind == "near_identity":
+        f = draw(near_identities(cols))
+    else:
+        rows = draw(st.sampled_from([2, 1, 3]))
+        f = Matrix.zeros(rows, cols) if kind == "zero" else draw(matrices(rows, cols))
     pool.setdefault(cols, []).append(f)
     return f
 
 
+def adapter(rows, cols):
+    """A fixed plain stage: column j has 1 in row j % rows and -2 in row (j + 1) % rows."""
+    return Matrix.from_entries(rows, cols, [e for j in range(cols)
+                                            for e in ((j % rows, j, 1), ((j + 1) % rows, j, -2))])
+
+
 @st.composite
 def stage_lists(draw):
-    """One to four stages; each a plain matrix or a tuple of one to three
-    factors whose column counts multiply to the current dimension."""
+    """One to four drawn stages, each a plain matrix or a tuple of one to four
+    factors with one to three columns each, so that 1x1 identities and runs of
+    adjacent identities occur.  Where the dimension so far is not the domain
+    of the next tuple stage, an adapter stage is inserted to map it there."""
     pool: dict = {}
-    dim = draw(st.integers(1, 4))
+    dim = None
     stages = []
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
+            dim = dim or draw(st.integers(1, 4))
             stage = draw(factors(dim, pool))
         else:
-            col_dims, rest = [], dim
-            for _ in range(draw(st.integers(0, 2))):
-                d = draw(st.sampled_from([d for d in range(1, rest + 1) if rest % d == 0]))
-                col_dims.append(d)
-                rest //= d
-            stage = tuple(draw(factors(d, pool)) for d in col_dims + [rest])
+            col_dims = draw(st.lists(st.sampled_from([2, 1, 3]), min_size=1, max_size=4))
+            if dim and dim != prod(col_dims):
+                stages.append(adapter(prod(col_dims), dim))
+            stage = tuple(draw(factors(d, pool)) for d in col_dims)
         stages.append(stage)
         dim = stage.rows if isinstance(stage, Matrix) else prod(f.rows for f in stage)
     return stages
 
 
 @given(stage_lists())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_pipeline_equals_the_product_of_materialized_stages(stages):
     mats = [s if isinstance(s, Matrix) else reduce(kron, s) for s in stages]
     assert pipeline(*stages) == compose(*mats)
+
+
+def test_pipeline_needs_a_stage():
+    with pytest.raises(ValueError, match="^pipeline needs at least one stage$"):
+        pipeline()
+
+
+class Unreadable:
+    """Stands in for a matrix's columns; reading any of them fails the test."""
+
+    def __getitem__(self, j):
+        raise AssertionError("a column was read before the shapes were checked")
+
+    def __iter__(self):
+        raise AssertionError("a column was read before the shapes were checked")
+
+
+def test_pipeline_checks_every_stage_shape_before_reading_a_column():
+    a, b = Matrix.identity(2), mat([[1, 2], [3, 4]])
+    c = kron(b, b)
+    for m in (a, b, c):
+        m._cols = Unreadable()
+    with pytest.raises(ShapeMismatch, match="^stage expects domain 3, got 4$"):
+        pipeline((a, b), c, Matrix.zeros(1, 3))
 
 
 # -- differential tests against sympy's exact matrices ------------------------

@@ -88,9 +88,13 @@ def test_bd_suite_catches_corrupted_sigma():
 
 # -- the diagram -------------------------------------------------------------------
 
+def diagram(a, b, sigma, pi):
+    return compute_diagram(a, b, pi, projection_operators(a, b, sigma, pi)[2])
+
+
 def test_h4_diagram():
     a, b, sigma, pi = h4_c2()
-    r_obj, include, project = compute_diagram(a, b, sigma, pi)
+    r_obj, include, project = diagram(a, b, sigma, pi)
     assert r_obj.dim == 2
     # coinvariants are spanned by 1 and x
     assert include == Matrix.from_entries(4, 2, [(0, 0, 1), (2, 1, 1)])
@@ -98,14 +102,14 @@ def test_h4_diagram():
 
 def test_s3_diagram():
     a, b, sigma, pi = s3_c2()
-    r_obj, include, project = compute_diagram(a, b, sigma, pi)
+    r_obj, include, project = diagram(a, b, sigma, pi)
     assert r_obj.dim == 3
     assert include == Matrix.from_entries(6, 3, [(0, 0, 1), (1, 1, 1), (2, 2, 1)])
 
 
 def test_trivial_diagram_is_unit():
     a = group_algebra(cyclic_group(2))
-    r_obj, include, project = compute_diagram(*trivial(a))
+    r_obj, include, project = diagram(*trivial(a))
     assert r_obj.dim == 1
     assert include == a.u.mat
 
@@ -121,7 +125,7 @@ def test_split_failure_on_broken_pi():
     a, b, sigma, pi = h4_c2()
     bad_pi = corrupt_morphism(pi, 0, 2, 1)   # pi(x) = e breaks everything
     with pytest.raises(SplitFailure):
-        compute_diagram(a, b, sigma, bad_pi)
+        diagram(a, b, sigma, bad_pi)
 
 
 # -- derived structure maps ---------------------------------------------------------
