@@ -3,11 +3,11 @@
 from .category import (CatObject, FiniteGroup, Morphism, SignGradedBackend,
                        SuperVecBackend, SUPER, VEC, VecBackend,
                        YetterDrinfeldBackend)
-from .hopf import BraidedBialgebra, Coalgebra, HopfAlgebra, Integral
+from .hopf import BraidedBialgebra, Coalgebra, HopfAlgebra
 from .linalg import Matrix
 
 __all__ = [
     "BraidedBialgebra", "CatObject", "Coalgebra", "FiniteGroup", "HopfAlgebra",
-    "Integral", "Matrix", "Morphism", "SignGradedBackend", "SUPER",
-    "SuperVecBackend", "VEC", "VecBackend", "YetterDrinfeldBackend",
+    "Matrix", "Morphism", "SignGradedBackend", "SUPER", "SuperVecBackend", "VEC",
+    "VecBackend", "YetterDrinfeldBackend",
 ]

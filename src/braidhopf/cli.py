@@ -20,7 +20,7 @@ from .products import (MatchedPair, NotInvertible, PreconditionFailed,
                        check_matched_pair, cross_product_report,
                        derive_actions_general, make_factorization)
 from .report import CheckResult, Report, bool_check, make_report, prefixed
-from .textio import (LoadedAlgebra, ParseError, inclusion_by_names,
+from .textio import (LoadedAlgebra, inclusion_by_names,
                      parse_algebra_file, parse_morphism_file, tensor_names)
 from .weakproj import (SplitFailure, build_context, run_bd_suite,
                        search_weak_projection, structure_report,
@@ -71,24 +71,15 @@ def _require_same_backend(*loaded: LoadedAlgebra) -> None:
 
 
 def _weakproj_args(args) -> tuple[LoadedAlgebra, LoadedAlgebra, Morphism, Morphism | None]:
-    a = load_algebra(args.a)
-    b = load_hopf(args.b)
-    _require_same_backend(a, b)
     files = [f for f in (args.sigma, args.pi) if f is not None]
-    needs_pi = args.mode != "search"
-    if needs_pi:
+    if args.mode == "search":
         if len(files) == 2:
-            sigma = load_morphism(files[0], b, a)
-            pi = load_morphism(files[1], a, b)
-        elif len(files) == 1:
-            sigma = inclusion_by_names(b, a)
-            pi = load_morphism(files[0], a, b)
-        else:
-            raise InputError("this weakproj mode needs a pi morphism file")
-        return a, b, sigma, pi
-    if len(files) >= 2:
-        raise InputError("weakproj search takes at most a sigma file")
-    return a, b, _morphism_or_inclusion(args.sigma, b, a), None
+            raise InputError("weakproj search takes at most a sigma file")
+        return _load_context_files(args.a, args.b, args.sigma)
+    if not files:
+        raise InputError("this weakproj mode needs a pi morphism file")
+    sigma_path, pi_path = files if len(files) == 2 else (None, files[0])
+    return _load_context_files(args.a, args.b, sigma_path, pi_path)
 
 
 def _lincomb(column: dict, names) -> str:
@@ -102,10 +93,9 @@ def cmd_check(args) -> list[CheckResult]:
 
 def cmd_integral(args) -> list[CheckResult]:
     loaded = load_hopf(args.file)
-    integral = solve_total_integral(loaded.algebra)
-    if integral is None:
+    lam = solve_total_integral(loaded.algebra)
+    if lam is None:
         return [CheckResult("total_integral", "fail", witness="no_solution")]
-    lam = integral.lam.mat
     value = _lincomb({j: lam.entry(0, j) for j in range(lam.cols) if lam.entry(0, j)},
                      loaded.basis)
     return [CheckResult("total_integral", "pass", value=value)]
@@ -113,10 +103,10 @@ def cmd_integral(args) -> list[CheckResult]:
 
 def cmd_cosep_section(args) -> list[CheckResult]:
     loaded = load_hopf(args.file)
-    integral = solve_total_integral(loaded.algebra)
-    if integral is None:
+    lam = solve_total_integral(loaded.algebra)
+    if lam is None:
         return [CheckResult("total_integral", "fail", witness="no_solution")]
-    theta = build_cosep_section(loaded.algebra, integral)
+    theta = build_cosep_section(loaded.algebra, lam)
     return ([CheckResult("total_integral", "pass")]
             + verify_cosep_section(loaded.algebra, theta))
 
@@ -167,11 +157,12 @@ def cmd_build(args) -> list[CheckResult]:
         return _failed("smash_preconditions", exc)
 
 
-def _load_context_files(a_path, b_path, sigma_path, pi_path):
+def _load_context_files(a_path, b_path, sigma_path, pi_path=None):
     a = load_algebra(a_path)
     b = load_hopf(b_path)
     _require_same_backend(a, b)
-    return a, b, _morphism_or_inclusion(sigma_path, b, a), load_morphism(pi_path, a, b)
+    sigma = _morphism_or_inclusion(sigma_path, b, a)
+    return a, b, sigma, None if pi_path is None else load_morphism(pi_path, a, b)
 
 
 def _factorization_from_files(args):
@@ -231,10 +222,7 @@ def cmd_coradical(args) -> list[CheckResult]:
 
 
 def cmd_magnum(args) -> list[CheckResult]:
-    a = load_algebra(args.a)
-    b = load_hopf(args.b)
-    _require_same_backend(a, b)
-    sigma = _morphism_or_inclusion(args.sigma, b, a)
+    a, b, sigma, _ = _load_context_files(args.a, args.b, args.sigma)
     return check_magnum_preconditions(a.algebra, b.algebra, sigma, args.max_n)
 
 
@@ -336,8 +324,6 @@ def dispatch(argv: list[str]) -> tuple[int, Report | None, str | None]:
     command = " ".join(argv)
     try:
         checks = args.fn(args)
-    except (ParseError, InputError) as exc:
-        return 2, None, str(exc)
     except (ValueError, NotInvertible, PreconditionFailed) as exc:
         return 2, None, str(exc)
     report = make_report(command, checks)

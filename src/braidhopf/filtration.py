@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from .category import CatObject, Morphism
 from .hopf import (BraidedBialgebra, Coalgebra, HopfAlgebra,
                    solve_total_integral, verify_antipode)
-from .linalg import (Matrix, _eliminate, hstack, kernel_basis, kron, pipeline,
-                     solve_matrix)
+from .linalg import Matrix, kernel_basis, kron, pipeline, solve_matrix
 from .report import CheckResult, bool_check, merge_checks
 
 
@@ -41,7 +40,6 @@ class Subobject:
 @dataclass(frozen=True)
 class FiltrationReport:
     dims: tuple[int, ...]
-    stabilized_at: int | None
     exhaustive: bool
 
 
@@ -55,21 +53,13 @@ def full_subobject(ambient: CatObject) -> Subobject:
 
 
 def quotient_projection(sub: Subobject) -> Matrix:
-    """Projection onto a complement of the subobject.
+    """A projection whose kernel is the subobject: (n - r) x n, full row rank.
 
-    The complement is spanned by the standard coordinates not in the column
-    span of the embedding, taken in ascending index order, so the quotient
-    basis is deterministic.
+    Its rows are the basis of the left null space of the embedding that
+    kernel_basis reads off the unique reduced form, so the quotient is
+    deterministic.  Only its kernel matters to the wedge.
     """
-    emb = sub.embedding
-    n = sub.ambient.dim
-    r = emb.cols
-    # the pivots of [emb | I] past r are the greedy ascending complement
-    _, pivots = _eliminate(hstack(emb, Matrix.identity(n)))
-    complement = [Matrix.basis_column(n, p - r) for p in pivots if p >= r]
-    inv = hstack(emb, *complement).inverse()
-    return Matrix(n - r, n, [{i - r: v for i, v in inv.column(j).items() if i >= r}
-                             for j in range(n)])
+    return Matrix.from_cols(sub.ambient.dim, kernel_basis(sub.embedding.transpose())).transpose()
 
 
 def wedge(x: Subobject, y: Subobject, coalg: Coalgebra | BraidedBialgebra) -> Subobject:
@@ -98,20 +88,13 @@ def b_adic_filtration(a: Coalgebra | BraidedBialgebra, b_sub: Subobject,
         max_n = a.dim
     dims = [b_sub.dim]
     current = b_sub
-    stabilized_at = None
-    if b_sub.dim == a.dim:
-        return FiltrationReport((b_sub.dim,), 0, True)
-    for step in range(1, max_n + 1):
+    while current.dim < a.dim and len(dims) <= max_n:
         nxt = wedge(current, b_sub, a)
         dims.append(nxt.dim)
         if nxt.dim == current.dim:
-            stabilized_at = step
             break
         current = nxt
-        if nxt.dim == a.dim:
-            stabilized_at = step
-            break
-    return FiltrationReport(tuple(dims), stabilized_at, dims[-1] == a.dim)
+    return FiltrationReport(tuple(dims), dims[-1] == a.dim)
 
 
 def coradical(a: Coalgebra | BraidedBialgebra) -> Subobject:

@@ -49,11 +49,6 @@ class Coalgebra:
         return self.carrier.dim
 
 
-@dataclass(frozen=True)
-class Integral:
-    lam: Morphism        # B -> 1
-
-
 def make_bialgebra(backend: Backend, carrier: CatObject,
                    m: Matrix, u: Matrix, delta: Matrix, eps: Matrix,
                    s: Matrix | None = None):
@@ -138,37 +133,33 @@ def is_cocommutative(a: BraidedBialgebra) -> bool:
     return a.braiding() * a.delta.mat == a.delta.mat
 
 
-def solve_total_integral(h: BraidedBialgebra) -> Integral | None:
-    """Solve (B (x) lam) Delta = u lam and lam u = 1 exactly.
+def solve_total_integral(h: BraidedBialgebra) -> Matrix | None:
+    """Solve (B (x) lam) Delta = u lam and lam u = 1 exactly for lam: B -> 1.
 
     Both conditions are affine-linear in the dim(B) unknowns of lam; among
     the solution set the particular solution with zero free coordinates is
-    returned, or None when the system is inconsistent.
+    returned as a 1 x dim(B) matrix, or None when the system is inconsistent.
     """
     n, idb = h.dim, Matrix.identity(h.dim)
     d, u = h.delta.mat, h.u.mat
-    sol = solve_affine(*map_system(1, n, [
+    particular, _ = solve_affine(*map_system(1, n, [
         (lambda lam: pipeline(d, (idb, lam)), lambda lam: compose(lam, u)),
         (lambda lam: compose(u, lam), lambda lam: Matrix.identity(1)),
     ]))
-    if sol is None:
-        return None
-    lam = Matrix.from_rows([list(sol[0])])
-    return Integral(Morphism(h.carrier, h.backend.unit(), lam))
+    return None if particular is None else Matrix.from_rows([particular])
 
 
-def build_cosep_section(h: HopfAlgebra, integral: Integral) -> Matrix:
+def build_cosep_section(h: HopfAlgebra, lam: Matrix) -> Matrix:
     """The section theta(x (x) y) = lam(x S(y1)) y2 of the comultiplication."""
     m, d, s = h.m.mat, h.delta.mat, h.s.mat
     idb = Matrix.identity(h.dim)
-    lam_m = compose(m, integral.lam.mat)
+    lam_m = compose(m, lam)
     return pipeline((idb, d), (idb, s, idb), (lam_m, idb))
 
 
-def integral_from_section(h: HopfAlgebra, theta: Matrix) -> Integral:
+def integral_from_section(h: HopfAlgebra, theta: Matrix) -> Matrix:
     """Recover lam = eps theta (B (x) u) from a coseparability section."""
-    lam = pipeline(kron(Matrix.identity(h.dim), h.u.mat), theta, h.eps.mat)
-    return Integral(Morphism(h.carrier, h.backend.unit(), lam))
+    return pipeline(kron(Matrix.identity(h.dim), h.u.mat), theta, h.eps.mat)
 
 
 def verify_cosep_section(h: HopfAlgebra, theta: Matrix) -> list[CheckResult]:
@@ -177,12 +168,12 @@ def verify_cosep_section(h: HopfAlgebra, theta: Matrix) -> list[CheckResult]:
     m, d, s = h.m.mat, h.delta.mat, h.s.mat
     idb = Matrix.identity(h.dim)
     c = h.braiding()
-    integral = integral_from_section(h, theta)
-    lam_m = compose(m, integral.lam.mat)
+    lam = integral_from_section(h, theta)
+    lam_m = compose(m, lam)
     rhs_two_sided = pipeline((d, idb), (idb, idb, s), (idb, lam_m))
     mod_action = pipeline((idb, idb, d), (idb, c, idb), (m, m))  # (B(x)B)(x)B module structure
     return [
-        eq_check("two_sided_expression", build_cosep_section(h, integral), rhs_two_sided),
+        eq_check("two_sided_expression", build_cosep_section(h, lam), rhs_two_sided),
         eq_check("left_colinear", compose(theta, d), pipeline((d, idb), (idb, theta))),
         eq_check("right_colinear", compose(theta, d), pipeline((idb, d), (theta, idb))),
         eq_check("section_of_delta", compose(d, theta), idb),

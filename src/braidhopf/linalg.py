@@ -107,10 +107,6 @@ class Matrix:
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols, [dict() for _ in range(cols)])
 
-    @staticmethod
-    def basis_column(n: int, i: int) -> "Matrix":
-        return Matrix(n, 1, [{i: 1}])
-
     # -- inspection --------------------------------------------------------
 
     def entry(self, i: int, j: int) -> int | Fraction:
@@ -285,18 +281,19 @@ def kernel_basis(m: Matrix) -> list[tuple]:
     return _kernel(*_eliminate(m), m.cols)
 
 
-def solve_affine(a: Matrix, b: Sequence) -> tuple[tuple, list[tuple]] | None:
-    """Full affine solution set of a*x = b, or None if inconsistent.
+def solve_affine(a: Matrix, b: Sequence) -> tuple[tuple | None, list[tuple]]:
+    """Affine solution set of a*x = b: (particular solution, kernel_basis(a)).
 
-    The particular solution has zeros in all free coordinates.
+    The particular solution has zeros in all free coordinates; it is None
+    when the system is inconsistent.  The kernel is returned either way, from
+    the same elimination.
     """
     if len(b) != a.rows:
         raise ShapeMismatch("right hand side of wrong length")
     red, pivots = _eliminate(a, Matrix.from_cols(a.rows, [b]))
     x = _particular(red, pivots, a.cols, 1)
-    if x is None:
-        return None
-    return tuple(x.entry(i, 0) for i in range(a.cols)), _kernel(red, pivots, a.cols)
+    particular = None if x is None else tuple(x.entry(i, 0) for i in range(a.cols))
+    return particular, _kernel(red, pivots, a.cols)
 
 
 def map_system(rows: int, cols: int, conditions) -> tuple[Matrix, list]:

@@ -80,7 +80,7 @@ def make_factorization(a: BraidedBialgebra, b: BraidedBialgebra, r: BraidedBialg
 
 
 def build_cross_product(ctx: WeakProjectionContext) -> CrossProductData:
-    """Bialgebra on R (x) B from the nine derived maps, checked against the
+    """Bialgebra on R (x) B from the eight derived maps, checked against the
     structure transported through the mutual inverses."""
     a, b = ctx.a, ctx.b
     mp = ctx.maps

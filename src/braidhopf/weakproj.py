@@ -3,7 +3,7 @@
 Given a bialgebra A, a Hopf subalgebra B with inclusion sigma and a right
 B-linear coalgebra retraction pi, this module builds the three canonical
 endomorphisms of A, checks the whole identity suite they satisfy, splits
-the coinvariant idempotent into (R, i, p) and derives the nine structure
+the coinvariant idempotent into (R, i, p) and derives the eight structure
 maps everything downstream (cross products, matched pairs, smash products)
 is made of.
 """
@@ -27,11 +27,10 @@ class SplitFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class StructureMaps:
-    """The nine maps derived from a weak projection context.
+    """The eight maps derived from a weak projection context.
 
     mul/unit/comul/counit live on R; cocycle: R (x) R -> B;
-    act_left: B (x) R -> R; act_right: R (x) B -> R;
-    coact_left: R -> B (x) R; act_b: B (x) R -> B.
+    act_left: B (x) R -> R; coact_left: R -> B (x) R; act_b: B (x) R -> B.
     """
     mul: Matrix
     unit: Matrix
@@ -39,7 +38,6 @@ class StructureMaps:
     counit: Matrix
     cocycle: Matrix
     act_left: Matrix
-    act_right: Matrix
     coact_left: Matrix
     act_b: Matrix
 
@@ -138,7 +136,7 @@ def run_bd_suite(a: BraidedBialgebra, b: HopfAlgebra,
     return checks
 
 
-def _subobject(backend, ambient: CatObject, emb: Matrix) -> CatObject:
+def _subobject(ambient: CatObject, emb: Matrix) -> CatObject:
     """Object structure on a subspace; gradings must restrict column-wise."""
     if ambient.grading is None and ambient.action is None:
         return CatObject(emb.cols)
@@ -177,7 +175,7 @@ def compute_diagram(a: BraidedBialgebra, b: HopfAlgebra,
         raise SplitFailure("p*i is not the identity on R")
     if p2.rank() != include.cols:
         raise SplitFailure("column span of i exceeds the image of Pi2")
-    r_obj = _subobject(a.backend, a.carrier, include)
+    r_obj = _subobject(a.carrier, include)
     return r_obj, include, project
 
 
@@ -192,7 +190,6 @@ def derive_structure_maps(a: BraidedBialgebra, sigma: Morphism, pi: Morphism,
         counit=compose(i, e),
         cocycle=pipeline((i, i), m, pm),
         act_left=pipeline((sm, i), m, p),
-        act_right=pipeline((i, sm), m, p),
         coact_left=pipeline(i, d, (pm, p)),
         act_b=pipeline((sm, i), m, pm),
     )
@@ -231,8 +228,6 @@ def structure_report(ctx: WeakProjectionContext) -> list[CheckResult]:
 @dataclass(frozen=True)
 class SearchResult:
     pi: Morphism | None
-    family_dim: int
-    solvable: bool
     checks: tuple[CheckResult, ...]
 
 
@@ -252,12 +247,11 @@ def search_weak_projection(a: BraidedBialgebra, b: HopfAlgebra,
     na, nb = a.dim, b.dim
     system, target = map_system(nb, na, [(lhs, rhs) for _, lhs, rhs
                                          in pi_affine_conditions(a, b, sigma)])
-    sol = solve_affine(system, target)
-    if sol is None:
+    particular, hom = solve_affine(system, target)
+    if particular is None:
         checks = (bool_check("linear_system_solvable", False,
-                             witness=f"rank={system.rank()}:unknowns={na * nb}"),)
-        return SearchResult(None, 0, False, checks)
-    particular, hom = sol
+                             witness=f"rank={na * nb - len(hom)}:unknowns={na * nb}"),)
+        return SearchResult(None, checks)
 
     candidates = [particular]
     for h in hom:
@@ -270,8 +264,8 @@ def search_weak_projection(a: BraidedBialgebra, b: HopfAlgebra,
             checks = (bool_check("linear_system_solvable", True,
                                  value=f"family_dim={len(hom)}"),
                       bool_check("candidate_verified", True))
-            return SearchResult(pi, len(hom), True, checks + tuple(verif))
+            return SearchResult(pi, checks + tuple(verif))
     checks = (bool_check("linear_system_solvable", True, value=f"family_dim={len(hom)}"),
               bool_check("candidate_verified", False,
                          witness=f"tried={len(candidates)}"))
-    return SearchResult(None, len(hom), True, checks)
+    return SearchResult(None, checks)

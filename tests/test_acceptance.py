@@ -149,11 +149,11 @@ def test_criterion_3_integrals_and_sections():
     with criterion(3, "total integrals and coseparability sections"):
         for group in (cyclic_group(2), cyclic_group(3), s3_group()):
             alg = group_algebra(group)
-            integral = solve_total_integral(alg)
-            assert integral is not None
+            lam = solve_total_integral(alg)
+            assert lam is not None
             # the normalized integral is the coefficient of the identity
-            assert integral.lam.mat == Matrix.from_entries(1, alg.dim, [(0, group.identity, 1)])
-            theta = build_cosep_section(alg, integral)
+            assert lam == Matrix.from_entries(1, alg.dim, [(0, group.identity, 1)])
+            theta = build_cosep_section(alg, lam)
             section_report = verify_cosep_section(alg, theta)
             assert all_pass(section_report), failing(section_report)
             assert len(section_report) == 5

@@ -62,6 +62,15 @@ def test_weakproj_with_name_inclusion_sigma():
     assert code == 0
 
 
+def test_weakproj_morphism_file_count_is_bad_input():
+    a, b = corpus("algebras", "h4.alg"), corpus("algebras", "c2_in_h4.alg")
+    sigma, pi = corpus("morphisms", "sigma_c2_h4.map"), corpus("morphisms", "pi_h4_c2.map")
+    assert run(["weakproj", "check", a, b]) == (
+        2, None, "this weakproj mode needs a pi morphism file")
+    assert run(["weakproj", "search", a, b, sigma, pi]) == (
+        2, None, "weakproj search takes at most a sigma file")
+
+
 def test_machine_format_golden():
     # the machine wire format is normative; freeze one full report
     argv = ["magnum", corpus("algebras", "h4.alg"), corpus("algebras", "c2_in_h4.alg")]

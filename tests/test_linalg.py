@@ -109,7 +109,8 @@ def test_solve_identity():
 
 
 def test_solve_inconsistent():
-    assert solve_affine(Matrix.zeros(2, 2), [1, 0]) is None
+    # no particular solution, and still the kernel of the coefficient matrix
+    assert solve_affine(Matrix.zeros(2, 2), [1, 0]) == (None, [(1, 0), (0, 1)])
 
 
 def test_solve_underdetermined():
@@ -121,10 +122,9 @@ def test_solve_underdetermined():
 @given(matrices(3, 3), st.lists(scalars, min_size=3, max_size=3))
 @settings(max_examples=40)
 def test_solve_affine_is_solution(a, b):
-    sol = solve_affine(a, b)
-    if sol is None:
+    part, basis = solve_affine(a, b)
+    if part is None:
         return
-    part, basis = sol
     col = Matrix.from_cols(3, [part])
     assert a * col == Matrix.from_cols(3, [tuple(b)])
     for h in basis:
@@ -177,12 +177,11 @@ def test_map_system_columns_are_the_conditions_on_basis_maps(data):
         expected = row_major(f1(e_k)) + row_major(f2(e_k)) + row_major(f1(e_k) - f3(e_k))
         assert [system.entry(i, col) for i in range(system.rows)] == expected
 
-    sol = solve_affine(system, rhs)
+    part, basis = solve_affine(system, rhs)
     if x0 is not None:
-        assert sol is not None
-    if sol is None:
+        assert part is not None
+    if part is None:
         return
-    part, basis = sol
     zero = Matrix.zeros(r, c)
     for lhs, rhs_fn in conditions:
         assert lhs(reshape(part, r, c)) == rhs_fn(reshape(part, r, c))
@@ -486,8 +485,10 @@ def test_solve_matrix_matches_columnwise_solves(a, k, consistent, data):
     sols = [solve_affine(a, [b.entry(i, j) for i in range(b.rows)]) for j in range(k)]
     sym_a = to_sympy(a)
     assert (x is None) == (sym_a.rank() != sym_a.row_join(to_sympy(b)).rank())
+    # consistent or not, each solve returns the null space of a
+    assert all(sol[1] == [from_sympy(v) for v in sym_a.nullspace()] for sol in sols)
     if x is None:
-        assert any(sol is None for sol in sols)
+        assert any(sol[0] is None for sol in sols)
     else:
         assert x == Matrix.from_cols(a.cols, [sol[0] for sol in sols])
 

@@ -1,8 +1,10 @@
-"""Every function, class and method of the package has a caller.
+"""Every function, class and method of the package has a caller, and every
+field of a package dataclass has a reader.
 
 A definition counts as used when its name appears as a whole word in
-src/, scripts/ or perfbench/ more often than it is defined there.  Tests
-do not count: code that only a test reaches is dead in the program.
+src/, scripts/ or perfbench/ more often than it is defined there; a field
+counts as read when ``.field`` appears there.  Tests do not count: code that
+only a test reaches is dead in the program.
 """
 
 import ast
@@ -46,3 +48,20 @@ def test_every_definition_is_referenced_beyond_its_definitions():
         if uses <= definitions:
             uncalled.append(name)
     assert uncalled == []
+
+
+def dataclass_fields():
+    for source in python_sources([os.path.relpath(PACKAGE, ROOT)]):
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign):
+                        yield node.name, item.target.id
+
+
+def test_every_dataclass_field_is_read():
+    text = "\n".join(python_sources(SEARCHED))
+    unread = [f"{cls}.{field}" for cls, field in sorted(set(dataclass_fields()))
+              if not re.search(rf"\.{re.escape(field)}\b", text)]
+    assert unread == []

@@ -4,7 +4,8 @@ from contexts import h4_c2, s3_c2, s3_c3, trivial
 from braidhopf.builders import cyclic_group, group_algebra, sweedler_h4
 from braidhopf.category import Morphism
 from braidhopf.hopf import verify_coalgebra
-from braidhopf.linalg import Matrix, compose, map_system
+from braidhopf import linalg
+from braidhopf.linalg import Matrix, compose, map_system, pipeline
 from braidhopf.weakproj import (SplitFailure, build_context, compute_diagram,
                                 pi_affine_conditions, projection_operators, run_bd_suite,
                                 search_weak_projection, structure_report,
@@ -142,7 +143,8 @@ def test_h4_structure_maps_frozen():
     assert mp.coact_left == Matrix.from_entries(4, 2, [(0, 0, 1), (3, 1, 1)])
     # g acts on x by -1 from the left, by +1 from the right
     assert mp.act_left.entry(1, 1 * 2 + 1) == -1
-    assert mp.act_right.entry(1, 1 * 2 + 1) == 1
+    act_right = pipeline((ctx.include, ctx.sigma.mat), ctx.a.m.mat, ctx.project)
+    assert act_right.entry(1, 1 * 2 + 1) == 1
 
 
 def test_xi_trivial_values():
@@ -183,7 +185,7 @@ def test_search_finds_canonical_pi_h4():
     result = search_weak_projection(a, b, sigma)
     assert result.pi is not None
     assert result.pi.mat == pi.mat
-    assert result.family_dim == 1
+    assert by_name(result.checks)["linear_system_solvable"].value == "family_dim=1"
 
 
 def test_search_finds_verified_pi_s3():
@@ -192,17 +194,26 @@ def test_search_finds_verified_pi_s3():
     a, b, sigma, pi = s3_c2()
     result = search_weak_projection(a, b, sigma)
     assert result.pi is not None
-    assert result.family_dim == 2
+    assert by_name(result.checks)["linear_system_solvable"].value == "family_dim=2"
     assert all_pass(verify_weak_projection(a, b, sigma, result.pi))
 
 
-def test_search_reports_unsolvable_system():
+def test_search_reports_unsolvable_system(monkeypatch):
     a = sweedler_h4()
     b = group_algebra(cyclic_group(2))
     # sigma sending both basis vectors to 1 is not even injective
     sigma = Morphism(b.carrier, a.carrier,
                      Matrix.from_entries(4, 2, [(0, 0, 1), (0, 1, 1)]))
+    eliminate, calls = linalg._eliminate, []
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
     result = search_weak_projection(a, b, sigma)
-    assert result.pi is None and not result.solvable
+    # the rank witness comes from the same elimination as the solve
+    assert len(calls) == 1
+    assert result.pi is None
     assert [(c.name, c.status, c.witness) for c in result.checks] == [
         ("linear_system_solvable", "fail", "rank=8:unknowns=8")]
