@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, ShapeMismatch, kron, pipeline
+from .linalg import Matrix, kron, pipeline
 from .report import CheckResult, bool_check, eq_check
 
 
@@ -336,15 +336,10 @@ def verify_braiding_axioms(backend: Backend, x: CatObject, y: CatObject, z: CatO
     idx = Matrix.identity(x.dim)
     idy = Matrix.identity(y.dim)
     idz = Matrix.identity(z.dim)
-    try:
-        c_xy.inverse()
-        invertible = True
-    except ShapeMismatch:           # inverse() raises on a singular matrix
-        invertible = False
     checks = [
         eq_check("hexagon_first", c_xy_z, pipeline((idx, c_yz), (c_xz, idy))),
         eq_check("hexagon_second", c_x_yz, pipeline((c_xy, idz), (idy, c_xz))),
-        bool_check("braiding_invertible", invertible, witness="singular"),
+        bool_check("braiding_invertible", c_xy.inverse() is not None, witness="singular"),
     ]
     for k, (f, g) in enumerate(sample_morphisms):
         lhs = backend.braiding_mat(f.cod, g.cod) * kron(f.mat, g.mat)

@@ -1,7 +1,10 @@
 """Command line front end: load definition files, run checks, print reports.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad input
-(parse errors, missing files, wrong file kinds, shape mismatches).
+Exit codes: 0 all checks passed.  1 a check failed; a construction that does
+not exist for the input (``ConstructionFailed``) is one failing check named by
+the subcommand: diagram_split, cross_product_built, smash_preconditions or
+factorization_invertible.  2 bad input, a ``ValueError``: parse errors, missing
+files, wrong file kinds, shape mismatches.
 """
 
 from __future__ import annotations
@@ -14,17 +17,15 @@ from .filtration import (NotSubcoalgebra, Subobject, b_adic_filtration,
                          check_magnum_preconditions, coradical)
 from .hopf import (build_cosep_section, full_axiom_report, solve_total_integral,
                    verify_bialgebra, verify_cosep_section)
-from .products import (MatchedPair, NotInvertible, PreconditionFailed,
-                       TranscriptionMismatch, bosonization_checks,
-                       build_cross_product, build_double_cross,
-                       check_matched_pair, cross_product_report,
+from .products import (MatchedPair, bosonization_checks, build_cross_product,
+                       build_double_cross, check_matched_pair, cross_product_report,
                        derive_actions_general, make_factorization)
-from .report import CheckResult, Report, bool_check, make_report, prefixed
+from .report import (CheckResult, ConstructionFailed, Report, bool_check, make_report,
+                     prefixed)
 from .textio import (LoadedAlgebra, inclusion_by_names,
                      parse_algebra_file, parse_morphism_file, tensor_names)
-from .weakproj import (SplitFailure, build_context, run_bd_suite,
-                       search_weak_projection, structure_report,
-                       verify_weak_projection)
+from .weakproj import (build_context, run_bd_suite, search_weak_projection,
+                       structure_report, verify_weak_projection)
 
 
 class InputError(ValueError):
@@ -57,10 +58,6 @@ def load_morphism(path: str, dom, cod) -> Morphism:
 def _morphism_or_inclusion(path: str | None, dom: LoadedAlgebra, cod: LoadedAlgebra) -> Morphism:
     """The morphism file at path, or the inclusion of dom into cod by basis names."""
     return load_morphism(path, dom, cod) if path is not None else inclusion_by_names(dom, cod)
-
-
-def _failed(name: str, exc: Exception) -> list[CheckResult]:
-    return [CheckResult(name, "fail", witness=str(exc).replace(" ", "_"))]
 
 
 def _require_same_backend(*loaded: LoadedAlgebra) -> None:
@@ -119,10 +116,7 @@ def cmd_weakproj(args) -> list[CheckResult]:
     if args.mode == "bd-suite":
         return run_bd_suite(alg_a, alg_b, sigma, pi)
     if args.mode == "diagram":
-        try:
-            ctx = build_context(alg_a, alg_b, sigma, pi)
-        except SplitFailure as exc:
-            return _failed("diagram_split", exc)
+        ctx = build_context(alg_a, alg_b, sigma, pi)
         checks = [CheckResult("diagram_split", "pass", value=f"dim_r={ctx.r_dim}")]
         return checks + structure_report(ctx)
     result = search_weak_projection(alg_a, alg_b, sigma)
@@ -136,25 +130,14 @@ def cmd_weakproj(args) -> list[CheckResult]:
 def cmd_build(args) -> list[CheckResult]:
     if args.what == "cross":
         a, b, sigma, pi = _load_context_files(args.a, args.b, args.sigma, args.pi)
-        try:
-            ctx = build_context(a.algebra, b.algebra, sigma, pi)
-            data = build_cross_product(ctx)
-        except (SplitFailure, TranscriptionMismatch) as exc:
-            return _failed("cross_product_built", exc)
-        return cross_product_report(data)
+        ctx = build_context(a.algebra, b.algebra, sigma, pi)
+        return cross_product_report(build_cross_product(ctx))
     if args.what == "doublecross":
-        fc, checks = _factorization_from_files(args)
-        if fc is None:
-            return checks
-        mp, derive_checks = derive_actions_general(fc)
+        mp, derive_checks = derive_actions_general(_factorization_from_files(args))
         return derive_checks + prefixed("doublecross_", verify_bialgebra(build_double_cross(mp)))
     # smash: the cocommutative route through a weak projection context
     a, b, sigma, pi = _load_context_files(args.a, args.b, args.sigma, args.pi)
-    try:
-        ctx = build_context(a.algebra, b.algebra, sigma, pi)
-        return bosonization_checks(ctx)
-    except (SplitFailure, PreconditionFailed) as exc:
-        return _failed("smash_preconditions", exc)
+    return bosonization_checks(build_context(a.algebra, b.algebra, sigma, pi))
 
 
 def _load_context_files(a_path, b_path, sigma_path, pi_path=None):
@@ -172,19 +155,12 @@ def _factorization_from_files(args):
     _require_same_backend(a, b, r)
     sigma = _morphism_or_inclusion(args.sigma, b, a)
     include = _morphism_or_inclusion(args.include, r, a)
-    try:
-        return make_factorization(a.algebra, b.algebra, r.algebra, sigma, include), []
-    except NotInvertible as exc:
-        return None, _failed("factorization_invertible", exc)
+    return make_factorization(a.algebra, b.algebra, r.algebra, sigma, include)
 
 
 def cmd_matchedpair(args) -> list[CheckResult]:
     if args.mode == "derive":
-        fc, checks = _factorization_from_files(args)
-        if fc is None:
-            return checks
-        _, derive_checks = derive_actions_general(fc)
-        return derive_checks
+        return derive_actions_general(_factorization_from_files(args))[1]
     r = load_algebra(args.r)
     b = load_algebra(args.b)
     _require_same_backend(r, b)
@@ -260,24 +236,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("sigma", nargs="?")
     p.add_argument("pi", nargs="?")
-    p.set_defaults(fn=cmd_weakproj)
+    p.set_defaults(fn=cmd_weakproj, failure="diagram_split")
 
     p = subs.add_parser("build", help="build product bialgebras and verify them")
     sub_build = p.add_subparsers(dest="what", required=True)
-    for what in ("cross", "smash"):
+    for what, failure in (("cross", "cross_product_built"), ("smash", "smash_preconditions")):
         q = sub_build.add_parser(what)
         q.add_argument("a")
         q.add_argument("b")
         q.add_argument("sigma", nargs="?")
         q.add_argument("pi")
-        q.set_defaults(fn=cmd_build, what=what)
+        q.set_defaults(fn=cmd_build, what=what, failure=failure)
     q = sub_build.add_parser("doublecross")
     q.add_argument("a")
     q.add_argument("b")
     q.add_argument("r")
     q.add_argument("sigma", nargs="?")
     q.add_argument("include", nargs="?")
-    q.set_defaults(fn=cmd_build, what="doublecross")
+    q.set_defaults(fn=cmd_build, what="doublecross", failure="factorization_invertible")
 
     p = subs.add_parser("matchedpair", help="check or derive matched pairs")
     sub_mp = p.add_subparsers(dest="mode", required=True)
@@ -293,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("r")
     q.add_argument("sigma", nargs="?")
     q.add_argument("include", nargs="?")
-    q.set_defaults(fn=cmd_matchedpair, mode="derive")
+    q.set_defaults(fn=cmd_matchedpair, mode="derive", failure="factorization_invertible")
 
     p = subs.add_parser("filtration", help="the iterated wedge filtration against B")
     p.add_argument("a")
@@ -324,8 +300,10 @@ def dispatch(argv: list[str]) -> tuple[int, Report | None, str | None]:
     command = " ".join(argv)
     try:
         checks = args.fn(args)
-    except (ValueError, NotInvertible, PreconditionFailed) as exc:
+    except ValueError as exc:
         return 2, None, str(exc)
+    except ConstructionFailed as exc:
+        checks = [CheckResult(args.failure, "fail", witness=str(exc).replace(" ", "_"))]
     report = make_report(command, checks)
     return (0 if report.overall == "pass" else 1), report, None
 
@@ -336,7 +314,6 @@ def main(argv: list[str] | None = None) -> int:
     code, report, error = dispatch(argv)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
-        return 2
     if report is not None:
         # dispatch produced a report, so argv parses; argparse owns --report's spellings
         print(report.render(build_parser().parse_args(argv).report))

@@ -15,7 +15,9 @@ and every solve go through it.  It works on sparse ``{col: value}`` rows.
 Its pivot rule: leftmost pivot columns; the row with the fewest entries;
 outputs are the unique reduced form.  Which row carries a pivot changes no
 result, because the reduced row echelon form is unique, so identical inputs
-always produce identical bases and solutions.
+always produce identical bases and solutions.  A missing answer (``inverse``,
+``solve_matrix``, ``solve_affine``'s particular solution) is ``None``, never
+an exception; ``ShapeMismatch`` means operands whose shapes do not fit.
 
 ``pipeline`` evaluates every tensor formula, one basis column at a time.  A
 tuple stage (the Kronecker product of its factors) is compiled once per call:
@@ -183,14 +185,13 @@ class Matrix:
     def rank(self) -> int:
         return len(_eliminate(self)[1])
 
-    def inverse(self) -> "Matrix":
+    def inverse(self) -> "Matrix | None":
+        """The two-sided inverse, or None when there is none (not square, or singular)."""
         if self.rows != self.cols:
-            raise ShapeMismatch("inverse of non-square matrix")
+            return None
         n = self.rows
         red, pivots = _eliminate(self, Matrix.identity(n))
-        if len(pivots) != n:
-            raise ShapeMismatch("matrix is singular")
-        return _particular(red, pivots, n, n)
+        return _particular(red, pivots, n, n) if len(pivots) == n else None
 
 
 def hstack(*mats: Matrix) -> Matrix:

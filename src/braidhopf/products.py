@@ -15,20 +15,20 @@ from .builders import group_algebra
 from .category import FiniteGroup, Morphism
 from .hopf import (BraidedBialgebra, is_cocommutative, make_bialgebra,
                    verify_bialgebra, verify_bialgebra_map)
-from .linalg import Matrix, ShapeMismatch, compose, kron, pipeline
-from .report import CheckResult, bool_check, eq_check, merge_checks, prefixed
+from .linalg import Matrix, compose, kron, pipeline
+from .report import CheckResult, ConstructionFailed, bool_check, eq_check, merge_checks, prefixed
 from .weakproj import WeakProjectionContext
 
 
-class TranscriptionMismatch(RuntimeError):
+class TranscriptionMismatch(ConstructionFailed):
     pass
 
 
-class NotInvertible(RuntimeError):
+class NotInvertible(ConstructionFailed):
     pass
 
 
-class PreconditionFailed(RuntimeError):
+class PreconditionFailed(ConstructionFailed):
     pass
 
 
@@ -71,10 +71,9 @@ def delta_on_br(b: BraidedBialgebra, r: BraidedBialgebra) -> Matrix:
 def make_factorization(a: BraidedBialgebra, b: BraidedBialgebra, r: BraidedBialgebra,
                        sigma: Morphism, include: Morphism) -> FactorizationContext:
     phi = pipeline((include.mat, sigma.mat), a.m.mat)
-    try:
-        phi_inv = phi.inverse()
-    except ShapeMismatch:
-        raise NotInvertible("m_A(i (x) sigma) is singular") from None
+    phi_inv = phi.inverse()
+    if phi_inv is None:
+        raise NotInvertible("m_A(i (x) sigma) is singular")
     psi = pipeline((sigma.mat, include.mat), a.m.mat, phi_inv)
     return FactorizationContext(a, b, r, sigma, include, phi, psi)
 

@@ -7,6 +7,11 @@ from dataclasses import dataclass, replace
 from .linalg import Matrix
 
 
+class ConstructionFailed(RuntimeError):
+    """A construction that does not exist for well-formed input; the CLI reports
+    it as one failing check (exit 1), where a ValueError is bad input (exit 2)."""
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str

@@ -19,9 +19,11 @@ Each structure-map line is one matrix entry of a map A^(x in) -> A^(x out),
 with `in` basis names, `->`, `out` basis names and the coefficient; tensors of
 basis vectors are indexed in Kronecker (base-dim) order.  The arities (in, out)
 are mul (2, 1), unit (0, 1), comul (1, 2), counit (1, 0), antipode (1, 1).
-The header, backend, dim and basis lines appear once each.
+The header, backend, dim and basis lines appear once each, and so does the
+grade line of a basis name.
 
-Group and bicharacter blocks may appear in the same file:
+Group and bicharacter blocks may appear in the same file, one block per name
+and one elements line per group:
 
     group c2
     elements e g
@@ -146,16 +148,22 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
         elif head == "group":
             if len(toks) != 2:
                 raise ParseError(line, "usage: group <name>")
+            if toks[1] in groups:
+                raise ParseError(line, f"duplicate group {toks[1]!r}")
             block = ("group", toks[1])
             groups[toks[1]] = {"elements": None, "table": [], "line": line}
         elif head == "bichar":
             if len(toks) != 2:
                 raise ParseError(line, "usage: bichar <name>")
+            if toks[1] in bichars:
+                raise ParseError(line, f"duplicate bichar {toks[1]!r}")
             block = ("bichar", toks[1])
             bichars[toks[1]] = {"table": [], "line": line}
         elif head == "elements":
             if block is None or block[0] != "group":
                 raise ParseError(line, "'elements' outside a group block")
+            if groups[block[1]]["elements"] is not None:
+                raise ParseError(line, "duplicate elements line")
             groups[block[1]]["elements"] = toks[1:]
         elif head == "table":
             if block is None:
@@ -200,8 +208,10 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
             lhs, rhs = split_arrow(toks[1:], line)
             if len(lhs) != 1 or len(rhs) != 1:
                 raise ParseError(line, "usage: grade <i> -> <degree>")
-            grades[lhs[0]] = (rhs[0], line)
             need_basis(lhs[0], line)
+            if lhs[0] in grades:
+                raise ParseError(line, f"duplicate grade for {lhs[0]!r}")
+            grades[lhs[0]] = (rhs[0], line)
         elif head == "action":
             lhs, rhs = split_arrow(toks[1:], line)
             if len(lhs) != 2 or len(rhs) != 2:

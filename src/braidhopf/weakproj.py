@@ -17,12 +17,12 @@ from .hopf import (BraidedBialgebra, Coalgebra, HopfAlgebra, verify_bialgebra_ma
                    verify_coalgebra)
 from .linalg import (Matrix, compose, equalizer, kron, map_system, pipeline,
                      solve_affine, solve_matrix)
-from .report import (CheckResult, bool_check, chain_eq_check, eq_check, merge_checks,
-                     prefixed)
+from .report import (CheckResult, ConstructionFailed, bool_check, chain_eq_check,
+                     eq_check, merge_checks, prefixed)
 
 
-class SplitFailure(RuntimeError):
-    """i*p = Pi2 is unsolvable; some upstream axiom must be violated."""
+class SplitFailure(ConstructionFailed):
+    """Pi2 does not split as i*p through an object R; some upstream axiom must be violated."""
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def _subobject(ambient: CatObject, emb: Matrix) -> CatObject:
         for j in range(emb.cols):
             degs = {ambient.grading[i] for i in emb.column(j)}
             if len(degs) != 1:
-                raise ValueError("subobject basis column is not homogeneous")
+                raise SplitFailure("subobject basis column is not homogeneous")
             grading.append(degs.pop())
         grading = tuple(grading)
     action = None
@@ -155,7 +155,7 @@ def _subobject(ambient: CatObject, emb: Matrix) -> CatObject:
         for g_act in ambient.action:
             restricted = solve_matrix(emb, g_act * emb)
             if restricted is None:
-                raise ValueError("subobject is not action-invariant")
+                raise SplitFailure("subobject is not action-invariant")
             mats.append(restricted)
         action = tuple(mats)
     return CatObject(emb.cols, grading=grading, action=action)

@@ -1,8 +1,13 @@
+import importlib
 import os
+import pkgutil
 
 import pytest
 
+import braidhopf
+from braidhopf import cli
 from braidhopf.cli import dispatch, main
+from braidhopf.report import CheckResult, ConstructionFailed
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -86,17 +91,73 @@ def test_machine_format_golden():
     assert machine(report) == expected
 
 
-def test_build_cross_reports_split_failure(tmp_path):
-    # a corrupted retraction can no longer split the coinvariant idempotent
-    text = open(corpus("morphisms", "pi_h4_c2.map")).read() + "map x -> one 1\n"
+# pi_bad.map: a corrupted retraction can no longer split the coinvariant idempotent
+H4_BAD_PI = ["h4.alg", "c2_in_h4.alg", "sigma_c2_h4.map", "pi_bad.map"]
+S3_C2_C2 = ["s3.alg", "c2_in_s3.alg", "c2_in_s3.alg"]
+
+
+@pytest.mark.parametrize("command, files, check, witness", [
+    ("weakproj diagram", H4_BAD_PI, "diagram_split",
+     "image_of_Pi2_is_not_contained_in_the_coinvariants"),
+    ("build cross", H4_BAD_PI, "cross_product_built",
+     "image_of_Pi2_is_not_contained_in_the_coinvariants"),
+    ("build smash", H4_BAD_PI, "smash_preconditions",
+     "image_of_Pi2_is_not_contained_in_the_coinvariants"),
+    ("build smash", ["c4.alg", "c2_in_c4.alg", "pi_c4_c2.map"], "smash_preconditions",
+     "cocycle_is_not_trivial"),
+    ("build doublecross", S3_C2_C2, "factorization_invertible", "m_A(i_(x)_sigma)_is_singular"),
+    ("matchedpair derive", S3_C2_C2, "factorization_invertible", "m_A(i_(x)_sigma)_is_singular"),
+], ids=["weakproj-diagram", "build-cross", "build-smash-split", "build-smash-cocycle",
+        "build-doublecross", "matchedpair-derive"])
+def test_a_construction_that_fails_is_one_failing_check(tmp_path, command, files, check, witness):
     bad = tmp_path / "pi_bad.map"
-    bad.write_text(text)
-    code, report, _ = run(["build", "cross", corpus("algebras", "h4.alg"),
-                           corpus("algebras", "c2_in_h4.alg"),
-                           corpus("morphisms", "sigma_c2_h4.map"), str(bad)])
-    assert code == 1
-    assert report.checks[0].name == "cross_product_built"
-    assert report.checks[0].status == "fail"
+    bad.write_text(open(corpus("morphisms", "pi_h4_c2.map")).read() + "map x -> one 1\n")
+    paths = [str(bad) if f == "pi_bad.map"
+             else corpus("algebras" if f.endswith(".alg") else "morphisms", f) for f in files]
+    argv = command.split() + paths
+    code, report, error = run(argv)
+    assert (code, error) == (1, None)
+    assert machine(report) == "\n".join([
+        "command=" + " ".join(argv),
+        f"check={check} status=fail witness={witness}",
+        "overall=fail",
+    ])
+
+
+@pytest.mark.parametrize("argv, fn, check", [
+    (["weakproj", "diagram", "a", "b", "pi"], "cmd_weakproj", "diagram_split"),
+    (["build", "cross", "a", "b", "pi"], "cmd_build", "cross_product_built"),
+    (["build", "smash", "a", "b", "pi"], "cmd_build", "smash_preconditions"),
+    (["build", "doublecross", "a", "b", "r"], "cmd_build", "factorization_invertible"),
+    (["matchedpair", "derive", "a", "b", "r"], "cmd_matchedpair", "factorization_invertible"),
+], ids=["weakproj", "build-cross", "build-smash", "build-doublecross", "matchedpair-derive"])
+def test_dispatch_decides_the_exit_class_by_the_exception(monkeypatch, argv, fn, check):
+    def raising(exc):
+        def command(args):
+            raise exc
+        return command
+
+    monkeypatch.setattr(cli, fn, raising(ConstructionFailed("no such product")))
+    code, report, error = run(argv)
+    assert (code, error) == (1, None)
+    assert report.checks == (CheckResult(check, "fail", witness="no_such_product"),)
+    monkeypatch.setattr(cli, fn, raising(ValueError("bad input text")))
+    assert run(argv) == (2, None, "bad input text")
+
+
+def test_every_exception_has_one_exit_class():
+    # dispatch turns a ValueError into exit 2 and a ConstructionFailed into a
+    # failing check; an exception that is neither, or both, has no exit class
+    modules = [importlib.import_module(f"braidhopf.{m.name}")
+               for m in pkgutil.iter_modules(braidhopf.__path__) if m.name != "__main__"]
+    classes = {cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, Exception)
+               and cls.__module__.startswith("braidhopf")}
+    assert {"SplitFailure", "TranscriptionMismatch", "NotInvertible", "PreconditionFailed",
+            "ShapeMismatch", "ParseError", "InputError"} <= {cls.__name__ for cls in classes}
+    unclassed = sorted(cls.__name__ for cls in classes
+                       if issubclass(cls, ValueError) == issubclass(cls, ConstructionFailed))
+    assert unclassed == []
 
 
 def test_machine_reports_are_byte_stable():

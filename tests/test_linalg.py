@@ -466,10 +466,11 @@ def test_kernel_basis_matches_sympy_nullspace(m):
 @given(systems(square=True))
 @settings(max_examples=60, deadline=None)
 def test_inverse_matches_sympy(m):
+    # a non-square matrix has no two-sided inverse
+    assert hstack(m, m).inverse() is None
     sym = to_sympy(m)
     if sym.det() == 0:
-        with pytest.raises(ShapeMismatch):
-            m.inverse()
+        assert m.inverse() is None
         return
     inv = sym.inv()
     assert m.inverse() == Matrix.from_cols(m.rows, [from_sympy(inv.col(j)) for j in range(m.cols)])
@@ -501,13 +502,6 @@ def permute_rows(m, perm):
     return Matrix.from_rows([[m.entry(p, j) for j in range(m.cols)] for p in perm])
 
 
-def inverse_or_none(m):
-    try:
-        return m.inverse()
-    except ShapeMismatch:    # singular or not square
-        return None
-
-
 @given(st.booleans(), st.integers(1, 3), st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_row_order_changes_no_result(square, k, consistent, data):
@@ -520,7 +514,7 @@ def test_row_order_changes_no_result(square, k, consistent, data):
     assert kernel_basis(pa) == kernel_basis(a)
     assert solve_matrix(pa, pb) == solve_matrix(a, b)
     # the inverse of P a is a^-1 P^-1
-    inv, pinv = inverse_or_none(a), inverse_or_none(pa)
+    inv, pinv = a.inverse(), pa.inverse()
     assert (pinv is None) == (inv is None)
     if inv is not None:
         assert pinv * permute_rows(Matrix.identity(a.rows), perm) == inv

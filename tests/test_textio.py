@@ -202,6 +202,27 @@ def test_wrong_arity_gives_the_usage_line(line, usage):
     assert str(err.value) == f"line 5: {usage}"
 
 
+GROUP_C2 = "group c2\nelements e g\ntable e g\ntable g e\n"
+BICHAR_CHI = "bichar chi\ntable 1 1\ntable 1 -1\n"
+with open(os.path.join(CORPUS, "algebras", "ext_super.alg"), encoding="utf-8") as fh:
+    EXT_SUPER_TEXT = fh.read()
+
+
+@pytest.mark.parametrize("text, message", [
+    (EXT_SUPER_TEXT + "grade x -> 0\n", "line 17: duplicate grade for 'x'"),
+    ("object v\nbackend yd c2\n" + GROUP_C2 + GROUP_C2, "line 7: duplicate group 'c2'"),
+    ("object v\nbackend graded c2 chi\n" + GROUP_C2 + BICHAR_CHI + BICHAR_CHI,
+     "line 10: duplicate bichar 'chi'"),
+    ("object v\nbackend yd c2\ngroup c2\nelements e g\nelements e g\n",
+     "line 5: duplicate elements line"),
+], ids=["grade", "group", "bichar", "elements"])
+def test_a_repeated_declaration_is_a_parse_error(text, message):
+    # a second grade, group, bichar or elements line would override the first
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("text, message", [
     ("object t\nbackend vec\ndim 1\nbasis z\nmul z z -> z 1\n",
      "object files cannot carry mul entries"),

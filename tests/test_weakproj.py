@@ -1,15 +1,16 @@
 import pytest
 
 from contexts import h4_c2, s3_c2, s3_c3, trivial
-from braidhopf.builders import cyclic_group, group_algebra, sweedler_h4
-from braidhopf.category import Morphism
+from braidhopf.builders import (conjugation_yd_object, cyclic_group, group_algebra,
+                                s3_group, sweedler_h4)
+from braidhopf.category import CatObject, Morphism
 from braidhopf.hopf import verify_coalgebra
 from braidhopf import linalg
 from braidhopf.linalg import Matrix, compose, map_system, pipeline
 from braidhopf.weakproj import (SplitFailure, build_context, compute_diagram,
                                 pi_affine_conditions, projection_operators, run_bd_suite,
                                 search_weak_projection, structure_report,
-                                verify_weak_projection)
+                                verify_weak_projection, _subobject)
 
 
 def all_pass(checks):
@@ -127,6 +128,18 @@ def test_split_failure_on_broken_pi():
     bad_pi = corrupt_morphism(pi, 0, 2, 1)   # pi(x) = e breaks everything
     with pytest.raises(SplitFailure):
         diagram(a, b, sigma, bad_pi)
+
+
+@pytest.mark.parametrize("ambient, emb, message", [
+    # v_0 + v_1 mixes the even and the odd degree
+    (CatObject(2, grading=(0, 1)), Matrix.from_cols(2, [(1, 1)]), "not homogeneous"),
+    # conjugation moves the transposition t = v_3 to the other two
+    (conjugation_yd_object(s3_group()), Matrix.from_entries(6, 1, [(3, 0, 1)]),
+     "not action-invariant"),
+], ids=["grading", "action"])
+def test_subobject_that_inherits_no_structure_is_a_split_failure(ambient, emb, message):
+    with pytest.raises(SplitFailure, match=message):
+        _subobject(ambient, emb)
 
 
 # -- derived structure maps ---------------------------------------------------------
