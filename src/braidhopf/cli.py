@@ -13,8 +13,8 @@ import argparse
 import sys
 
 from .category import Morphism
-from .filtration import (NotSubcoalgebra, Subobject, b_adic_filtration,
-                         check_magnum_preconditions, coradical)
+from .filtration import (NotSubcoalgebra, b_adic_filtration, check_magnum_preconditions,
+                         coradical)
 from .hopf import (build_cosep_section, full_axiom_report, solve_total_integral,
                    verify_bialgebra, verify_cosep_section)
 from .products import (MatchedPair, bosonization_checks, build_cross_product,
@@ -176,9 +176,8 @@ def cmd_filtration(args) -> list[CheckResult]:
     a = load_algebra(args.a)
     b = load_algebra(args.b, kinds=("hopf", "bialgebra", "coalgebra"))
     sigma = inclusion_by_names(b, a)
-    sub = Subobject(a.obj, sigma.mat)
     try:
-        report = b_adic_filtration(a.algebra, sub, args.max_n)
+        report = b_adic_filtration(a.algebra, sigma.mat, args.max_n)
     except NotSubcoalgebra:
         return [CheckResult("b_subcoalgebra", "fail", witness="delta_leaves_b")]
     dims = ",".join(str(d) for d in report.dims)
@@ -192,8 +191,8 @@ def cmd_filtration(args) -> list[CheckResult]:
 def cmd_coradical(args) -> list[CheckResult]:
     a = load_algebra(args.a, kinds=("hopf", "bialgebra", "coalgebra"))
     cor = coradical(a.algebra)
-    cols = ";".join(_lincomb(cor.embedding.column(j), a.basis) for j in range(cor.dim))
-    return [CheckResult("coradical_dim", "pass", value=str(cor.dim)),
+    cols = ";".join(_lincomb(cor.column(j), a.basis) for j in range(cor.cols))
+    return [CheckResult("coradical_dim", "pass", value=str(cor.cols)),
             CheckResult("coradical_basis", "pass", value=cols)]
 
 

@@ -1,11 +1,12 @@
 """Wedge products, the B-adic coalgebra filtration, and the coradical.
 
-The wedge of two subobjects is the kernel of the comultiplication pushed
-into the tensor product of the quotients; iterating against a fixed
-subcoalgebra B gives the ascending filtration whose exhaustiveness is one
-of the preconditions reported by check_magnum_preconditions.  The
-coradical is computed dually, through the trace-form radical of the dual
-algebra (valid in characteristic zero).
+A subobject of an n-dimensional carrier is an n x r embedding Matrix of
+full column rank.  The wedge of two subobjects is the kernel of the
+comultiplication pushed into the tensor product of the quotients; iterating
+against a fixed subcoalgebra B gives the ascending filtration whose
+exhaustiveness is one of the preconditions reported by
+check_magnum_preconditions.  The coradical is computed dually, through the
+trace-form radical of the dual algebra (valid in characteristic zero).
 """
 
 from __future__ import annotations
@@ -28,16 +29,6 @@ class NotSubcoalgebra(ValueError):
 
 
 @dataclass(frozen=True)
-class Subobject:
-    ambient: CatObject
-    embedding: Matrix          # full column rank
-
-    @property
-    def dim(self) -> int:
-        return self.embedding.cols
-
-
-@dataclass(frozen=True)
 class FiltrationReport:
     dims: tuple[int, ...]
     exhaustive: bool
@@ -48,21 +39,21 @@ def subspace_contains(emb: Matrix, vectors: Matrix) -> bool:
     return solve_matrix(emb, vectors) is not None
 
 
-def full_subobject(ambient: CatObject) -> Subobject:
-    return Subobject(ambient, Matrix.identity(ambient.dim))
+def full_subobject(ambient: CatObject) -> Matrix:
+    return Matrix.identity(ambient.dim)
 
 
-def quotient_projection(sub: Subobject) -> Matrix:
+def quotient_projection(emb: Matrix) -> Matrix:
     """A projection whose kernel is the subobject: (n - r) x n, full row rank.
 
     Its rows are the basis of the left null space of the embedding that
     kernel_basis reads off the unique reduced form, so the quotient is
     deterministic.  Only its kernel matters to the wedge.
     """
-    return Matrix.from_cols(sub.ambient.dim, kernel_basis(sub.embedding.transpose())).transpose()
+    return Matrix.from_cols(emb.rows, kernel_basis(emb.transpose())).transpose()
 
 
-def wedge(x: Subobject, y: Subobject, coalg: Coalgebra | BraidedBialgebra) -> Subobject:
+def wedge(x: Matrix, y: Matrix, coalg: Coalgebra) -> Matrix:
     """X wedge Y = Ker[(p_X (x) p_Y) Delta]."""
     qx = quotient_projection(x)
     qy = quotient_projection(y)
@@ -70,34 +61,33 @@ def wedge(x: Subobject, y: Subobject, coalg: Coalgebra | BraidedBialgebra) -> Su
     if qx.rows == 0 or qy.rows == 0:
         return full_subobject(coalg.carrier)
     k = pipeline(coalg.delta.mat, (qx, qy))
-    return Subobject(coalg.carrier, Matrix.from_cols(n, kernel_basis(k)))
+    return Matrix.from_cols(n, kernel_basis(k))
 
 
-def is_subcoalgebra(coalg: Coalgebra | BraidedBialgebra, sub: Subobject) -> bool:
+def is_subcoalgebra(coalg: Coalgebra, sub: Matrix) -> bool:
     """Delta restricted to the subobject must land in sub (x) sub."""
-    image = coalg.delta.mat * sub.embedding
-    return subspace_contains(kron(sub.embedding, sub.embedding), image)
+    return subspace_contains(kron(sub, sub), coalg.delta.mat * sub)
 
 
-def b_adic_filtration(a: Coalgebra | BraidedBialgebra, b_sub: Subobject,
+def b_adic_filtration(a: Coalgebra, b_sub: Matrix,
                       max_n: int | None = None) -> FiltrationReport:
     """Iterated wedge against b_sub; step k holds the (k+1)-fold wedge."""
     if not is_subcoalgebra(a, b_sub):
         raise NotSubcoalgebra("the given subobject is not a subcoalgebra")
     if max_n is None:
         max_n = a.dim
-    dims = [b_sub.dim]
+    dims = [b_sub.cols]
     current = b_sub
-    while current.dim < a.dim and len(dims) <= max_n:
+    while current.cols < a.dim and len(dims) <= max_n:
         nxt = wedge(current, b_sub, a)
-        dims.append(nxt.dim)
-        if nxt.dim == current.dim:
+        dims.append(nxt.cols)
+        if nxt.cols == current.cols:
             break
         current = nxt
     return FiltrationReport(tuple(dims), dims[-1] == a.dim)
 
 
-def coradical(a: Coalgebra | BraidedBialgebra) -> Subobject:
+def coradical(a: Coalgebra) -> Matrix:
     """Annihilator of the Jacobson radical of the dual algebra.
 
     The radical is the kernel of the trace form x, y -> tr(L_{x y}) of the
@@ -116,7 +106,7 @@ def coradical(a: Coalgebra | BraidedBialgebra) -> Subobject:
     if not rad:
         return full_subobject(a.carrier)
     ann = kernel_basis(Matrix.from_rows([list(v) for v in rad]))
-    return Subobject(a.carrier, Matrix.from_cols(n, ann))
+    return Matrix.from_cols(n, ann)
 
 
 def check_magnum_preconditions(a: BraidedBialgebra, b: HopfAlgebra, sigma: Morphism,
@@ -131,9 +121,8 @@ def check_magnum_preconditions(a: BraidedBialgebra, b: HopfAlgebra, sigma: Morph
     checks = [merge_checks("b_has_antipode", verify_antipode(b))]
     integral = solve_total_integral(b)
     checks.append(bool_check("b_total_integral", integral is not None))
-    b_sub = Subobject(a.carrier, sigma.mat)
     try:
-        filt = b_adic_filtration(a, b_sub, max_n)
+        filt = b_adic_filtration(a, sigma.mat, max_n)
         dims = ",".join(str(x) for x in filt.dims)
         checks.append(bool_check("filtration_exhaustive", filt.exhaustive,
                                  witness=f"dims={dims}", value=f"dims={dims}"))
@@ -143,9 +132,9 @@ def check_magnum_preconditions(a: BraidedBialgebra, b: HopfAlgebra, sigma: Morph
     if a.backend.kind == "vec":
         cor = coradical(a)
         checks.append(bool_check("coradical_inside_b",
-                                 subspace_contains(sigma.mat, cor.embedding),
-                                 witness=f"coradical_dim={cor.dim}",
-                                 value=f"coradical_dim={cor.dim}"))
+                                 subspace_contains(sigma.mat, cor),
+                                 witness=f"coradical_dim={cor.cols}",
+                                 value=f"coradical_dim={cor.cols}"))
     else:
         checks.append(CheckResult("coradical_inside_b", "skipped", value="non_vec_backend"))
     return checks

@@ -1,8 +1,9 @@
 """Structure-constant (co)algebras, bialgebras and Hopf algebras.
 
-Axiom status is always computed, never assumed: every verifier returns a
-list of CheckResults, one exact matrix identity each, and never aborts on
-the first failure.
+``Coalgebra`` is the base record, extended by ``BraidedBialgebra`` (m, u)
+and ``HopfAlgebra`` (s).  Axiom status is always computed, never assumed:
+every verifier returns a list of CheckResults, one exact matrix identity
+each, and never aborts on the first failure.
 """
 
 from __future__ import annotations
@@ -15,17 +16,22 @@ from .report import CheckResult, eq_check, merge_checks
 
 
 @dataclass(frozen=True)
-class BraidedBialgebra:
+class Coalgebra:
+    """Bare coalgebra data, enough for coradical and wedge computations."""
     backend: Backend
     carrier: CatObject
-    m: Morphism          # A (x) A -> A
-    u: Morphism          # 1 -> A
     delta: Morphism      # A -> A (x) A
     eps: Morphism        # A -> 1
 
     @property
     def dim(self) -> int:
         return self.carrier.dim
+
+
+@dataclass(frozen=True)
+class BraidedBialgebra(Coalgebra):
+    m: Morphism          # A (x) A -> A
+    u: Morphism          # 1 -> A
 
     def braiding(self) -> Matrix:
         return self.backend.braiding_mat(self.carrier, self.carrier)
@@ -36,27 +42,14 @@ class HopfAlgebra(BraidedBialgebra):
     s: Morphism          # A -> A
 
 
-@dataclass(frozen=True)
-class Coalgebra:
-    """Bare coalgebra data, enough for coradical and wedge computations."""
-    backend: Backend
-    carrier: CatObject
-    delta: Morphism
-    eps: Morphism
-
-    @property
-    def dim(self) -> int:
-        return self.carrier.dim
-
-
 def make_bialgebra(backend: Backend, carrier: CatObject,
                    m: Matrix, u: Matrix, delta: Matrix, eps: Matrix,
                    s: Matrix | None = None):
     unit = backend.unit()
     sq = backend.tensor(carrier, carrier)
     args = (backend, carrier,
-            Morphism(sq, carrier, m), Morphism(unit, carrier, u),
-            Morphism(carrier, sq, delta), Morphism(carrier, unit, eps))
+            Morphism(carrier, sq, delta), Morphism(carrier, unit, eps),
+            Morphism(sq, carrier, m), Morphism(unit, carrier, u))
     if s is None:
         return BraidedBialgebra(*args)
     return HopfAlgebra(*args, Morphism(carrier, carrier, s))
@@ -72,7 +65,7 @@ def verify_algebra(a: BraidedBialgebra) -> list[CheckResult]:
     ]
 
 
-def verify_coalgebra(a: BraidedBialgebra | Coalgebra) -> list[CheckResult]:
+def verify_coalgebra(a: Coalgebra) -> list[CheckResult]:
     d, e = a.delta.mat, a.eps.mat
     ida = Matrix.identity(a.dim)
     return [
@@ -159,7 +152,7 @@ def build_cosep_section(h: HopfAlgebra, lam: Matrix) -> Matrix:
 
 def integral_from_section(h: HopfAlgebra, theta: Matrix) -> Matrix:
     """Recover lam = eps theta (B (x) u) from a coseparability section."""
-    return pipeline(kron(Matrix.identity(h.dim), h.u.mat), theta, h.eps.mat)
+    return pipeline((Matrix.identity(h.dim), h.u.mat), theta, h.eps.mat)
 
 
 def verify_cosep_section(h: HopfAlgebra, theta: Matrix) -> list[CheckResult]:

@@ -42,7 +42,6 @@ class MatchedPair:
 
 @dataclass(frozen=True)
 class CrossProductData:
-    ctx: WeakProjectionContext
     product: BraidedBialgebra
     iso_fwd: Matrix      # m_A (i (x) sigma) : R (x) B -> A
     iso_bwd: Matrix      # (p (x) pi) Delta_A : A -> R (x) B
@@ -130,13 +129,11 @@ def build_cross_product(ctx: WeakProjectionContext) -> CrossProductData:
 
     carrier = backend.tensor(r_obj, b.carrier)
     product = make_bialgebra(backend, carrier, m_lit, u_lit, delta_lit, eps_lit)
-    return CrossProductData(ctx, product, iso_fwd, iso_bwd)
+    return CrossProductData(product, iso_fwd, iso_bwd)
 
 
 def cross_product_report(data: CrossProductData) -> list[CheckResult]:
-    ctx = data.ctx
-    na = ctx.a.dim
-    nrb = ctx.r_dim * ctx.b.dim
+    na, nrb = data.iso_fwd.rows, data.iso_fwd.cols
     checks = [
         CheckResult("literal_equals_transported", "pass"),
         eq_check("iso_fwd_bwd", data.iso_fwd * data.iso_bwd, Matrix.identity(na)),
@@ -248,12 +245,12 @@ def derive_actions_general(fc: FactorizationContext) -> tuple[MatchedPair, list[
                  pipeline((idb, psi), (psi, idb), (idr, b.m.mat)),
                  pipeline((b.m.mat, idr), psi)),
         eq_check("psi_respects_unit_r",
-                 pipeline(kron(idb, r.u.mat), psi), kron(r.u.mat, idb)),
+                 pipeline((idb, r.u.mat), psi), kron(r.u.mat, idb)),
         eq_check("psi_respects_mul_r",
                  pipeline((psi, idr), (idr, psi), (r.m.mat, idb)),
                  pipeline((idb, r.m.mat), psi)),
         eq_check("psi_respects_unit_b",
-                 pipeline(kron(b.u.mat, idr), psi), kron(idr, b.u.mat)),
+                 pipeline((b.u.mat, idr), psi), kron(idr, b.u.mat)),
         eq_check("cp1_comul_of_act_b", compose(tl, b.delta.mat), pipeline(d_br, (tl, tl))),
         eq_check("cp2_psi_factors", psi, pipeline(d_br, (tr, tl))),
         eq_check("cp2_braided_psi", compose(psi, c_rb), pipeline(d_br, (tl, tr))),
@@ -262,7 +259,7 @@ def derive_actions_general(fc: FactorizationContext) -> tuple[MatchedPair, list[
                  pipeline((idb, d_br), (idb, tr, tl), (tl, idb), b.m.mat),
                  pipeline((b.m.mat, idr), tl)),
         eq_check("cp4_unit_acted_trivially",
-                 pipeline(kron(b.u.mat, idr), tl), compose(r.eps.mat, b.u.mat)),
+                 pipeline((b.u.mat, idr), tl), compose(r.eps.mat, b.u.mat)),
     ]
     checks += check_matched_pair(mp)
     checks += verify_bialgebra_map(fc.phi_factor, build_double_cross(mp), a,
@@ -273,7 +270,7 @@ def derive_actions_general(fc: FactorizationContext) -> tuple[MatchedPair, list[
 
 
 def xi_is_trivial(ctx: WeakProjectionContext) -> bool:
-    trivial = compose(kron(ctx.maps.counit, ctx.maps.counit), ctx.b.u.mat)
+    trivial = pipeline((ctx.maps.counit, ctx.maps.counit), ctx.b.u.mat)
     return ctx.maps.cocycle == trivial
 
 

@@ -24,27 +24,21 @@ class CheckResult:
         return self.status == "fail" and not self.informational
 
 
-def entry_witness(i: int, j: int, lhs, rhs) -> str:
-    return f"({i},{j}):lhs={lhs}:rhs={rhs}"
-
-
 def eq_check(name: str, lhs: Matrix, rhs: Matrix, *, informational: bool = False) -> CheckResult:
     diff = lhs.first_difference(rhs)
     if diff is None:
         return CheckResult(name, "pass", informational=informational)
     i, j = diff
-    return CheckResult(name, "fail", witness=entry_witness(i, j, lhs.entry(i, j), rhs.entry(i, j)),
-                       informational=informational)
+    witness = f"({i},{j}):lhs={lhs.entry(i, j)}:rhs={rhs.entry(i, j)}"
+    return CheckResult(name, "fail", witness=witness, informational=informational)
 
 
 def chain_eq_check(name: str, mats: list[Matrix]) -> CheckResult:
-    """All matrices in the chain must agree; witness from the first break."""
-    for k in range(len(mats) - 1):
-        diff = mats[k].first_difference(mats[k + 1])
-        if diff is not None:
-            i, j = diff
-            return CheckResult(name, "fail",
-                               witness=entry_witness(i, j, mats[k].entry(i, j), mats[k + 1].entry(i, j)))
+    """All matrices in the chain must agree: the first adjacent pair that breaks fails."""
+    for lhs, rhs in zip(mats, mats[1:]):
+        check = eq_check(name, lhs, rhs)
+        if check.failed():
+            return check
     return CheckResult(name, "pass")
 
 

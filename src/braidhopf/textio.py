@@ -182,7 +182,7 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
         elif head == "dim":
             if dim is not None:
                 raise ParseError(line, "duplicate dim line")
-            if len(toks) != 2 or not toks[1].isdigit():
+            if len(toks) != 2 or not toks[1].isdecimal():
                 raise ParseError(line, "usage: dim <n>")
             dim = int(toks[1])
         elif head == "basis":

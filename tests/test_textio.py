@@ -202,6 +202,14 @@ def test_wrong_arity_gives_the_usage_line(line, usage):
     assert str(err.value) == f"line 5: {usage}"
 
 
+@pytest.mark.parametrize("token", ["\u00b2", "\u2460", "-1", "two"])
+def test_a_dim_that_is_not_a_decimal_number_gives_the_usage_line(token):
+    # superscript and circled digits pass str.isdigit but not int()
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file(f"hopf t\nbackend vec\ndim {token}\nbasis z\n")
+    assert str(err.value) == "line 3: usage: dim <n>"
+
+
 GROUP_C2 = "group c2\nelements e g\ntable e g\ntable g e\n"
 BICHAR_CHI = "bichar chi\ntable 1 1\ntable 1 -1\n"
 with open(os.path.join(CORPUS, "algebras", "ext_super.alg"), encoding="utf-8") as fh:
