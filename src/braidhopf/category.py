@@ -115,18 +115,8 @@ def _flip(x: CatObject, y: CatObject, sign) -> Matrix:
 
 
 class Backend:
-    """Common machinery; concrete backends fix grading/action semantics."""
-
-    kind = "abstract"
-
-    def unit(self) -> CatObject:
-        raise NotImplementedError
-
-    def tensor(self, x: CatObject, y: CatObject) -> CatObject:
-        raise NotImplementedError
-
-    def braiding_mat(self, x: CatObject, y: CatObject) -> Matrix:
-        raise NotImplementedError
+    """Common machinery.  Each concrete backend defines unit, tensor and
+    braiding_mat, and fixes the grading/action semantics."""
 
     def object_report(self, x: CatObject) -> list[CheckResult]:
         return []
@@ -167,13 +157,7 @@ def _grade_check(f: Morphism) -> CheckResult:
 
 
 class _GradedBackend(Backend):
-    """Shared grade bookkeeping for the sign-graded style backends."""
-
-    def _grade_mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def _grade_ok(self, g: int) -> bool:
-        raise NotImplementedError
+    """Shared grade bookkeeping; each subclass defines _grade_mul and _grade_ok."""
 
     def object_report(self, x: CatObject) -> list[CheckResult]:
         grading = _require_grading(x)

@@ -22,7 +22,7 @@ from .products import (MatchedPair, bosonization_checks, build_cross_product,
                        derive_actions_general, make_factorization)
 from .report import (CheckResult, ConstructionFailed, Report, bool_check, make_report,
                      prefixed)
-from .textio import (LoadedAlgebra, inclusion_by_names,
+from .textio import (COUNT, LoadedAlgebra, inclusion_by_names,
                      parse_algebra_file, parse_morphism_file, tensor_names)
 from .weakproj import (build_context, run_bd_suite, search_weak_projection,
                        structure_report, verify_weak_projection)
@@ -203,7 +203,7 @@ def cmd_magnum(args) -> list[CheckResult]:
 
 def _count(text: str) -> int:
     """argparse type of a count N >= 0; anything else is bad input (exit 2)."""
-    if not text.isdecimal():
+    if not COUNT.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected an integer N >= 0, got {text!r}")
     return int(text)
 

@@ -27,8 +27,10 @@ the product is never materialized.
 
 ``map_system`` builds every system whose unknown is a map X: each identity
 the map must satisfy is a pair (lhs, rhs) of tensor formulas affine in X,
-written as it is checked.  With d = lhs - rhs, column k of the system is
-d(E_k) - d(0) and the right-hand side is -d(0).  ``_eliminate`` solves it.
+written as it is checked.  Each pair is evaluated once, on an X of linear
+forms in the unknowns (``_Lin``): the entries of d = lhs - rhs are then the
+rows of the system and their negated constants the right-hand side
+(forward-mode evaluation of d's Jacobian).  ``_eliminate`` solves it.
 """
 
 from __future__ import annotations
@@ -104,10 +106,6 @@ class Matrix:
     @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, [{i: 1} for i in range(n)])
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [dict() for _ in range(cols)])
 
     # -- inspection --------------------------------------------------------
 
@@ -297,44 +295,60 @@ def solve_affine(a: Matrix, b: Sequence) -> tuple[tuple | None, list[tuple]]:
     return particular, _kernel(red, pivots, a.cols)
 
 
+class _Lin(dict):
+    """An affine form in the unknowns of ``map_system``: {unknown: coeff}, the
+    constant at key -1, empty meaning zero.  Only affine arithmetic is
+    defined, so ``_Lin * _Lin`` raises TypeError."""
+
+    def __add__(self, other):
+        out = _Lin(self)
+        for k, v in (other.items() if isinstance(other, _Lin) else ((-1, other),)):
+            out[k] = out.get(k, 0) + v
+            if not out[k]:
+                del out[k]
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Lin":
+        return self * -1
+
+    def __mul__(self, s):
+        if not isinstance(s, (int, Fraction)):
+            return NotImplemented
+        return _Lin({k: v * s for k, v in self.items()} if s else {})
+
+    __rmul__ = __mul__
+
+
 def map_system(rows: int, cols: int, conditions) -> tuple[Matrix, list]:
     """The exact linear system lhs(X) = rhs(X) for an unknown rows x cols map X.
 
-    Each condition is a pair (lhs, rhs) of functions of X, each affine in X.
-    With d = lhs - rhs, unknown k is X[k // cols, k % cols], column k is
-    d(E_k) - d(0) for the basis map E_k, and the right-hand side is -d(0).
-    The equations are the entries of each d(X) in row-major order, stacked
-    in the order the conditions are given.
+    Each condition is a pair (lhs, rhs) of functions of X, each affine in X,
+    and each is called once, on the X whose entry (r, c) is the linear form
+    x_k, k = r * cols + c.  Equation e is entry e of d = lhs - rhs: its
+    coefficients are row e of the system and its negated constant entry e of
+    the right-hand side.  The equations are the entries of each d(X) in
+    row-major order, stacked in the order the conditions are given.
     """
-    def add_d(acc: dict, x: Matrix, sign: int) -> int:
-        """acc += sign * d(x), entry (i, j) of a condition at its offset plus
-        i * width + j; returns the number of equations."""
-        off = 0
-        for lhs, rhs in conditions:
-            lx, rx = lhs(x), rhs(x)
-            if (lx.rows, lx.cols) != (rx.rows, rx.cols):
-                raise ShapeMismatch(f"left side is {lx.rows}x{lx.cols}, "
-                                    f"right side is {rx.rows}x{rx.cols}")
-            for m, s in ((lx, sign), (rx, -sign)):
-                for j, col in enumerate(m._cols):
-                    for i, v in col.items():
-                        key = off + i * m.cols + j
-                        nv = acc.get(key, 0) + s * v
-                        if nv:
-                            acc[key] = nv
-                        else:
-                            del acc[key]
-            off += lx.rows * lx.cols
-        return off
-
-    neg_d0: dict = {}
-    n_eq = add_d(neg_d0, Matrix.zeros(rows, cols), -1)
-    columns = []
-    for k in range(rows * cols):
-        column = dict(neg_d0)
-        add_d(column, Matrix.from_entries(rows, cols, [(k // cols, k % cols, 1)]), 1)
-        columns.append(column)
-    return Matrix(n_eq, rows * cols, columns), [neg_d0.get(e, 0) for e in range(n_eq)]
+    x = Matrix(rows, cols, [{r: _Lin({r * cols + c: 1}) for r in range(rows)}
+                            for c in range(cols)])
+    entries, target, n_eq = [], {}, 0
+    for lhs, rhs in conditions:
+        lx, rx = lhs(x), rhs(x)
+        if (lx.rows, lx.cols) != (rx.rows, rx.cols):
+            raise ShapeMismatch(f"left side is {lx.rows}x{lx.cols}, "
+                                f"right side is {rx.rows}x{rx.cols}")
+        d = lx - rx
+        for j, col in enumerate(d._cols):
+            for i, form in col.items():
+                e = n_eq + i * d.cols + j
+                form = form if isinstance(form, _Lin) else {-1: form}
+                target[e] = -form.get(-1, 0)
+                entries.extend((e, k, v) for k, v in form.items() if k >= 0)
+        n_eq += d.rows * d.cols
+    return (Matrix.from_entries(n_eq, rows * cols, entries),
+            [target.get(e, 0) for e in range(n_eq)])
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:

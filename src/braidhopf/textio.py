@@ -36,11 +36,13 @@ and one elements line per group:
 
 Morphism files contain `map <dom-basis> -> <cod-basis> <coeff>` lines;
 unspecified columns are zero.  Basis names of tensor-product objects are
-dotted pairs like `g.x`.  Coefficients are exact: integers or p/q.
+dotted pairs like `g.x`.  Numbers are exact and in ASCII digits: a coefficient
+is -?[0-9]+(/[0-9]+)?, a bichar entry -?[0-9]+ and a dim [0-9]+.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -49,6 +51,9 @@ from .category import (Backend, CatObject, FiniteGroup, Morphism,
                        SignGradedBackend, SUPER, VEC, YetterDrinfeldBackend)
 from .hopf import Coalgebra, make_bialgebra
 from .linalg import Matrix, _frac
+
+COUNT = re.compile("[0-9]+")                  # dim, --max-n; a bichar entry is -?COUNT
+_COEFFICIENT = re.compile("-?[0-9]+(/[0-9]+)?")
 
 
 class ParseError(ValueError):
@@ -77,13 +82,10 @@ class LoadedAlgebra:
 
 def parse_scalar(tok: str, line: int) -> int | Fraction:
     """An integer or p/q coefficient; an integral one comes back as an int."""
-    try:
-        if "/" in tok:
-            num, den = tok.split("/", 1)
-            return _frac(Fraction(int(num), int(den)))
-        return int(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(line, f"bad coefficient {tok!r}")
+    num, _, den = tok.partition("/")
+    if _COEFFICIENT.fullmatch(tok) and int(den or 1):
+        return _frac(Fraction(int(num), int(den))) if den else int(num)
+    raise ParseError(line, f"bad coefficient {tok!r}")
 
 
 def _tokenize(text: str):
@@ -182,7 +184,7 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
         elif head == "dim":
             if dim is not None:
                 raise ParseError(line, "duplicate dim line")
-            if len(toks) != 2 or not toks[1].isdecimal():
+            if len(toks) != 2 or not COUNT.fullmatch(toks[1]):
                 raise ParseError(line, "usage: dim <n>")
             dim = int(toks[1])
         elif head == "basis":
@@ -296,10 +298,9 @@ def _build_backend(spec, line, groups, bichars):
             raise ParseError(line, f"unknown bichar {bname!r}")
         rows = []
         for tline, row in bichars[bname]["table"]:
-            try:
-                rows.append([int(v) for v in row])
-            except ValueError:
+            if not all(COUNT.fullmatch(v.removeprefix("-")) for v in row):
                 raise ParseError(tline, "bichar entries must be 1 or -1")
+            rows.append([int(v) for v in row])
         try:
             return SignGradedBackend.make(groups[gname], rows), groups[gname]
         except ValueError as exc:

@@ -237,9 +237,9 @@ def search_weak_projection(a: BraidedBialgebra, b: HopfAlgebra,
     the quadratic coalgebra condition on finitely many candidates.
 
     The affine conditions are verify_weak_projection's list,
-    pi_affine_conditions, with pi unknown; linalg.map_system turns them into
-    one exact system for the dim(B) x dim(A) entries of pi, in row-major
-    order.  The particular solution is tried first, then the particular plus
+    pi_affine_conditions; linalg.map_system evaluates each once, on a pi of
+    linear forms in its dim(B) x dim(A) row-major entries, for one exact
+    system.  The particular solution is tried first, then the particular plus
     each homogeneous basis vector; the first candidate passing the full
     verification is returned.  The search is a documented heuristic, not a
     decision procedure.

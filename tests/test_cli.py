@@ -201,12 +201,44 @@ def test_filtration_values():
 
 
 @pytest.mark.parametrize("command", ["filtration", "magnum"])
-@pytest.mark.parametrize("max_n", ["-1", "two"])
+@pytest.mark.parametrize("max_n", ["-1", "two", "３", "٣"])   # full-width, Arabic-Indic 3
 def test_max_n_below_zero_or_not_a_number_is_bad_input(command, max_n, capsys):
     argv = [command, corpus("algebras", "h4.alg"), corpus("algebras", "c2_in_h4.alg"),
             f"--max-n={max_n}"]
     assert main(argv) == 2
     assert "N >= 0" in capsys.readouterr().err
+
+
+LINE_ALGEBRA = ("bialgebra l\nbackend graded c2 chi\ngroup c2\nelements e g\n"
+                "table e g\ntable g e\nbichar chi\ntable 1 1\ntable 1 {entry}\n"
+                "dim {dim}\nbasis one x\ngrade x -> g\n"
+                "mul one one -> one {coeff}\nmul one x -> x 1\nmul x one -> x 1\n"
+                "unit -> one 1\ncomul one -> one one 1\ncomul x -> x one 1\n"
+                "comul x -> one x 1\ncounit one -> 1\n")
+
+
+@pytest.mark.parametrize("spelling, message", [
+    ({}, None),
+    ({"coeff": "1_0"}, "line 13: bad coefficient '1_0'"),
+    ({"coeff": "３"}, "line 13: bad coefficient '３'"),      # full-width 3
+    ({"coeff": "1/1_0"}, "line 13: bad coefficient '1/1_0'"),
+    ({"coeff": "+1"}, "line 13: bad coefficient '+1'"),
+    ({"coeff": "1/-1"}, "line 13: bad coefficient '1/-1'"),
+    ({"coeff": "1/0"}, "line 13: bad coefficient '1/0'"),
+    ({"dim": "٢"}, "line 10: usage: dim <n>"),                     # Arabic-Indic 2
+    ({"entry": "-１"}, "line 9: bichar entries must be 1 or -1"),  # full-width 1
+    ({"entry": "-0_1"}, "line 9: bichar entries must be 1 or -1"),
+])
+def test_numbers_are_ascii_digits(tmp_path, capsys, spelling, message):
+    path = tmp_path / "line.alg"
+    path.write_text(LINE_ALGEBRA.format(**{"coeff": "1", "dim": "2", "entry": "-1", **spelling}),
+                    encoding="utf-8")
+    code = main(["check", "bialgebra", str(path)])
+    if message is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_coradical_of_ut2():

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidhopf import hopf
+from braidhopf.builders import cyclic_group, group_algebra, s3_group, sweedler_h4
 from braidhopf.linalg import (Matrix, ShapeMismatch, _frac, compose, equalizer, hstack,
                               kernel_basis, kron, map_system, pipeline, solve_affine,
                               solve_matrix)
+from braidhopf.weakproj import pi_affine_conditions
+from contexts import h4_c2, s3_c2, s3_c3
 
 F = Fraction
 
@@ -80,7 +84,7 @@ def test_kernel_of_identity():
 
 
 def test_kernel_of_zero():
-    vs = kernel_basis(Matrix.zeros(2, 2))
+    vs = kernel_basis(Matrix.from_entries(2, 2, ()))
     assert vs == [(F(1), F(0)), (F(0), F(1))]
 
 
@@ -93,7 +97,7 @@ def test_kernel_line():
 def test_kernel_vectors_annihilate(m):
     for v in kernel_basis(m):
         col = Matrix.from_cols(4, [v])
-        assert m * col == Matrix.zeros(3, 1)
+        assert m * col == Matrix.from_entries(3, 1, ())
 
 
 def test_kernel_determinism():
@@ -110,7 +114,7 @@ def test_solve_identity():
 
 def test_solve_inconsistent():
     # no particular solution, and still the kernel of the coefficient matrix
-    assert solve_affine(Matrix.zeros(2, 2), [1, 0]) == (None, [(1, 0), (0, 1)])
+    assert solve_affine(Matrix.from_entries(2, 2, ()), [1, 0]) == (None, [(1, 0), (0, 1)])
 
 
 def test_solve_underdetermined():
@@ -128,7 +132,7 @@ def test_solve_affine_is_solution(a, b):
     col = Matrix.from_cols(3, [part])
     assert a * col == Matrix.from_cols(3, [tuple(b)])
     for h in basis:
-        assert a * Matrix.from_cols(3, [h]) == Matrix.zeros(3, 1)
+        assert a * Matrix.from_cols(3, [h]) == Matrix.from_entries(3, 1, ())
 
 
 # -- systems for an unknown map ----------------------------------------------
@@ -182,7 +186,7 @@ def test_map_system_columns_are_the_conditions_on_basis_maps(data):
         assert part is not None
     if part is None:
         return
-    zero = Matrix.zeros(r, c)
+    zero = Matrix.from_entries(r, c, ())
     for lhs, rhs_fn in conditions:
         assert lhs(reshape(part, r, c)) == rhs_fn(reshape(part, r, c))
         for h in basis:
@@ -220,7 +224,53 @@ def test_frac_turns_an_integral_fraction_into_an_int():
 
 def test_map_system_rejects_a_right_hand_side_of_the_wrong_shape():
     with pytest.raises(ShapeMismatch, match="left side is 2x2, right side is 2x3"):
-        map_system(2, 2, [(lambda x: x, lambda x: Matrix.zeros(2, 3))])
+        map_system(2, 2, [(lambda x: x, lambda x: Matrix.from_entries(2, 3, ()))])
+
+
+def test_map_system_evaluates_each_side_once():
+    calls = []
+
+    def counted(name, f):
+        return lambda x: calls.append(name) or f(x)
+
+    a, b = mat([[1, 2], [0, 1]]), mat([[2, 0], [1, 1]])
+    map_system(2, 2, [(counted("lhs1", lambda x: a * x), counted("rhs1", lambda x: x * b)),
+                      (counted("lhs2", lambda x: x), counted("rhs2", lambda x: a))])
+    assert sorted(calls) == ["lhs1", "lhs2", "rhs1", "rhs2"]
+
+
+def test_map_system_rejects_a_condition_that_is_not_affine():
+    with pytest.raises(TypeError):
+        map_system(2, 2, [(lambda x: x * x, lambda x: Matrix.identity(2))])
+
+
+def map_system_by_basis_maps(rows, cols, conditions):
+    """The oracle: column k is d(E_k) - d(0) for the basis map E_k and the
+    right-hand side is -d(0), with d = lhs - rhs evaluated on concrete
+    matrices and its entries taken row-major."""
+    def d(k=None):
+        x = Matrix.from_entries(rows, cols, [] if k is None else [(k // cols, k % cols, 1)])
+        return [v for lhs, rhs in conditions for v in row_major(lhs(x) - rhs(x))]
+
+    d0 = d()
+    columns = [[v - v0 for v, v0 in zip(d(k), d0)] for k in range(rows * cols)]
+    return Matrix.from_cols(len(d0), columns), [-v for v in d0]
+
+
+def test_map_system_matches_the_basis_map_construction_on_the_library_systems(monkeypatch):
+    systems = []
+    for ctx in (h4_c2, s3_c2, s3_c3):
+        a, b, sigma, _ = ctx()
+        systems.append((b.dim, a.dim, [(lhs, rhs) for _, lhs, rhs
+                                       in pi_affine_conditions(a, b, sigma)]))
+    # the integral conditions are the ones solve_total_integral hands to map_system
+    monkeypatch.setattr(hopf, "map_system", lambda *args: systems.append(args) or map_system(*args))
+    for alg in (group_algebra(cyclic_group(2)), group_algebra(s3_group()), sweedler_h4()):
+        hopf.solve_total_integral(alg)
+
+    assert len(systems) == 6
+    for rows, cols, conditions in systems:
+        assert map_system(rows, cols, conditions) == map_system_by_basis_maps(rows, cols, conditions)
 
 
 # -- idempotent splitting ----------------------------------------------------
@@ -238,7 +288,7 @@ def test_split_identity():
 
 
 def test_split_zero():
-    i, p = split(Matrix.zeros(2, 2))
+    i, p = split(Matrix.from_entries(2, 2, ()))
     assert (i.rows, i.cols) == (2, 0)
     assert (p.rows, p.cols) == (0, 2)
 
@@ -273,7 +323,7 @@ def test_equalizer_of_equal_maps():
 
 
 def test_equalizer_trivial():
-    e = equalizer(Matrix.identity(2), Matrix.zeros(2, 2))
+    e = equalizer(Matrix.identity(2), Matrix.from_entries(2, 2, ()))
     assert (e.rows, e.cols) == (2, 0)
 
 
@@ -373,7 +423,7 @@ def factors(draw, cols, pool):
         f = draw(near_identities(cols))
     else:
         rows = draw(st.sampled_from([2, 1, 3]))
-        f = Matrix.zeros(rows, cols) if kind == "zero" else draw(matrices(rows, cols))
+        f = Matrix.from_entries(rows, cols, ()) if kind == "zero" else draw(matrices(rows, cols))
     pool.setdefault(cols, []).append(f)
     return f
 
@@ -435,7 +485,7 @@ def test_pipeline_checks_every_stage_shape_before_reading_a_column():
     for m in (a, b, c):
         m._cols = Unreadable()
     with pytest.raises(ShapeMismatch, match="^stage expects domain 3, got 4$"):
-        pipeline((a, b), c, Matrix.zeros(1, 3))
+        pipeline((a, b), c, Matrix.from_entries(1, 3, ()))
 
 
 # -- differential tests against sympy's exact matrices ------------------------

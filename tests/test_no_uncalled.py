@@ -1,15 +1,17 @@
 """Every function, class and method of the package has a caller, and every
 field of a package dataclass has a reader.
 
-A definition counts as used when its name appears as a whole word in
-src/, scripts/ or perfbench/ more often than it is defined there; a field
-counts as read when ``.field`` appears there.  Tests do not count: code that
-only a test reaches is dead in the program.
+A definition counts as used when its name occurs in the code of src/,
+scripts/ or perfbench/ more often than it is defined there; a field counts as
+read when ``.field`` occurs there.  Only code counts, read from the syntax
+tree: a name in a string or a comment calls nothing, while the fields of an
+f-string are code.  Tests do not count either: code that only a test reaches
+is dead in the program.
 """
 
 import ast
 import os
-import re
+from collections import Counter
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 PACKAGE = os.path.join(ROOT, "src", "braidhopf")
@@ -27,26 +29,39 @@ def python_sources(dirs):
                         yield fh.read()
 
 
+DEFS = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+
+
+def code_names(dirs):
+    """Each name the code of dirs mentions, as (node type, name): a variable,
+    an attribute (the x of ``.x``), an imported name, or a def or class."""
+    for source in python_sources(dirs):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                yield ast.Name, node.id
+            elif isinstance(node, ast.Attribute):
+                yield ast.Attribute, node.attr
+            elif isinstance(node, (ast.alias, *DEFS)):
+                yield type(node), node.name
+
+
 def package_definitions():
-    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
     for source in python_sources([os.path.relpath(PACKAGE, ROOT)]):
         for node in ast.parse(source).body:
-            if isinstance(node, defs):
+            if isinstance(node, DEFS):
                 yield node.name
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, defs) and not item.name.startswith("__"):
+                    if isinstance(item, DEFS) and not item.name.startswith("__"):
                         yield item.name
 
 
 def test_every_definition_is_referenced_beyond_its_definitions():
-    text = "\n".join(python_sources(SEARCHED))
-    uncalled = []
-    for name in sorted(set(package_definitions()) - ALLOWED):
-        uses = len(re.findall(rf"\b{re.escape(name)}\b", text))
-        definitions = len(re.findall(rf"\b(?:def|class)\s+{re.escape(name)}\b", text))
-        if uses <= definitions:
-            uncalled.append(name)
+    mentions = list(code_names(SEARCHED))
+    uses = Counter(name for _, name in mentions)
+    definitions = Counter(name for kind, name in mentions if kind in DEFS)
+    uncalled = [name for name in sorted(set(package_definitions()) - ALLOWED)
+                if uses[name] <= definitions[name]]
     assert uncalled == []
 
 
@@ -61,7 +76,7 @@ def dataclass_fields():
 
 
 def test_every_dataclass_field_is_read():
-    text = "\n".join(python_sources(SEARCHED))
+    reads = {name for kind, name in code_names(SEARCHED) if kind is ast.Attribute}
     unread = [f"{cls}.{field}" for cls, field in sorted(set(dataclass_fields()))
-              if not re.search(rf"\.{re.escape(field)}\b", text)]
+              if field not in reads]
     assert unread == []

@@ -202,9 +202,10 @@ def test_wrong_arity_gives_the_usage_line(line, usage):
     assert str(err.value) == f"line 5: {usage}"
 
 
-@pytest.mark.parametrize("token", ["\u00b2", "\u2460", "-1", "two"])
+@pytest.mark.parametrize("token", ["\u00b2", "\u2460", "\u0663", "\uff13", "-1", "two"])
 def test_a_dim_that_is_not_a_decimal_number_gives_the_usage_line(token):
-    # superscript and circled digits pass str.isdigit but not int()
+    # superscript and circled digits pass str.isdigit but not int(); Arabic-Indic
+    # and full-width digits pass int() but are not ASCII
     with pytest.raises(ParseError) as err:
         parse_algebra_file(f"hopf t\nbackend vec\ndim {token}\nbasis z\n")
     assert str(err.value) == "line 3: usage: dim <n>"
