@@ -5,9 +5,12 @@ vector and an optional group action; morphisms are exact matrices tagged
 with their (co)domain objects.  Four backends realize the braiding:
 
 * Vec          - plain vector spaces, braiding is the flip
-* SuperVec     - Z/2-graded spaces, flip with sign (-1)^{|v||w|}
+* SuperVec     - spaces graded by the parity group {0, 1}, flip with sign (-1)^{|v||w|}
 * SignGraded   - G-graded spaces, flip scaled by a +-1 bicharacter
 * YetterDrinfeld(G) - G-graded G-representations, c(v (x) w) = (deg v . w) (x) v
+
+The last three are graded by a finite group in one way: the unit has the
+identity grade, grades multiply under tensor, and morphisms preserve them.
 
 Unit constraints and associators are identities throughout (the backends
 are strict), so formulas are transcribed with those factors deleted.
@@ -15,7 +18,7 @@ are strict), so formulas are transcribed with those factors deleted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .linalg import Matrix, kron, pipeline
 from .report import CheckResult, bool_check, eq_check
@@ -145,46 +148,44 @@ def _require_grading(x: CatObject) -> tuple[int, ...]:
     return x.grading
 
 
-def _grade_check(f: Morphism) -> CheckResult:
-    """grade_preserving, witnessed by the first entry (column-major) joining two grades."""
-    gd, gc = _require_grading(f.dom), _require_grading(f.cod)
-    for j in range(f.mat.cols):
-        for i in sorted(f.mat.column(j)):
-            if gc[i] != gd[j]:
-                return CheckResult("grade_preserving", "fail",
-                                   witness=f"({i},{j}):lhs={f.mat.entry(i, j)}:rhs=0")
-    return CheckResult("grade_preserving", "pass")
-
-
+@dataclass(frozen=True)
 class _GradedBackend(Backend):
-    """Shared grade bookkeeping; each subclass defines _grade_mul and _grade_ok."""
+    """Objects graded by a finite group: the tensor product multiplies grades
+    and a morphism must preserve them.  Subclasses define the braiding."""
 
-    def object_report(self, x: CatObject) -> list[CheckResult]:
-        grading = _require_grading(x)
-        ok = len(grading) == x.dim and all(self._grade_ok(g) for g in grading)
-        return [bool_check("grading_wellformed", ok)]
+    group: FiniteGroup
+
+    def unit(self) -> CatObject:
+        return CatObject(1, grading=(self.group.identity,))
 
     def tensor(self, x: CatObject, y: CatObject) -> CatObject:
         gx, gy = _require_grading(x), _require_grading(y)
-        grading = tuple(self._grade_mul(a, b) for a in gx for b in gy)
+        grading = tuple(self.group.mul(a, b) for a in gx for b in gy)
         return CatObject(x.dim * y.dim, grading=grading)
 
+    def object_report(self, x: CatObject) -> list[CheckResult]:
+        grading = _require_grading(x)
+        n = len(self.group.elements)
+        ok = len(grading) == x.dim and all(0 <= g < n for g in grading)
+        return [bool_check("grading_wellformed", ok)]
+
     def morphism_report(self, f: Morphism) -> list[CheckResult]:
-        return [_grade_check(f)]
+        """grade_preserving: f equals its part between equal grades."""
+        gd, gc = _require_grading(f.dom), _require_grading(f.cod)
+        kept = Matrix(f.mat.rows, f.mat.cols,
+                      [{i: v for i, v in f.mat.column(j).items() if gc[i] == gd[j]}
+                       for j in range(f.mat.cols)])
+        return [eq_check("grade_preserving", f.mat, kept)]
+
+
+PARITY = FiniteGroup.from_table("parity", ["0", "1"], [[0, 1], [1, 0]])
 
 
 @dataclass(frozen=True)
 class SuperVecBackend(_GradedBackend):
+    group: FiniteGroup = PARITY
+
     kind = "super"
-
-    def unit(self) -> CatObject:
-        return CatObject(1, grading=(0,))
-
-    def _grade_mul(self, a: int, b: int) -> int:
-        return (a + b) % 2
-
-    def _grade_ok(self, g: int) -> bool:
-        return g in (0, 1)
 
     def braiding_mat(self, x: CatObject, y: CatObject) -> Matrix:
         gx, gy = _require_grading(x), _require_grading(y)
@@ -195,7 +196,6 @@ class SuperVecBackend(_GradedBackend):
 class SignGradedBackend(_GradedBackend):
     """Grading over an arbitrary finite group with a +-1 bicharacter."""
 
-    group: FiniteGroup
     bichar: tuple[tuple[int, ...], ...]   # values in {1,-1}, indexed by element
 
     kind = "graded"
@@ -218,15 +218,6 @@ class SignGradedBackend(_GradedBackend):
                         raise ValueError("bicharacter not multiplicative on the right")
         return SignGradedBackend(group, tuple(tuple(r) for r in bichar_rows))
 
-    def unit(self) -> CatObject:
-        return CatObject(1, grading=(self.group.identity,))
-
-    def _grade_mul(self, a: int, b: int) -> int:
-        return self.group.mul(a, b)
-
-    def _grade_ok(self, g: int) -> bool:
-        return 0 <= g < len(self.group.elements)
-
     def braiding_mat(self, x: CatObject, y: CatObject) -> Matrix:
         gx, gy = _require_grading(x), _require_grading(y)
         return _flip(x, y, lambda i, j: self.bichar[gx[i]][gy[j]])
@@ -239,31 +230,27 @@ def _require_action(x: CatObject) -> tuple[Matrix, ...]:
 
 
 @dataclass(frozen=True)
-class YetterDrinfeldBackend(Backend):
+class YetterDrinfeldBackend(_GradedBackend):
     """G-graded G-representations with h . V_g inside V_{h g h^-1}."""
-
-    group: FiniteGroup
 
     kind = "yd"
 
     def unit(self) -> CatObject:
-        return CatObject(1, grading=(self.group.identity,),
-                         action=tuple(Matrix.identity(1) for _ in self.group.elements))
+        return replace(super().unit(),
+                       action=tuple(Matrix.identity(1) for _ in self.group.elements))
 
     def tensor(self, x: CatObject, y: CatObject) -> CatObject:
-        gx, gy = _require_grading(x), _require_grading(y)
+        xy = super().tensor(x, y)
         ax, ay = _require_action(x), _require_action(y)
-        grading = tuple(self.group.mul(a, b) for a in gx for b in gy)
-        action = tuple(kron(ax[g], ay[g]) for g in range(len(self.group.elements)))
-        return CatObject(x.dim * y.dim, grading=grading, action=action)
+        return replace(xy, action=tuple(kron(ax[g], ay[g])
+                                        for g in range(len(self.group.elements))))
 
     def object_report(self, x: CatObject) -> list[CheckResult]:
+        checks = super().object_report(x)
         g = self.group
         n = len(g.elements)
-        grading = _require_grading(x)
+        grading = x.grading
         action = _require_action(x)
-        checks = [bool_check("grading_wellformed",
-                             len(grading) == x.dim and all(0 <= d < n for d in grading))]
         checks.append(eq_check("action_identity", action[g.identity], Matrix.identity(x.dim)))
         hom_ok = all(action[a] * action[b] == action[g.mul(a, b)]
                      for a in range(n) for b in range(n))
@@ -290,7 +277,7 @@ class YetterDrinfeldBackend(Backend):
         return Matrix.from_entries(x.dim * y.dim, x.dim * y.dim, entries)
 
     def morphism_report(self, f: Morphism) -> list[CheckResult]:
-        checks = [_grade_check(f)]
+        checks = super().morphism_report(f)
         ad, ac = _require_action(f.dom), _require_action(f.cod)
         for g in range(len(self.group.elements)):
             if f.mat * ad[g] != ac[g] * f.mat:

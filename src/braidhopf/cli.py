@@ -18,8 +18,8 @@ from .filtration import (NotSubcoalgebra, b_adic_filtration, check_magnum_precon
 from .hopf import (build_cosep_section, full_axiom_report, solve_total_integral,
                    verify_bialgebra, verify_cosep_section)
 from .products import (MatchedPair, bosonization_checks, build_cross_product,
-                       build_double_cross, check_matched_pair, cross_product_report,
-                       derive_actions_general, make_factorization)
+                       check_matched_pair, cross_product_report, derive_actions_general,
+                       make_factorization)
 from .report import (CheckResult, ConstructionFailed, Report, bool_check, make_report,
                      prefixed)
 from .textio import (COUNT, LoadedAlgebra, inclusion_by_names,
@@ -133,8 +133,8 @@ def cmd_build(args) -> list[CheckResult]:
         ctx = build_context(a.algebra, b.algebra, sigma, pi)
         return cross_product_report(build_cross_product(ctx))
     if args.what == "doublecross":
-        mp, derive_checks = derive_actions_general(_factorization_from_files(args))
-        return derive_checks + prefixed("doublecross_", verify_bialgebra(build_double_cross(mp)))
+        _, product, derive_checks = derive_actions_general(_factorization_from_files(args))
+        return derive_checks + prefixed("doublecross_", verify_bialgebra(product))
     # smash: the cocommutative route through a weak projection context
     a, b, sigma, pi = _load_context_files(args.a, args.b, args.sigma, args.pi)
     return bosonization_checks(build_context(a.algebra, b.algebra, sigma, pi))
@@ -160,7 +160,7 @@ def _factorization_from_files(args):
 
 def cmd_matchedpair(args) -> list[CheckResult]:
     if args.mode == "derive":
-        return derive_actions_general(_factorization_from_files(args))[1]
+        return derive_actions_general(_factorization_from_files(args))[2]
     r = load_algebra(args.r)
     b = load_algebra(args.b)
     _require_same_backend(r, b)
@@ -290,32 +290,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(argv: list[str]) -> tuple[int, Report | None, str | None]:
+def _run(argv: list[str]
+         ) -> tuple[int, Report | None, str | None, argparse.Namespace | None]:
+    """(exit code, report, error, parsed args); args is None when argv does not parse."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return (0 if exc.code in (0, None) else 2), None, None
+        return (0 if exc.code in (0, None) else 2), None, None, None
     command = " ".join(argv)
     try:
         checks = args.fn(args)
     except ValueError as exc:
-        return 2, None, str(exc)
+        return 2, None, str(exc), args
     except ConstructionFailed as exc:
         checks = [CheckResult(args.failure, "fail", witness=str(exc).replace(" ", "_"))]
     report = make_report(command, checks)
-    return (0 if report.overall == "pass" else 1), report, None
+    return (0 if report.overall == "pass" else 1), report, None, args
+
+
+def dispatch(argv: list[str]) -> tuple[int, Report | None, str | None]:
+    return _run(argv)[:3]
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    code, report, error = dispatch(argv)
+    code, report, error, args = _run(argv)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
     if report is not None:
-        # dispatch produced a report, so argv parses; argparse owns --report's spellings
-        print(report.render(build_parser().parse_args(argv).report))
+        print(report.render(args.report))
     return code
 
 

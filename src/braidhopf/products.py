@@ -224,9 +224,11 @@ def actions_from_psi(fc: FactorizationContext) -> MatchedPair:
     return MatchedPair(fc.r, fc.b, act_r, act_b)
 
 
-def derive_actions_general(fc: FactorizationContext) -> tuple[MatchedPair, list[CheckResult]]:
+def derive_actions_general(fc: FactorizationContext
+                           ) -> tuple[MatchedPair, BraidedBialgebra, list[CheckResult]]:
     """Extract the actions from Psi, verify all its exchange relations, the
-    matched pair axioms, and that phi_factor is a bialgebra isomorphism."""
+    matched pair axioms, and that phi_factor is a bialgebra isomorphism onto
+    the double cross product, which is returned with the pair."""
     a, b, r = fc.a, fc.b, fc.r
     sm, im = fc.sigma.mat, fc.include.mat
     idr, idb = Matrix.identity(r.dim), Matrix.identity(b.dim)
@@ -262,11 +264,12 @@ def derive_actions_general(fc: FactorizationContext) -> tuple[MatchedPair, list[
                  pipeline((b.u.mat, idr), tl), compose(r.eps.mat, b.u.mat)),
     ]
     checks += check_matched_pair(mp)
-    checks += verify_bialgebra_map(fc.phi_factor, build_double_cross(mp), a,
+    product = build_double_cross(mp)
+    checks += verify_bialgebra_map(fc.phi_factor, product, a,
                                    ("phi_multiplicative", "phi_unital",
                                     "phi_comultiplicative", "phi_counital"))
     checks.append(bool_check("phi_invertible", True))
-    return mp, checks
+    return mp, product, checks
 
 
 def xi_is_trivial(ctx: WeakProjectionContext) -> bool:

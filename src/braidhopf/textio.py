@@ -12,7 +12,7 @@ Files are line oriented; '#' starts a comment.  An algebra file looks like
     comul x -> x one 1
     counit one -> 1
     antipode x -> gx -1          # hopf files only
-    grade v -> 1                 # super: 0/1, graded/yd: a group element name
+    grade v -> 1                 # an element of the backend's group; super's are 0 and 1
     action g v -> w -1/2         # yd files only
 
 Each structure-map line is one matrix entry of a map A^(x in) -> A^(x out),
@@ -248,8 +248,8 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
         except ValueError as exc:
             raise ParseError(g["line"], str(exc))
 
-    backend, group = _build_backend(backend_spec, backend_line, built_groups, bichars)
-    obj = _build_object(backend, group, dim, basis, grades, actions, built_groups)
+    backend = _build_backend(backend_spec, backend_line, built_groups, bichars)
+    obj = _build_object(backend, dim, basis, grades, actions)
     for c in backend.object_report(obj):
         if c.status == "fail":
             raise ParseError(None, f"invalid object data: {c.name}")
@@ -283,11 +283,11 @@ def _build_backend(spec, line, groups, bichars):
     if kind == "vec":
         if len(spec) != 1:
             raise ParseError(line, "usage: backend vec")
-        return VEC, None
+        return VEC
     if kind == "super":
         if len(spec) != 1:
             raise ParseError(line, "usage: backend super")
-        return SUPER, None
+        return SUPER
     if kind == "graded":
         if len(spec) != 3:
             raise ParseError(line, "usage: backend graded <group> <bichar>")
@@ -302,7 +302,7 @@ def _build_backend(spec, line, groups, bichars):
                 raise ParseError(tline, "bichar entries must be 1 or -1")
             rows.append([int(v) for v in row])
         try:
-            return SignGradedBackend.make(groups[gname], rows), groups[gname]
+            return SignGradedBackend.make(groups[gname], rows)
         except ValueError as exc:
             raise ParseError(line, str(exc))
     if kind == "yd":
@@ -311,41 +311,32 @@ def _build_backend(spec, line, groups, bichars):
         gname = spec[1]
         if gname not in groups:
             raise ParseError(line, f"unknown group {gname!r}")
-        return YetterDrinfeldBackend(groups[gname]), groups[gname]
+        return YetterDrinfeldBackend(groups[gname])
     raise ParseError(line, f"unknown backend {kind!r}")
 
 
-def _build_object(backend, group, dim, basis, grades, actions, groups):
+def _element(group: FiniteGroup, tok: str, line: int | None) -> int:
+    try:
+        return group.index(tok)
+    except ValueError:
+        raise ParseError(line, f"unknown group element {tok!r}")
+
+
+def _build_object(backend, dim, basis, grades, actions):
     grading = None
     action = None
-    if backend.kind == "vec" and grades:
-        first = next(iter(grades.values()))
-        raise ParseError(first[1], "grade entries need a graded backend")
-    if backend.kind == "super":
-        grading = []
-        for b in basis:
-            tok, line = grades.get(b, ("0", None))
-            if tok not in ("0", "1"):
-                raise ParseError(line, "super grades must be 0 or 1")
-            grading.append(int(tok))
-        grading = tuple(grading)
-    elif backend.kind in ("graded", "yd"):
-        grading = []
-        for b in basis:
-            tok, line = grades.get(b, (group.elements[group.identity], None))
-            try:
-                grading.append(group.index(tok))
-            except ValueError:
-                raise ParseError(line, f"unknown group element {tok!r}")
-        grading = tuple(grading)
+    if backend.kind == "vec":
+        if grades:
+            first = next(iter(grades.values()))
+            raise ParseError(first[1], "grade entries need a graded backend")
+    else:
+        group = backend.group
+        identity = group.elements[group.identity]
+        grading = tuple(_element(group, *grades.get(b, (identity, None))) for b in basis)
     if backend.kind == "yd":
         mats = {g: [] for g in range(len(group.elements))}
         for gtok, i, j, v, line in actions:
-            try:
-                gi = group.index(gtok)
-            except ValueError:
-                raise ParseError(line, f"unknown group element {gtok!r}")
-            mats[gi].append((j, i, v))
+            mats[_element(group, gtok, line)].append((j, i, v))
         action = tuple(
             Matrix.from_entries(dim, dim, mats[g]) if mats[g] else Matrix.identity(dim)
             for g in range(len(group.elements)))
@@ -438,10 +429,8 @@ def render_algebra(loaded: LoadedAlgebra) -> str:
     lines.append("basis " + " ".join(basis))
     obj = loaded.obj
     if obj.grading is not None:
-        for i, b in enumerate(basis):
-            deg = obj.grading[i]
-            tok = str(deg) if backend.kind == "super" else backend.group.elements[deg]
-            lines.append(f"grade {b} -> {tok}")
+        for b, deg in zip(basis, obj.grading):
+            lines.append(f"grade {b} -> {backend.group.elements[deg]}")
     names = [list(product(basis, repeat=k)) for k in range(3)]   # bases of A^(x k)
     if obj.action is not None:
         for g, mat in enumerate(obj.action):

@@ -175,6 +175,25 @@ def test_grade_mixing_map_fails_with_witness():
     assert any(c.status == "fail" and c.witness for c in checks)
 
 
+def test_grade_preserving_witness_is_the_first_entry_joining_two_grades():
+    x = CatObject(3, grading=(0, 1, 1))
+    f = Morphism(x, x, Matrix.from_rows([[1, 2, 0], [0, 1, 5], [7, 0, 1]]))
+    [check] = SUPER.morphism_report(f)
+    assert (check.name, check.status, check.witness) == ("grade_preserving", "fail",
+                                                         "(2,0):lhs=7:rhs=0")
+
+
+def test_yd_reports_add_the_action_checks_after_the_grade_checks():
+    g = s3_group()
+    backend = YetterDrinfeldBackend(g)
+    reg = conjugation_yd_object(g)
+    assert [c.name for c in backend.object_report(reg)] == [
+        "grading_wellformed", "action_identity", "action_homomorphism",
+        "yetter_drinfeld_compatibility"]
+    f = Morphism(reg, reg, Matrix.identity(reg.dim))
+    assert [c.name for c in backend.morphism_report(f)] == ["grade_preserving", "equivariance"]
+
+
 def test_yd_equivariance_violation_detected():
     g = cyclic_group(2)
     backend = YetterDrinfeldBackend(g)

@@ -5,7 +5,7 @@ import pkgutil
 import pytest
 
 import braidhopf
-from braidhopf import cli
+from braidhopf import cli, products
 from braidhopf.cli import dispatch, main
 from braidhopf.report import CheckResult, ConstructionFailed
 
@@ -175,6 +175,38 @@ def test_parse_error_exit_two(tmp_path, capsys):
     code = main(["check", "hopf", str(bad)])
     assert code == 2
     assert "line 5" in capsys.readouterr().err
+
+
+def test_super_grade_is_a_parity_group_element(tmp_path, capsys):
+    with open(corpus("algebras", "ext_super.alg"), encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / "bad.alg"
+    bad.write_text(text.replace("grade x -> 1", "grade x -> 2"), encoding="utf-8")
+    assert main(["check", "hopf", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: line 6: unknown group element '2'\n"
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    assert main(["--report", "machine", "check", "hopf", corpus("algebras", "c2.alg")]) == 0
+    assert capsys.readouterr().out.endswith("overall=pass\n")
+    assert len(calls) == 1
+
+
+def test_build_doublecross_builds_the_product_once(monkeypatch):
+    calls = []
+    build = products.build_double_cross
+
+    def counted(mp):
+        calls.append(mp)
+        return build(mp)
+    for module in (products, cli):   # count a call made through either module's name
+        monkeypatch.setattr(module, "build_double_cross", counted, raising=False)
+    code, _, _ = run(["build", "doublecross", corpus("algebras", "s3.alg"),
+                      corpus("algebras", "c2_in_s3.alg"), corpus("algebras", "c3.alg")])
+    assert code == 0 and len(calls) == 1
 
 
 def test_missing_file_exit_two(capsys):

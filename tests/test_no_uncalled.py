@@ -1,5 +1,6 @@
-"""Every function, class and method of the package has a caller, and every
-field of a package dataclass has a reader.
+"""Every function, class and method of the package has a caller, every
+field of a package dataclass has a reader, and every parameter of a package
+function is read in its body.
 
 A definition counts as used when its name occurs in the code of src/,
 scripts/ or perfbench/ more often than it is defined there; a field counts as
@@ -80,3 +81,29 @@ def test_every_dataclass_field_is_read():
     unread = [f"{cls}.{field}" for cls, field in sorted(set(dataclass_fields()))
               if field not in reads]
     assert unread == []
+
+
+def parameters_never_read():
+    """(function, parameter) for each parameter a function's body never reads.
+
+    Methods and lambdas are exempt: a method's signature is fixed by its base
+    class, as in ``Backend.object_report(self, x)``, and a lambda's by the code
+    that calls it, such as one side of an affine condition.
+    """
+    for source in python_sources([os.path.relpath(PACKAGE, ROOT)]):
+        tree = ast.parse(source)
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or id(node) in methods:
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            yield from ((node.name, p) for p in params if p not in read)
+
+
+def test_every_function_parameter_is_read():
+    assert list(parameters_never_read()) == []
