@@ -18,7 +18,7 @@ are strict), so formulas are transcribed with those factors deleted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .linalg import Matrix, kron, pipeline
 from .report import CheckResult, bool_check, eq_check
@@ -172,9 +172,9 @@ class _GradedBackend(Backend):
     def morphism_report(self, f: Morphism) -> list[CheckResult]:
         """grade_preserving: f equals its part between equal grades."""
         gd, gc = _require_grading(f.dom), _require_grading(f.cod)
-        kept = Matrix(f.mat.rows, f.mat.cols,
-                      [{i: v for i, v in f.mat.column(j).items() if gc[i] == gd[j]}
-                       for j in range(f.mat.cols)])
+        kept = Matrix.from_entries(f.mat.rows, f.mat.cols,
+                                   ((i, j, v) for j in range(f.mat.cols)
+                                    for i, v in f.mat.column(j).items() if gc[i] == gd[j]))
         return [eq_check("grade_preserving", f.mat, kept)]
 
 
@@ -183,7 +183,7 @@ PARITY = FiniteGroup.from_table("parity", ["0", "1"], [[0, 1], [1, 0]])
 
 @dataclass(frozen=True)
 class SuperVecBackend(_GradedBackend):
-    group: FiniteGroup = PARITY
+    group: FiniteGroup = field(default=PARITY, init=False)
 
     kind = "super"
 

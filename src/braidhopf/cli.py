@@ -133,7 +133,7 @@ def cmd_build(args) -> list[CheckResult]:
         ctx = build_context(a.algebra, b.algebra, sigma, pi)
         return cross_product_report(build_cross_product(ctx))
     if args.what == "doublecross":
-        _, product, derive_checks = derive_actions_general(_factorization_from_files(args))
+        product, derive_checks = derive_actions_general(_factorization_from_files(args))
         return derive_checks + prefixed("doublecross_", verify_bialgebra(product))
     # smash: the cocommutative route through a weak projection context
     a, b, sigma, pi = _load_context_files(args.a, args.b, args.sigma, args.pi)
@@ -160,7 +160,7 @@ def _factorization_from_files(args):
 
 def cmd_matchedpair(args) -> list[CheckResult]:
     if args.mode == "derive":
-        return derive_actions_general(_factorization_from_files(args))[2]
+        return derive_actions_general(_factorization_from_files(args))[1]
     r = load_algebra(args.r)
     b = load_algebra(args.b)
     _require_same_backend(r, b)

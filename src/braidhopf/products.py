@@ -224,11 +224,10 @@ def actions_from_psi(fc: FactorizationContext) -> MatchedPair:
     return MatchedPair(fc.r, fc.b, act_r, act_b)
 
 
-def derive_actions_general(fc: FactorizationContext
-                           ) -> tuple[MatchedPair, BraidedBialgebra, list[CheckResult]]:
+def derive_actions_general(fc: FactorizationContext) -> tuple[BraidedBialgebra, list[CheckResult]]:
     """Extract the actions from Psi, verify all its exchange relations, the
     matched pair axioms, and that phi_factor is a bialgebra isomorphism onto
-    the double cross product, which is returned with the pair."""
+    the double cross product, which is returned with the checks."""
     a, b, r = fc.a, fc.b, fc.r
     sm, im = fc.sigma.mat, fc.include.mat
     idr, idb = Matrix.identity(r.dim), Matrix.identity(b.dim)
@@ -269,7 +268,7 @@ def derive_actions_general(fc: FactorizationContext
                                    ("phi_multiplicative", "phi_unital",
                                     "phi_comultiplicative", "phi_counital"))
     checks.append(bool_check("phi_invertible", True))
-    return mp, product, checks
+    return product, checks
 
 
 def xi_is_trivial(ctx: WeakProjectionContext) -> bool:

@@ -3,7 +3,8 @@ import pytest
 from braidhopf.builders import (conjugation_yd_object, cyclic_group, s3_group,
                                 symmetric_group)
 from braidhopf.category import (CatObject, FiniteGroup, MissingGrading,
-                                Morphism, SignGradedBackend, SUPER, VEC, VecBackend,
+                                Morphism, SignGradedBackend, SUPER, SuperVecBackend,
+                                VEC, VecBackend,
                                 YetterDrinfeldBackend, verify_braiding_axioms)
 from braidhopf.linalg import Matrix
 
@@ -54,6 +55,13 @@ def test_super_tensor_parity():
     line = CatObject(1, grading=(1,))
     sq = SUPER.tensor(line, line)
     assert sq.dim == 1 and sq.grading == (0,)
+
+
+def test_super_is_graded_by_parity_only():
+    # the parity braiding is right only for the two-element group
+    assert SUPER.group.elements == ("0", "1")
+    with pytest.raises(TypeError):
+        SuperVecBackend(group=cyclic_group(3))
 
 
 def test_super_requires_grading():

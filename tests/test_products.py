@@ -9,7 +9,7 @@ from braidhopf import products
 from braidhopf.linalg import Matrix, compose, kron, pipeline
 from braidhopf.products import (CrossProductData, MatchedPair, NotInvertible,
                                 PreconditionFailed, TranscriptionMismatch,
-                                build_cross_product, build_double_cross,
+                                actions_from_psi, build_cross_product, build_double_cross,
                                 build_smash, bosonization_checks,
                                 check_matched_pair, cross_product_report,
                                 derive_actions_cocomm, derive_actions_general,
@@ -178,7 +178,8 @@ def test_derive_actions_general_s3_over_c2():
     include = Morphism(r.carrier, a.carrier,
                        Matrix.from_entries(6, 3, [(0, 0, 1), (1, 1, 1), (2, 2, 1)]))
     fc = make_factorization(a, b, r, sigma, include)
-    mp, _, checks = derive_actions_general(fc)
+    _, checks = derive_actions_general(fc)
+    mp = actions_from_psi(fc)
     assert all_pass(checks)
     assert mp.act_r == conj_action_oracle(s3_group(), ["e", "t"], ["e", "c", "c2"])
     # right action is trivial: C3 is normal
@@ -194,7 +195,8 @@ def test_derive_actions_general_s3_over_c3():
     include = Morphism(r.carrier, a.carrier,
                        Matrix.from_entries(6, 2, [(0, 0, 1), (3, 1, 1)]))
     fc = make_factorization(a, b, r, sigma, include)
-    mp, _, checks = derive_actions_general(fc)
+    _, checks = derive_actions_general(fc)
+    mp = actions_from_psi(fc)
     assert all_pass(checks)
     # g1 <| t = g2 (conjugation by t inverts the 3-cycle)
     assert mp.act_b.entry(2, 1 * 2 + 1) == 1
@@ -232,7 +234,9 @@ def test_derive_actions_on_tensor_bialgebra():
     a = build_double_cross(MatchedPair(r, b, act_r, act_b))
     sigma = Morphism(b.carrier, a.carrier, kron(r.u.mat, Matrix.identity(3)))
     include = Morphism(r.carrier, a.carrier, kron(Matrix.identity(2), b.u.mat))
-    mp, _, checks = derive_actions_general(make_factorization(a, b, r, sigma, include))
+    fc = make_factorization(a, b, r, sigma, include)
+    _, checks = derive_actions_general(fc)
+    mp = actions_from_psi(fc)
     assert all_pass(checks)
     assert mp.act_r == act_r and mp.act_b == act_b
 
@@ -247,7 +251,7 @@ def test_derive_actions_cocomm_s3():
     pair = derive_actions_cocomm(ctx)
     assert all_pass(check_matched_pair(pair))
     include = Morphism(ctx.r_obj, a.carrier, ctx.include)
-    general, _, _ = derive_actions_general(make_factorization(a, b, pair.r, ctx.sigma, include))
+    general = actions_from_psi(make_factorization(a, b, pair.r, ctx.sigma, include))
     assert pair.act_r == general.act_r
     assert pair.act_b == general.act_b
     assert pair.act_r == conj_action_oracle(s3_group(), ["e", "t"], ["e", "c", "c2"])
