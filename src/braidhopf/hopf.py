@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import Backend, CatObject, Morphism
-from .linalg import Matrix, compose, kron, map_system, pipeline, solve_affine
+from .linalg import Formula, Matrix, compose, kron, map_system, pipeline, solve_affine
 from .report import CheckResult, eq_check, merge_checks
 
 
@@ -59,9 +59,9 @@ def verify_algebra(a: BraidedBialgebra) -> list[CheckResult]:
     m, u = a.m.mat, a.u.mat
     ida = Matrix.identity(a.dim)
     return [
-        eq_check("algebra_associativity", pipeline((m, ida), m), pipeline((ida, m), m)),
-        eq_check("algebra_unit_left", pipeline((u, ida), m), ida),
-        eq_check("algebra_unit_right", pipeline((ida, u), m), ida),
+        eq_check("algebra_associativity", Formula((m, ida), m), Formula((ida, m), m)),
+        eq_check("algebra_unit_left", Formula((u, ida), m), ida),
+        eq_check("algebra_unit_right", Formula((ida, u), m), ida),
     ]
 
 
@@ -69,9 +69,9 @@ def verify_coalgebra(a: Coalgebra) -> list[CheckResult]:
     d, e = a.delta.mat, a.eps.mat
     ida = Matrix.identity(a.dim)
     return [
-        eq_check("coalgebra_coassociativity", pipeline(d, (d, ida)), pipeline(d, (ida, d))),
-        eq_check("coalgebra_counit_left", pipeline(d, (e, ida)), ida),
-        eq_check("coalgebra_counit_right", pipeline(d, (ida, e)), ida),
+        eq_check("coalgebra_coassociativity", Formula(d, (d, ida)), Formula(d, (ida, d))),
+        eq_check("coalgebra_counit_left", Formula(d, (e, ida)), ida),
+        eq_check("coalgebra_counit_right", Formula(d, (ida, e)), ida),
     ]
 
 
@@ -84,10 +84,10 @@ def verify_bialgebra(a: BraidedBialgebra) -> list[CheckResult]:
     for name, mor in (("m", a.m), ("u", a.u), ("delta", a.delta), ("eps", a.eps)):
         checks.append(merge_checks(f"morphism_{name}", a.backend.morphism_report(mor)))
     checks.append(eq_check("bialgebra_compatibility",
-                           compose(m, d),
-                           pipeline((d, d), (ida, c, ida), (m, m))))
+                           Formula(m, d),
+                           Formula((d, d), (ida, c, ida), (m, m))))
     checks.append(eq_check("unit_comultiplicative", compose(u, d), kron(u, u)))
-    checks.append(eq_check("counit_multiplicative", compose(m, e), kron(e, e)))
+    checks.append(eq_check("counit_multiplicative", Formula(m, e), kron(e, e)))
     checks.append(eq_check("counit_of_unit", compose(u, e), Matrix.identity(1)))
     return checks
 
@@ -98,9 +98,9 @@ def verify_bialgebra_map(f: Matrix, src: BraidedBialgebra, dst: BraidedBialgebra
     in that order, under the caller's four names."""
     mult, unit, comult, counit = names
     return [
-        eq_check(mult, compose(src.m.mat, f), pipeline((f, f), dst.m.mat)),
+        eq_check(mult, Formula(src.m.mat, f), Formula((f, f), dst.m.mat)),
         eq_check(unit, compose(src.u.mat, f), dst.u.mat),
-        eq_check(comult, compose(f, dst.delta.mat), pipeline(src.delta.mat, (f, f))),
+        eq_check(comult, compose(f, dst.delta.mat), Formula(src.delta.mat, (f, f))),
         eq_check(counit, compose(f, dst.eps.mat), src.eps.mat),
     ]
 
@@ -112,13 +112,13 @@ def verify_antipode(h: HopfAlgebra) -> list[CheckResult]:
     c = h.braiding()
     ue = compose(e, u)
     axiom = merge_checks("antipode_axiom", [
-        eq_check("left", pipeline(d, (s, ida), m), ue),
-        eq_check("right", pipeline(d, (ida, s), m), ue),
+        eq_check("left", Formula(d, (s, ida), m), ue),
+        eq_check("right", Formula(d, (ida, s), m), ue),
     ])
     return [
         axiom,
-        eq_check("antipode_anti_multiplicative", compose(m, s), pipeline(c, (s, s), m)),
-        eq_check("antipode_anti_comultiplicative", compose(s, d), pipeline(d, c, (s, s))),
+        eq_check("antipode_anti_multiplicative", Formula(m, s), Formula(c, (s, s), m)),
+        eq_check("antipode_anti_comultiplicative", compose(s, d), Formula(d, c, (s, s))),
     ]
 
 
@@ -163,14 +163,15 @@ def verify_cosep_section(h: HopfAlgebra, theta: Matrix) -> list[CheckResult]:
     c = h.braiding()
     lam = integral_from_section(h, theta)
     lam_m = compose(m, lam)
-    rhs_two_sided = pipeline((d, idb), (idb, idb, s), (idb, lam_m))
-    mod_action = pipeline((idb, idb, d), (idb, c, idb), (m, m))  # (B(x)B)(x)B module structure
+    rhs_two_sided = Formula((d, idb), (idb, idb, s), (idb, lam_m))
     return [
         eq_check("two_sided_expression", build_cosep_section(h, lam), rhs_two_sided),
-        eq_check("left_colinear", compose(theta, d), pipeline((d, idb), (idb, theta))),
-        eq_check("right_colinear", compose(theta, d), pipeline((idb, d), (theta, idb))),
+        eq_check("left_colinear", Formula(theta, d), Formula((d, idb), (idb, theta))),
+        eq_check("right_colinear", Formula(theta, d), Formula((idb, d), (theta, idb))),
         eq_check("section_of_delta", compose(d, theta), idb),
-        eq_check("right_linear", compose(mod_action, theta), pipeline((theta, idb), m)),
+        # the (B(x)B)(x)B module structure, then theta
+        eq_check("right_linear", Formula((idb, idb, d), (idb, c, idb), (m, m), theta),
+                 Formula((theta, idb), m)),
     ]
 
 

@@ -19,11 +19,15 @@ always produce identical bases and solutions.  A missing answer (``inverse``,
 ``solve_matrix``, ``solve_affine``'s particular solution) is ``None``, never
 an exception; ``ShapeMismatch`` means operands whose shapes do not fit.
 
-``pipeline`` evaluates every tensor formula, one basis column at a time.  A
-tuple stage (the Kronecker product of its factors) is compiled once per call:
-adjacent identity factors merge into one run of index digits passed through,
-and the other factors' columns are precomputed with their output strides, so
-the product is never materialized.
+``Formula`` is the one evaluator of tensor formulas: a list of stages, each a
+matrix or a tuple of matrices meaning their Kronecker product, applied to one
+basis column at a time.  A tuple stage is compiled once: adjacent identity
+factors merge into one run of index digits passed through, and the other
+factors' columns are precomputed with their output strides, so the product is
+never materialized.  Checks stream: ``Matrix.first_difference`` (and through
+it ``report.eq_check``) reads a Formula column by column, holds one column of
+each side and stops at the first column that differs.  ``pipeline`` is
+``Formula(...).materialize()``, for values that are read more than once.
 
 ``map_system`` builds every system whose unknown is a map X: each identity
 the map must satisfy is a pair (lhs, rhs) of tensor formulas affine in X,
@@ -38,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class ShapeMismatch(ValueError):
@@ -115,6 +119,10 @@ class Matrix:
     def column(self, j: int) -> dict:
         return dict(self._cols[j])
 
+    def columns(self) -> Iterator[dict]:
+        """The stored columns in order, as {row: value} dicts not to be mutated."""
+        return iter(self._cols)
+
     @property
     def nnz(self) -> int:
         return sum(len(c) for c in self._cols)
@@ -129,17 +137,22 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
-    def first_difference(self, other: "Matrix") -> tuple[int, int] | None:
-        """Coordinates of the first differing entry, scanning column-major."""
+    def first_difference(self, other: "Matrix | Formula") -> tuple | None:
+        """The first differing entry in column-major order, as (i, j, self's
+        entry, other's entry), or None when the two agree.
+
+        Either operand may be a Formula (call ``Matrix.first_difference(f, g)``
+        for a Formula on the left): the scan holds one column of each and
+        evaluates no column after the first one that differs.
+        """
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        for j in range(self.cols):
-            a, b = self._cols[j], other._cols[j]
+        for j, (a, b) in enumerate(zip(self.columns(), other.columns())):
             if a == b:
                 continue
-            for i in sorted(set(a) | set(b)):
+            for i in sorted(a.keys() | b.keys()):
                 if a.get(i, 0) != b.get(i, 0):
-                    return (i, j)
+                    return i, j, a.get(i, 0), b.get(i, 0)
         return None
 
     # -- arithmetic --------------------------------------------------------
@@ -454,32 +467,68 @@ def _apply_compiled(compiled: tuple[list, list], vec: dict) -> dict:
     return out
 
 
-def pipeline(*stages) -> Matrix:
-    """Compose stages applied in the given order (first stage acts first).
+class Formula:
+    """A tensor formula, evaluated one basis column at a time.
 
-    Each stage is a Matrix or a tuple of Matrices meaning their Kronecker
-    product.  Every stage shape is checked before any column is computed;
-    then each tuple stage is compiled once (``_compile_factors``), identity
-    runs merged, so the product is never materialized.  This is how every
-    long tensor formula in the package is evaluated.
+    Stages are applied in the given order (the first acts first); each is a
+    Matrix or a tuple of Matrices meaning their Kronecker product.  Every
+    stage shape is checked before any column is read.  Then each tuple stage
+    is compiled once (``_compile_factors``), identity runs merged, so the
+    product is never materialized.  A column is evaluated only when it is
+    read, and nothing holds the columns but ``materialize``.
     """
-    if not stages:
-        raise ValueError("pipeline needs at least one stage")
-    dom, cur = _stage_shape(stages[0])
-    for st in stages[1:]:
-        cin, cout = _stage_shape(st)
-        if cin != cur:
-            raise ShapeMismatch(f"stage expects domain {cin}, got {cur}")
-        cur = cout
-    steps = [(_apply_plain, st) if isinstance(st, Matrix) else
-             (_apply_compiled, _compile_factors(st)) for st in stages]
-    cols = []
-    for j in range(dom):
-        vec: dict = {j: 1}
-        for apply, arg in steps:
-            vec = apply(arg, vec)
-        cols.append(vec)
-    return Matrix(cur, dom, cols)
+
+    __slots__ = ("rows", "cols", "_start", "_steps")
+
+    def __init__(self, *stages):
+        if not stages:
+            raise ValueError("pipeline needs at least one stage")
+        dom, cur = _stage_shape(stages[0])
+        for st in stages[1:]:
+            cin, cout = _stage_shape(st)
+            if cin != cur:
+                raise ShapeMismatch(f"stage expects domain {cin}, got {cur}")
+            cur = cout
+        self.rows, self.cols = cur, dom
+        # a plain first stage maps basis vector j to its stored column j
+        self._start = stages[0]._cols if isinstance(stages[0], Matrix) else None
+        self._steps = [(_apply_plain, st) if isinstance(st, Matrix) else
+                       (_apply_compiled, _compile_factors(st))
+                       for st in stages[self._start is not None:]]
+
+    def _evaluate(self, js: Iterable[int]) -> Iterator[dict]:
+        start, steps = self._start, self._steps
+        for j in js:
+            vec: dict = {j: 1} if start is None else start[j]
+            for apply, arg in steps:
+                vec = apply(arg, vec)
+            yield vec
+
+    def column(self, j: int) -> dict:
+        """Column j, evaluated on its own."""
+        return next(self._evaluate((j,)))
+
+    def columns(self) -> Iterator[dict]:
+        """Each column in order, evaluated as it is read; a column may be a
+        stored column of the first stage, so it is not to be mutated."""
+        return self._evaluate(range(self.cols))
+
+    @property
+    def nnz(self) -> int:
+        return sum(len(c) for c in self.columns())
+
+    def materialize(self) -> Matrix:
+        return Matrix(self.rows, self.cols, list(self.columns()))
+
+
+def pipeline(*stages) -> Matrix:
+    """``Formula(*stages).materialize()``: the formula as a Matrix.
+
+    This is how a tensor formula whose value is read more than once, or
+    used as a stage of another, is evaluated; an identity that is only
+    checked passes its Formula to ``report.eq_check``, which streams it.
+    """
+    return Formula(*stages).materialize()
 
 
 def compose(*mats: Matrix) -> Matrix:

@@ -15,7 +15,7 @@ from .builders import group_algebra
 from .category import FiniteGroup, Morphism
 from .hopf import (BraidedBialgebra, is_cocommutative, make_bialgebra,
                    verify_bialgebra, verify_bialgebra_map)
-from .linalg import Matrix, compose, kron, pipeline
+from .linalg import Formula, Matrix, compose, kron, pipeline
 from .report import CheckResult, ConstructionFailed, bool_check, eq_check, merge_checks, prefixed
 from .weakproj import WeakProjectionContext
 
@@ -113,19 +113,18 @@ def build_cross_product(ctx: WeakProjectionContext) -> CrossProductData:
     iso_fwd = pipeline((ctx.include, ctx.sigma.mat), a.m.mat)
     iso_bwd = pipeline(a.delta.mat, (ctx.project, ctx.pi.mat))
     transported = {
-        "m": pipeline((iso_fwd, iso_fwd), a.m.mat, iso_bwd),
-        "delta": pipeline(iso_fwd, a.delta.mat, (iso_bwd, iso_bwd)),
+        "m": Formula((iso_fwd, iso_fwd), a.m.mat, iso_bwd),
+        "delta": Formula(iso_fwd, a.delta.mat, (iso_bwd, iso_bwd)),
         "u": compose(a.u.mat, iso_bwd),
-        "eps": compose(iso_fwd, a.eps.mat),
+        "eps": Formula(iso_fwd, a.eps.mat),
     }
     literal = {"m": m_lit, "delta": delta_lit, "u": u_lit, "eps": eps_lit}
     for key in ("m", "u", "delta", "eps"):
         diff = literal[key].first_difference(transported[key])
         if diff is not None:
-            i, j = diff
+            i, j, lit, moved = diff
             raise TranscriptionMismatch(
-                f"{key} literal vs transported differ at ({i},{j}): "
-                f"{literal[key].entry(i, j)} vs {transported[key].entry(i, j)}")
+                f"{key} literal vs transported differ at ({i},{j}): {lit} vs {moved}")
 
     carrier = backend.tensor(r_obj, b.carrier)
     product = make_bialgebra(backend, carrier, m_lit, u_lit, delta_lit, eps_lit)
@@ -153,31 +152,31 @@ def check_matched_pair(mp: MatchedPair) -> list[CheckResult]:
     c_br = r.backend.braiding_mat(b.carrier, r.carrier)
 
     item1 = merge_checks("mp1_left_module_coalgebra", [
-        eq_check("action_associative", pipeline((b.m.mat, idr), tr), pipeline((idb, tr), tr)),
-        eq_check("action_unital", pipeline((b.u.mat, idr), tr), idr),
-        eq_check("comul_equivariant", compose(tr, r.delta.mat), pipeline(d_br, (tr, tr))),
-        eq_check("counit_equivariant", compose(tr, r.eps.mat), eps_br),
+        eq_check("action_associative", Formula((b.m.mat, idr), tr), Formula((idb, tr), tr)),
+        eq_check("action_unital", Formula((b.u.mat, idr), tr), idr),
+        eq_check("comul_equivariant", Formula(tr, r.delta.mat), Formula(d_br, (tr, tr))),
+        eq_check("counit_equivariant", Formula(tr, r.eps.mat), eps_br),
     ])
     item2 = merge_checks("mp2_right_module_coalgebra", [
-        eq_check("action_associative", pipeline((tl, idr), tl), pipeline((idb, r.m.mat), tl)),
-        eq_check("action_unital", pipeline((idb, r.u.mat), tl), idb),
-        eq_check("comul_equivariant", compose(tl, b.delta.mat), pipeline(d_br, (tl, tl))),
-        eq_check("counit_equivariant", compose(tl, b.eps.mat), eps_br),
+        eq_check("action_associative", Formula((tl, idr), tl), Formula((idb, r.m.mat), tl)),
+        eq_check("action_unital", Formula((idb, r.u.mat), tl), idb),
+        eq_check("comul_equivariant", Formula(tl, b.delta.mat), Formula(d_br, (tl, tl))),
+        eq_check("counit_equivariant", Formula(tl, b.eps.mat), eps_br),
     ])
     # item 5's right-hand side is transcribed type-correctly as act_b (m_B (x) R)
-    item5_lhs = pipeline((idb, d_br), (idb, tr, tl), (tl, idb), b.m.mat)
-    item6_lhs = pipeline((d_br, idr), (tr, tl, idr), (idr, tr), r.m.mat)
+    item5_lhs = Formula((idb, d_br), (idb, tr, tl), (tl, idb), b.m.mat)
+    item6_lhs = Formula((d_br, idr), (tr, tl, idr), (idr, tr), r.m.mat)
     return [
         item1,
         item2,
-        eq_check("mp3_unit_acted_trivially", pipeline((b.u.mat, idr), tl),
+        eq_check("mp3_unit_acted_trivially", Formula((b.u.mat, idr), tl),
                  compose(r.eps.mat, b.u.mat)),
-        eq_check("mp4_unit_acts_trivially", pipeline((idb, r.u.mat), tr),
+        eq_check("mp4_unit_acts_trivially", Formula((idb, r.u.mat), tr),
                  compose(b.eps.mat, r.u.mat)),
-        eq_check("mp5_mixed_multiplicativity_b", item5_lhs, pipeline((b.m.mat, idr), tl)),
-        eq_check("mp6_mixed_multiplicativity_r", item6_lhs, pipeline((idb, r.m.mat), tr)),
-        eq_check("mp7_symmetry", pipeline(d_br, (tl, tr)),
-                 pipeline(d_br, (tr, tl), c_rb)),
+        eq_check("mp5_mixed_multiplicativity_b", item5_lhs, Formula((b.m.mat, idr), tl)),
+        eq_check("mp6_mixed_multiplicativity_r", item6_lhs, Formula((idb, r.m.mat), tr)),
+        eq_check("mp7_symmetry", Formula(d_br, (tl, tr)),
+                 Formula(d_br, (tr, tl), c_rb)),
     ]
 
 
@@ -243,24 +242,24 @@ def derive_actions_general(fc: FactorizationContext) -> tuple[BraidedBialgebra, 
     c_rb = r.backend.braiding_mat(r.carrier, b.carrier)
     checks += [
         eq_check("psi_respects_mul_b",
-                 pipeline((idb, psi), (psi, idb), (idr, b.m.mat)),
-                 pipeline((b.m.mat, idr), psi)),
+                 Formula((idb, psi), (psi, idb), (idr, b.m.mat)),
+                 Formula((b.m.mat, idr), psi)),
         eq_check("psi_respects_unit_r",
-                 pipeline((idb, r.u.mat), psi), kron(r.u.mat, idb)),
+                 Formula((idb, r.u.mat), psi), kron(r.u.mat, idb)),
         eq_check("psi_respects_mul_r",
-                 pipeline((psi, idr), (idr, psi), (r.m.mat, idb)),
-                 pipeline((idb, r.m.mat), psi)),
+                 Formula((psi, idr), (idr, psi), (r.m.mat, idb)),
+                 Formula((idb, r.m.mat), psi)),
         eq_check("psi_respects_unit_b",
-                 pipeline((b.u.mat, idr), psi), kron(idr, b.u.mat)),
-        eq_check("cp1_comul_of_act_b", compose(tl, b.delta.mat), pipeline(d_br, (tl, tl))),
-        eq_check("cp2_psi_factors", psi, pipeline(d_br, (tr, tl))),
-        eq_check("cp2_braided_psi", compose(psi, c_rb), pipeline(d_br, (tl, tr))),
-        eq_check("match_symmetry", pipeline(d_br, (tr, tl), c_rb), pipeline(d_br, (tl, tr))),
+                 Formula((b.u.mat, idr), psi), kron(idr, b.u.mat)),
+        eq_check("cp1_comul_of_act_b", Formula(tl, b.delta.mat), Formula(d_br, (tl, tl))),
+        eq_check("cp2_psi_factors", psi, Formula(d_br, (tr, tl))),
+        eq_check("cp2_braided_psi", Formula(psi, c_rb), Formula(d_br, (tl, tr))),
+        eq_check("match_symmetry", Formula(d_br, (tr, tl), c_rb), Formula(d_br, (tl, tr))),
         eq_check("cp3_mixed_multiplicativity",
-                 pipeline((idb, d_br), (idb, tr, tl), (tl, idb), b.m.mat),
-                 pipeline((b.m.mat, idr), tl)),
+                 Formula((idb, d_br), (idb, tr, tl), (tl, idb), b.m.mat),
+                 Formula((b.m.mat, idr), tl)),
         eq_check("cp4_unit_acted_trivially",
-                 pipeline((b.u.mat, idr), tl), compose(r.eps.mat, b.u.mat)),
+                 Formula((b.u.mat, idr), tl), compose(r.eps.mat, b.u.mat)),
     ]
     checks += check_matched_pair(mp)
     product = build_double_cross(mp)
@@ -320,8 +319,8 @@ def bosonization_checks(ctx: WeakProjectionContext) -> list[CheckResult]:
         return checks
     c_br = a.backend.braiding_mat(b.carrier, ctx.r_obj)
     sig_s = compose(b.s.mat, sm)
-    ad = pipeline((b.delta.mat, idr), (idb, c_br), (sm, im, sig_s), (a.m.mat, ida), a.m.mat)
-    checks.append(eq_check("left_action_is_adjoint", compose(pair.act_r, im), ad))
+    ad = Formula((b.delta.mat, idr), (idb, c_br), (sm, im, sig_s), (a.m.mat, ida), a.m.mat)
+    checks.append(eq_check("left_action_is_adjoint", Formula(pair.act_r, im), ad))
     smash = build_smash(pair.r, b, pair.act_r)
     phi = pipeline((im, sm), a.m.mat)
     checks.append(eq_check("smash_equals_double_cross_mul", smash.m.mat,

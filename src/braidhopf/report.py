@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .linalg import Matrix
+from .linalg import Formula, Matrix
 
 
 class ConstructionFailed(RuntimeError):
@@ -24,13 +24,21 @@ class CheckResult:
         return self.status == "fail" and not self.informational
 
 
-def eq_check(name: str, lhs: Matrix, rhs: Matrix, *, informational: bool = False) -> CheckResult:
-    diff = lhs.first_difference(rhs)
+def eq_check(name: str, lhs: Matrix | Formula, rhs: Matrix | Formula, *,
+             informational: bool = False) -> CheckResult:
+    """lhs == rhs, decided one column at a time.
+
+    Either side is a Matrix or a Formula.  The scan holds at most one column
+    of each side and stops at the first column that differs, so a Formula is
+    never held whole.  A failure's witness is ``(i,j):lhs=a:rhs=b``, the first
+    differing entry in column-major order.
+    """
+    diff = Matrix.first_difference(lhs, rhs)
     if diff is None:
         return CheckResult(name, "pass", informational=informational)
-    i, j = diff
-    witness = f"({i},{j}):lhs={lhs.entry(i, j)}:rhs={rhs.entry(i, j)}"
-    return CheckResult(name, "fail", witness=witness, informational=informational)
+    i, j, a, b = diff
+    return CheckResult(name, "fail", witness=f"({i},{j}):lhs={a}:rhs={b}",
+                       informational=informational)
 
 
 def chain_eq_check(name: str, mats: list[Matrix]) -> CheckResult:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .category import CatObject, Morphism
 from .hopf import (BraidedBialgebra, Coalgebra, HopfAlgebra, verify_bialgebra_map,
                    verify_coalgebra)
-from .linalg import (Matrix, compose, equalizer, kron, map_system, pipeline,
+from .linalg import (Formula, Matrix, compose, equalizer, kron, map_system, pipeline,
                      solve_affine, solve_matrix)
 from .report import (CheckResult, ConstructionFailed, bool_check, chain_eq_check,
                      eq_check, merge_checks, prefixed)
@@ -91,7 +91,7 @@ def verify_weak_projection(a: BraidedBialgebra, b: HopfAlgebra,
         merge_checks("pi_valid_morphism", a.backend.morphism_report(pi)),
         *verify_bialgebra_map(sm, b, a, ("sigma_multiplicative", "sigma_unital",
                                          "sigma_comultiplicative", "sigma_counital")),
-        eq_check("pi_comultiplicative", compose(pm, b.delta.mat), pipeline(a.delta.mat, (pm, pm))),
+        eq_check("pi_comultiplicative", compose(pm, b.delta.mat), Formula(a.delta.mat, (pm, pm))),
         *(eq_check(name, lhs(pm), rhs(pm)) for name, lhs, rhs in pi_affine_conditions(a, b, sigma)),
     ]
 
@@ -115,9 +115,9 @@ def run_bd_suite(a: BraidedBialgebra, b: HopfAlgebra,
     checks = [
         eq_check("pi1_idempotent", p1 * p1, p1),
         eq_check("pi1_multiplicative",
-                 pipeline((p1, p1), m), pipeline((p1, p1), m, p1)),
+                 Formula((p1, p1), m), Formula((p1, p1), m, p1)),
         eq_check("bd1", compose(p2, d),
-                 pipeline(d, (ida, compose(d, c)), (ida, phi, p2), (m, ida))),
+                 Formula(d, (ida, compose(d, c)), (ida, phi, p2), (m, ida))),
         eq_check("bd2", compose(p2, pm), compose(e, ub)),
         eq_check("bd3", p2 * p2, p2),
         chain_eq_check("bd4", [
@@ -125,11 +125,11 @@ def run_bd_suite(a: BraidedBialgebra, b: HopfAlgebra,
             pipeline((ida, eb), p2),
             kron(p2, eb),
         ]),
-        eq_check("bd5", pipeline(p2, d, (ida, pm)), kron(p2, ub)),
-        eq_check("bd6", pipeline(d, (p2, p2)), pipeline(p2, d, (p2, p2))),
+        eq_check("bd5", Formula(p2, d, (ida, pm)), kron(p2, ub)),
+        eq_check("bd6", Formula(d, (p2, p2)), Formula(p2, d, (p2, p2))),
         eq_check("unit_projected", compose(u, p1), u),
         eq_check("counit_projected", compose(p2, e), e),
-        eq_check("bd12", pipeline(d, (p2, p1), (p2, p1), m), ida),
+        eq_check("bd12", Formula(d, (p2, p1), (p2, p1), m), ida),
         eq_check("bd13", bd13_mid, kron(p2, p1)),
         eq_check("bd13_printed_rhs", bd13_mid, kron(p1, p2), informational=True),
     ]

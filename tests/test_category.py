@@ -220,6 +220,17 @@ def test_yd_object_report_catches_bad_action():
     assert any(c.status == "fail" for c in checks)
 
 
+def test_yd_object_report_fails_a_grade_outside_the_group_without_raising():
+    backend = YetterDrinfeldBackend(cyclic_group(2))
+    one = Matrix.identity(1)
+    for grading in ((5,), (-1,), (0, 1)):
+        checks = backend.object_report(CatObject(1, grading=grading, action=(one, one)))
+        assert [(c.name, c.status) for c in checks] == [
+            ("grading_wellformed", "fail"), ("action_identity", "pass"),
+            ("action_homomorphism", "pass"), ("yetter_drinfeld_compatibility", "fail")]
+    assert all_pass(backend.object_report(CatObject(1, grading=(1,), action=(one, one))))
+
+
 def test_yd_braiding_requires_an_action():
     from braidhopf.category import MissingAction
     backend = YetterDrinfeldBackend(cyclic_group(2))

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from braidhopf import hopf
 from braidhopf.builders import cyclic_group, group_algebra, s3_group, sweedler_h4
-from braidhopf.linalg import (Matrix, ShapeMismatch, _frac, compose, equalizer, hstack,
-                              kernel_basis, kron, map_system, pipeline, solve_affine,
+from braidhopf.linalg import (Formula, Matrix, ShapeMismatch, _frac, compose, equalizer,
+                              hstack, kernel_basis, kron, map_system, pipeline, solve_affine,
                               solve_matrix)
+from braidhopf.report import CheckResult, eq_check
 from braidhopf.weakproj import pi_affine_conditions
 from contexts import h4_c2, s3_c2, s3_c3
 
@@ -457,11 +458,55 @@ def stage_lists(draw):
     return stages
 
 
+def materialized(stages):
+    """The oracle: each tuple stage formed by kron, the stages composed."""
+    return compose(*[s if isinstance(s, Matrix) else reduce(kron, s) for s in stages])
+
+
 @given(stage_lists())
 @settings(max_examples=200, deadline=None)
 def test_pipeline_equals_the_product_of_materialized_stages(stages):
-    mats = [s if isinstance(s, Matrix) else reduce(kron, s) for s in stages]
-    assert pipeline(*stages) == compose(*mats)
+    assert pipeline(*stages) == materialized(stages)
+
+
+@st.composite
+def perturbed(draw, stages):
+    """The stages with one entry of one plain stage or factor changed by a
+    nonzero amount; the formula's value may or may not change."""
+    k = draw(st.integers(0, len(stages) - 1))
+    parts = [stages[k]] if isinstance(stages[k], Matrix) else list(stages[k])
+    f = draw(st.integers(0, len(parts) - 1))
+    m = parts[f]
+    i, j = draw(st.integers(0, m.rows - 1)), draw(st.integers(0, m.cols - 1))
+    parts[f] = m + Matrix.from_entries(m.rows, m.cols, [(i, j, draw(scalars.filter(bool)))])
+    return stages[:k] + [parts[0] if isinstance(stages[k], Matrix) else tuple(parts)] + stages[k + 1:]
+
+
+def entry_scan(lhs, rhs):
+    """The eq_check result read entry by entry, column-major."""
+    for j in range(lhs.cols):
+        for i in range(lhs.rows):
+            a, b = lhs.entry(i, j), rhs.entry(i, j)
+            if a != b:
+                return CheckResult("x", "fail", witness=f"({i},{j}):lhs={a}:rhs={b}")
+    return CheckResult("x", "pass")
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_eq_check_on_formulas_matches_pipeline_and_the_oracle(data):
+    stages = data.draw(stage_lists())
+    other = data.draw(perturbed(stages))
+    lhs, rhs = materialized(stages), materialized(other)
+    expected = eq_check("x", lhs, rhs)
+    assert expected == entry_scan(lhs, rhs)
+    assert eq_check("x", Formula(*stages), Formula(*other)) == expected
+    assert eq_check("x", pipeline(*stages), pipeline(*other)) == expected
+    assert eq_check("x", Formula(*stages), rhs) == expected
+    assert eq_check("x", lhs, Formula(*other)) == expected
+    f = Formula(*stages)
+    assert (f.rows, f.cols, f.nnz) == (lhs.rows, lhs.cols, lhs.nnz)
+    assert [f.column(j) for j in range(f.cols)] == [lhs.column(j) for j in range(lhs.cols)]
 
 
 def test_pipeline_needs_a_stage():
@@ -486,6 +531,38 @@ def test_pipeline_checks_every_stage_shape_before_reading_a_column():
         m._cols = Unreadable()
     with pytest.raises(ShapeMismatch, match="^stage expects domain 3, got 4$"):
         pipeline((a, b), c, Matrix.from_entries(1, 3, ()))
+
+
+def test_formula_raises_the_pipeline_errors_before_reading_a_column():
+    with pytest.raises(ValueError, match="^pipeline needs at least one stage$"):
+        Formula()
+    a, b = Matrix.identity(2), mat([[1, 2], [3, 4]])
+    c = kron(b, b)
+    for m in (a, b, c):
+        m._cols = Unreadable()
+    with pytest.raises(ShapeMismatch, match="^stage expects domain 3, got 4$"):
+        Formula((a, b), c, Matrix.from_entries(1, 3, ()))
+
+
+def test_eq_check_stops_at_the_first_differing_column(monkeypatch):
+    evaluated = []
+    evaluate = Formula._evaluate
+
+    def counted(self, js):
+        for col in evaluate(self, js):
+            evaluated.append(self)
+            yield col
+
+    def refuse(self):
+        raise AssertionError("a checked formula was materialized")
+
+    monkeypatch.setattr(Formula, "_evaluate", counted)
+    monkeypatch.setattr(Formula, "materialize", refuse)
+    b = mat([[1, 2], [3, 4]])
+    lhs = Formula((b, b, b), (b, b, b))
+    rhs = Formula((b + mat([[1, 0], [0, 0]]), b, b), (b, b, b))
+    assert eq_check("x", lhs, rhs) == CheckResult("x", "fail", witness="(0,0):lhs=343:rhs=392")
+    assert [evaluated.count(lhs), evaluated.count(rhs)] == [1, 1]
 
 
 # -- differential tests against sympy's exact matrices ------------------------

@@ -15,3 +15,12 @@ def test_verify_corpus_and_factorization_demo_succeed():
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert line in done.stdout.splitlines(), script
+
+
+def test_family_memory_runs_the_axiom_suite_of_ks3():
+    done = subprocess.run([sys.executable, os.path.join(SCRIPTS, "family_memory.py"), "kS3"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "kS3 (dim 6): 17 checks, overall pass"
+    assert lines[1].startswith("wall ") and lines[1].endswith(" MB")
