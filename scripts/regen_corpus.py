@@ -29,8 +29,8 @@ def write(relpath: str, text: str) -> None:
     print(f"wrote {os.path.relpath(path)}")
 
 
-def loaded(kind, name, backend, basis, obj, algebra, groups=None):
-    return LoadedAlgebra(kind, name, backend, tuple(basis), obj, algebra, groups or {})
+def loaded(kind, name, backend, basis, obj, algebra):
+    return LoadedAlgebra(kind, name, backend, tuple(basis), obj, algebra)
 
 
 def group_algebra_file(name, group):
@@ -92,16 +92,16 @@ def main() -> None:
     yd2 = YetterDrinfeldBackend(c2)
     line = CatObject(1, grading=(1,), action=(Matrix.identity(1), Matrix.from_rows([[-1]])))
     write("objects/yd_c2_line.obj",
-          render_algebra(loaded("object", "yd_c2_line", yd2, ["v"], line, None, {"c2": c2})))
+          render_algebra(loaded("object", "yd_c2_line", yd2, ["v"], line, None)))
     plane = CatObject(2, grading=(0, 0),
                       action=(Matrix.identity(2), Matrix.from_rows([[0, 1], [1, 0]])))
     write("objects/yd_c2_plane.obj",
-          render_algebra(loaded("object", "yd_c2_plane", yd2, ["w0", "w1"], plane, None, {"c2": c2})))
+          render_algebra(loaded("object", "yd_c2_plane", yd2, ["w0", "w1"], plane, None)))
     yd3 = YetterDrinfeldBackend(s3)
     reg = conjugation_yd_object(s3)
     write("objects/yd_s3_regular.obj",
           render_algebra(loaded("object", "yd_s3_regular", yd3,
-                                [f"v_{n}" for n in s3.elements], reg, None, {"s3": s3})))
+                                [f"v_{n}" for n in s3.elements], reg, None)))
 
     # morphism files for the two canonical weak projection contexts, plus
     # the C3-base counterexample projection

@@ -65,7 +65,7 @@ def subgroup_closure(group: FiniteGroup, generator_names: list[str]) -> list[str
     return [group.elements[i] for i in sorted(seen)]
 
 
-def group_algebra(group: FiniteGroup, backend: Backend = VEC) -> HopfAlgebra:
+def group_algebra(group: FiniteGroup) -> HopfAlgebra:
     """kG with group-like comultiplication and S(g) = g^-1."""
     n = len(group.elements)
     m = Matrix.from_entries(n, n * n,
@@ -74,7 +74,7 @@ def group_algebra(group: FiniteGroup, backend: Backend = VEC) -> HopfAlgebra:
     delta = Matrix.from_entries(n * n, n, ((i * n + i, i, 1) for i in range(n)))
     eps = Matrix.from_rows([[1] * n])
     s = Matrix.from_entries(n, n, ((group.inverses[i], i, 1) for i in range(n)))
-    return make_bialgebra(backend, CatObject(n), m, u, delta, eps, s)
+    return make_bialgebra(VEC, CatObject(n), m, u, delta, eps, s)
 
 
 def sweedler_h4() -> HopfAlgebra:

@@ -22,8 +22,8 @@ from .products import (MatchedPair, bosonization_checks, build_cross_product,
                        make_factorization)
 from .report import (CheckResult, ConstructionFailed, Report, bool_check, make_report,
                      prefixed)
-from .textio import (COUNT, LoadedAlgebra, inclusion_by_names,
-                     parse_algebra_file, parse_morphism_file, tensor_names)
+from .textio import (LoadedAlgebra, inclusion_by_names, parse_algebra_file,
+                     parse_morphism_file, tensor_names)
 from .weakproj import (build_context, run_bd_suite, search_weak_projection,
                        structure_report, verify_weak_projection)
 
@@ -177,7 +177,7 @@ def cmd_filtration(args) -> list[CheckResult]:
     b = load_algebra(args.b, kinds=("hopf", "bialgebra", "coalgebra"))
     sigma = inclusion_by_names(b, a)
     try:
-        report = b_adic_filtration(a.algebra, sigma.mat, args.max_n)
+        report = b_adic_filtration(a.algebra, sigma.mat)
     except NotSubcoalgebra:
         return [CheckResult("b_subcoalgebra", "fail", witness="delta_leaves_b")]
     dims = ",".join(str(d) for d in report.dims)
@@ -198,14 +198,7 @@ def cmd_coradical(args) -> list[CheckResult]:
 
 def cmd_magnum(args) -> list[CheckResult]:
     a, b, sigma, _ = _load_context_files(args.a, args.b, args.sigma)
-    return check_magnum_preconditions(a.algebra, b.algebra, sigma, args.max_n)
-
-
-def _count(text: str) -> int:
-    """argparse type of a count N >= 0; anything else is bad input (exit 2)."""
-    if not COUNT.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected an integer N >= 0, got {text!r}")
-    return int(text)
+    return check_magnum_preconditions(a.algebra, b.algebra, sigma)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("filtration", help="the iterated wedge filtration against B")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--max-n", type=_count, default=None)
     p.set_defaults(fn=cmd_filtration)
 
     p = subs.add_parser("coradical", help="largest cosemisimple subcoalgebra")
@@ -284,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("sigma", nargs="?")
-    p.add_argument("--max-n", type=_count, default=None)
     p.set_defaults(fn=cmd_magnum)
 
     return parser

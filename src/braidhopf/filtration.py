@@ -69,16 +69,14 @@ def is_subcoalgebra(coalg: Coalgebra, sub: Matrix) -> bool:
     return subspace_contains(kron(sub, sub), coalg.delta.mat * sub)
 
 
-def b_adic_filtration(a: Coalgebra, b_sub: Matrix,
-                      max_n: int | None = None) -> FiltrationReport:
-    """Iterated wedge against b_sub; step k holds the (k+1)-fold wedge."""
+def b_adic_filtration(a: Coalgebra, b_sub: Matrix) -> FiltrationReport:
+    """Iterated wedge against b_sub, run to its fixed point (each wedge holds
+    the one before); step k holds the (k+1)-fold wedge."""
     if not is_subcoalgebra(a, b_sub):
         raise NotSubcoalgebra("the given subobject is not a subcoalgebra")
-    if max_n is None:
-        max_n = a.dim
     dims = [b_sub.cols]
     current = b_sub
-    while current.cols < a.dim and len(dims) <= max_n:
+    while current.cols < a.dim:
         nxt = wedge(current, b_sub, a)
         dims.append(nxt.cols)
         if nxt.cols == current.cols:
@@ -109,8 +107,8 @@ def coradical(a: Coalgebra) -> Matrix:
     return Matrix.from_cols(n, ann)
 
 
-def check_magnum_preconditions(a: BraidedBialgebra, b: HopfAlgebra, sigma: Morphism,
-                               max_n: int | None = None) -> list[CheckResult]:
+def check_magnum_preconditions(a: BraidedBialgebra, b: HopfAlgebra,
+                               sigma: Morphism) -> list[CheckResult]:
     """Diagnostic report for the weak projection existence hypotheses.
 
     Reports that B has a verified antipode, that B carries a total integral
@@ -122,7 +120,7 @@ def check_magnum_preconditions(a: BraidedBialgebra, b: HopfAlgebra, sigma: Morph
     integral = solve_total_integral(b)
     checks.append(bool_check("b_total_integral", integral is not None))
     try:
-        filt = b_adic_filtration(a, sigma.mat, max_n)
+        filt = b_adic_filtration(a, sigma.mat)
         dims = ",".join(str(x) for x in filt.dims)
         checks.append(bool_check("filtration_exhaustive", filt.exhaustive,
                                  witness=f"dims={dims}", value=f"dims={dims}"))

@@ -164,10 +164,11 @@ def verify_cosep_section(h: HopfAlgebra, theta: Matrix) -> list[CheckResult]:
     lam = integral_from_section(h, theta)
     lam_m = compose(m, lam)
     rhs_two_sided = Formula((d, idb), (idb, idb, s), (idb, lam_m))
+    delta_theta = pipeline(theta, d)
     return [
         eq_check("two_sided_expression", build_cosep_section(h, lam), rhs_two_sided),
-        eq_check("left_colinear", Formula(theta, d), Formula((d, idb), (idb, theta))),
-        eq_check("right_colinear", Formula(theta, d), Formula((idb, d), (theta, idb))),
+        eq_check("left_colinear", delta_theta, Formula((d, idb), (idb, theta))),
+        eq_check("right_colinear", delta_theta, Formula((idb, d), (theta, idb))),
         eq_check("section_of_delta", compose(d, theta), idb),
         # the (B(x)B)(x)B module structure, then theta
         eq_check("right_linear", Formula((idb, idb, d), (idb, c, idb), (m, m), theta),

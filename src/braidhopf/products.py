@@ -306,7 +306,8 @@ def bosonization_checks(ctx: WeakProjectionContext) -> list[CheckResult]:
     sm, im, pm = ctx.sigma.mat, ctx.include, ctx.pi.mat
     trivial_tl = kron(idb, mp.counit)
     tl_trivial = pair.act_b == trivial_tl
-    pi_left_linear = (pipeline((sm, ida), a.m.mat, pm) == pipeline((idb, pm), b.m.mat))
+    pi_left_linear = Matrix.first_difference(Formula((sm, ida), a.m.mat, pm),
+                                             Formula((idb, pm), b.m.mat)) is None
     checks = [
         bool_check("act_b_trivial", tl_trivial, value=str(tl_trivial).lower()),
         bool_check("pi_left_linear", pi_left_linear, value=str(pi_left_linear).lower()),

@@ -52,7 +52,7 @@ from .category import (Backend, CatObject, FiniteGroup, Morphism,
 from .hopf import Coalgebra, make_bialgebra
 from .linalg import Matrix, _frac
 
-COUNT = re.compile("[0-9]+")                  # dim, --max-n; a bichar entry is -?COUNT
+COUNT = re.compile("[0-9]+")                  # dim; a bichar entry is -?COUNT
 _COEFFICIENT = re.compile("-?[0-9]+(/[0-9]+)?")
 
 
@@ -73,7 +73,6 @@ class LoadedAlgebra:
     basis: tuple[str, ...]
     obj: CatObject
     algebra: object | None           # HopfAlgebra / BraidedBialgebra / Coalgebra / None
-    groups: dict[str, FiniteGroup]
 
     @property
     def dim(self) -> int:
@@ -273,7 +272,7 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
                         Morphism(obj, backend.unit(), mats["eps"]))
     else:
         alg = make_bialgebra(backend, obj, **mats)
-    return LoadedAlgebra(kind, name, backend, tuple(basis), obj, alg, built_groups)
+    return LoadedAlgebra(kind, name, backend, tuple(basis), obj, alg)
 
 
 def _build_backend(spec, line, groups, bichars):
@@ -416,15 +415,11 @@ def render_algebra(loaded: LoadedAlgebra) -> str:
     elif backend.kind == "super":
         lines.append("backend super")
     elif backend.kind == "graded":
-        lines.append(f"backend graded {backend.group.name} chi")
+        lines += [f"backend graded {backend.group.name} chi", render_group(backend.group),
+                  "bichar chi"]
+        lines += ["table " + " ".join(str(v) for v in row) for row in backend.bichar]
     else:
-        lines.append(f"backend yd {backend.group.name}")
-    for g in loaded.groups.values():
-        lines.append(render_group(g))
-    if backend.kind == "graded":
-        lines.append("bichar chi")
-        for row in backend.bichar:
-            lines.append("table " + " ".join(str(v) for v in row))
+        lines += [f"backend yd {backend.group.name}", render_group(backend.group)]
     lines.append(f"dim {loaded.dim}")
     lines.append("basis " + " ".join(basis))
     obj = loaded.obj

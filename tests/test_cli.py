@@ -233,12 +233,20 @@ def test_filtration_values():
 
 
 @pytest.mark.parametrize("command", ["filtration", "magnum"])
-@pytest.mark.parametrize("max_n", ["-1", "two", "３", "٣"])   # full-width, Arabic-Indic 3
-def test_max_n_below_zero_or_not_a_number_is_bad_input(command, max_n, capsys):
+def test_max_n_is_an_unrecognized_argument(command, capsys):
     argv = [command, corpus("algebras", "h4.alg"), corpus("algebras", "c2_in_h4.alg"),
-            f"--max-n={max_n}"]
+            "--max-n", "1"]
     assert main(argv) == 2
-    assert "N >= 0" in capsys.readouterr().err
+    assert "unrecognized arguments: --max-n 1" in capsys.readouterr().err
+
+
+def test_magnum_filtration_runs_to_its_fixed_point(capsys):
+    # the filtration is not cut short: h4 over kC2 reaches all of h4 in two steps
+    argv = ["--report", "machine", "magnum", corpus("algebras", "h4.alg"),
+            corpus("algebras", "c2_in_h4.alg")]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "check=filtration_exhaustive status=pass value=dims=2,4" in lines
 
 
 LINE_ALGEBRA = ("bialgebra l\nbackend graded c2 chi\ngroup c2\nelements e g\n"

@@ -1,6 +1,7 @@
 """Every function, class and method of the package has a caller, every
-field of a package dataclass has a reader, and every parameter of a package
-function is read in its body.
+field of a package dataclass has a reader, every parameter of a package
+function is read in its body, and every parameter default is overridden by
+some call.
 
 A definition counts as used when its name occurs in the code of src/,
 scripts/ or perfbench/ more often than it is defined there; a field counts as
@@ -107,3 +108,51 @@ def parameters_never_read():
 
 def test_every_function_parameter_is_read():
     assert list(parameters_never_read()) == []
+
+
+def defaulted_parameters():
+    """(function, parameter, position) for each parameter of a package
+    function that has a default; position is None for a keyword-only one.
+
+    A method's first parameter (self or cls) is bound by the call, so
+    positions count from the parameter after it.
+    """
+    for source in python_sources([os.path.relpath(PACKAGE, ROOT)]):
+        tree = ast.parse(source)
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body if isinstance(item, ast.FunctionDef)
+                   and "staticmethod" not in map(ast.unparse, item.decorator_list)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = [*a.posonlyargs, *a.args][1 if id(node) in methods else 0:]
+            first = len(positional) - len(a.defaults)
+            for k, p in enumerate(positional[first:], start=first):
+                yield node.name, p.arg, k
+            for p, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield node.name, p.arg, None
+
+
+def passes(call, parameter, position):
+    """True when the call passes the parameter, by position or by keyword;
+    a ``*`` or ``**`` argument may pass any parameter."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg in (None, parameter) for kw in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = [node for source in python_sources(SEARCHED)
+             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+
+    def called_name(call):
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+    never_passed = [f"{fn}.{p}" for fn, p, position in defaulted_parameters()
+                    if fn not in ALLOWED
+                    and not any(called_name(c) == fn and passes(c, p, position) for c in calls)]
+    assert never_passed == []

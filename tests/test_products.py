@@ -133,16 +133,42 @@ def test_fully_trivialized_pair_is_the_tensor_pair():
     assert all_pass(check_matched_pair(MatchedPair(mp.r, mp.b, triv_tr, mp.act_b)))
 
 
-def test_s4_factorization_24_dim():
+def _s4_over_d4_c3():
     g = symmetric_group(4)
-    d4 = subgroup_closure(g, ["p1230", "p2103"])
-    c3 = subgroup_closure(g, ["p1203"])
+    return g, subgroup_closure(g, ["p1230", "p2103"]), subgroup_closure(g, ["p1203"])
+
+
+def test_s4_factorization_24_dim():
+    g, d4, c3 = _s4_over_d4_c3()
     assert len(d4) == 8 and len(c3) == 3
     mp = exact_factorization_pair(g, d4, c3)
     assert all_pass(check_matched_pair(mp))
     dc = build_double_cross(mp)
     assert dc.dim == 24
     assert all_pass(verify_bialgebra(dc))
+
+
+@pytest.mark.parametrize("group, r_names, b_names", [
+    (s3_group(), ["e", "c", "c2"], ["e", "t"]),
+    _s4_over_d4_c3(),
+], ids=["s3", "s4"])
+def test_group_table_pair_equals_the_pair_derived_from_psi(group, r_names, b_names):
+    # the group-table refactoring of b*r against psi = phi^-1 m_A (sigma (x) i)
+    pair = exact_factorization_pair(group, r_names, b_names)
+    a = group_algebra(group)
+
+    def inclusion(sub, names):
+        mat = Matrix.from_entries(a.dim, sub.dim,
+                                  ((group.index(n), j, 1) for j, n in enumerate(names)))
+        return Morphism(sub.carrier, a.carrier, mat)
+    fc = make_factorization(a, pair.b, pair.r, inclusion(pair.b, b_names),
+                            inclusion(pair.r, r_names))
+    derived = actions_from_psi(fc)
+    assert derived.act_r == pair.act_r
+    assert derived.act_b == pair.act_b
+    if group.name == "s4":   # both actions are nontrivial here
+        assert pair.act_r != kron(pair.b.eps.mat, Matrix.identity(pair.r.dim))
+        assert pair.act_b != kron(Matrix.identity(pair.b.dim), pair.r.eps.mat)
 
 
 def test_matched_pair_axioms_iff_double_cross_bialgebra():

@@ -138,7 +138,7 @@ def test_bichar_backend_round_trip():
 
 def test_render_parse_round_trip_group_algebra():
     alg = group_algebra(cyclic_group(3, ["e", "c", "c2"]))
-    loaded = LoadedAlgebra("hopf", "c3", VEC, ("e", "c", "c2"), alg.carrier, alg, {})
+    loaded = LoadedAlgebra("hopf", "c3", VEC, ("e", "c", "c2"), alg.carrier, alg)
     text = render_algebra(loaded)
     again = parse_algebra_file(text)
     assert again.algebra.m.mat == alg.m.mat
