@@ -16,7 +16,9 @@ from braidhopf.builders import (conjugation_yd_object, cyclic_group,
 from braidhopf.category import CatObject, Morphism, SUPER, VEC, YetterDrinfeldBackend
 from braidhopf.hopf import Coalgebra
 from braidhopf.linalg import Matrix
-from braidhopf.textio import LoadedAlgebra, render_algebra, render_morphism
+from braidhopf.products import actions_from_psi, make_factorization
+from braidhopf.textio import (LoadedAlgebra, inclusion_by_names, render_algebra,
+                              render_morphism, tensor_names)
 
 ROOT = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -33,22 +35,25 @@ def loaded(kind, name, backend, basis, obj, algebra):
     return LoadedAlgebra(kind, name, backend, tuple(basis), obj, algebra)
 
 
-def group_algebra_file(name, group):
+def write_group_algebra(name, group):
+    """Write algebras/<name>.alg, the group algebra of group, and return it loaded."""
     alg = group_algebra(group)
-    return render_algebra(loaded("hopf", name, VEC, group.elements, alg.carrier, alg))
+    loaded_alg = loaded("hopf", name, VEC, group.elements, alg.carrier, alg)
+    write(f"algebras/{name}.alg", render_algebra(loaded_alg))
+    return loaded_alg
 
 
 def main() -> None:
     # group algebras; basis names are chosen so that canonical inclusions
     # into the ambient algebras work by name matching
-    write("algebras/c2.alg", group_algebra_file("c2", cyclic_group(2, ["e", "g"])))
-    write("algebras/c2_in_h4.alg", group_algebra_file("c2_in_h4", cyclic_group(2, ["one", "g"])))
-    write("algebras/c2_in_s3.alg", group_algebra_file("c2_in_s3", cyclic_group(2, ["e", "t"])))
-    write("algebras/c3.alg", group_algebra_file("c3", cyclic_group(3, ["e", "c", "c2"])))
-    write("algebras/c4.alg", group_algebra_file("c4", cyclic_group(4, ["e", "w", "w2", "w3"])))
-    write("algebras/c2_in_c4.alg", group_algebra_file("c2_in_c4", cyclic_group(2, ["e", "w2"])))
+    write_group_algebra("c2", cyclic_group(2, ["e", "g"]))
+    write_group_algebra("c2_in_h4", cyclic_group(2, ["one", "g"]))
+    c2_in_s3 = write_group_algebra("c2_in_s3", cyclic_group(2, ["e", "t"]))
+    c3 = write_group_algebra("c3", cyclic_group(3, ["e", "c", "c2"]))
+    write_group_algebra("c4", cyclic_group(4, ["e", "w", "w2", "w3"]))
+    write_group_algebra("c2_in_c4", cyclic_group(2, ["e", "w2"]))
     s3 = s3_group()
-    write("algebras/s3.alg", group_algebra_file("s3", s3))
+    s3_alg = write_group_algebra("s3", s3)
 
     h4 = sweedler_h4()
     write("algebras/h4.alg",
@@ -74,18 +79,9 @@ def main() -> None:
     # the S4 = D4 * C3 exact factorization: ambient group algebra plus the
     # two subgroup algebras, with basis names matching the ambient ones
     s4 = symmetric_group(4)
-    write("algebras/s4.alg", group_algebra_file("s4", s4))
-    d4_names = subgroup_closure(s4, ["p1230", "p2103"])
-    c3_names = subgroup_closure(s4, ["p1203"])
-
-    def subgroup_file(name, names):
-        idx = [s4.index(n) for n in names]
-        table = [[idx.index(s4.mul(i, j)) for j in idx] for i in idx]
-        from braidhopf.category import FiniteGroup
-        return group_algebra_file(name, FiniteGroup.from_table(name, list(names), table))
-
-    write("algebras/d4_in_s4.alg", subgroup_file("d4_in_s4", d4_names))
-    write("algebras/c3_in_s4.alg", subgroup_file("c3_in_s4", c3_names))
+    write_group_algebra("s4", s4)
+    write_group_algebra("d4_in_s4", subgroup_closure(s4, "d4_in_s4", ["p1230", "p2103"]))
+    write_group_algebra("c3_in_s4", subgroup_closure(s4, "c3_in_s4", ["p1203"]))
 
     # Yetter-Drinfeld demonstration objects over C2 and S3
     c2 = cyclic_group(2, ["e", "g"])
@@ -128,14 +124,16 @@ def main() -> None:
                                                      (1, 2, 1), (1, 3, 1)]),
                           ["e", "w", "w2", "w3"], ["e", "w2"]))
 
-    # the matched pair extracted from S3 = C3 * C2 as explicit action files
-    # over the dotted basis of B (x) R with B = {e,t} and R = {e,c,c2}
-    from braidhopf.products import exact_factorization_pair
-    from braidhopf.textio import tensor_names
-    pair = exact_factorization_pair(s3, ["e", "c", "c2"], ["e", "t"])
-    br = tensor_names(["e", "t"], ["e", "c", "c2"])
-    write("morphisms/act_r_s3.map", render_morphism(pair.act_r, br, ["e", "c", "c2"]))
-    write("morphisms/act_b_s3.map", render_morphism(pair.act_b, br, ["e", "t"]))
+    # the matched pair of S3 = C3 * C2, derived through psi as `matchedpair
+    # derive` does, as explicit action files over the dotted basis of B (x) R
+    # with B = {e,t} and R = {e,c,c2}
+    pair = actions_from_psi(make_factorization(
+        s3_alg.algebra, c2_in_s3.algebra, c3.algebra,
+        inclusion_by_names(c2_in_s3, s3_alg), inclusion_by_names(c3, s3_alg)))
+    r_names, b_names = list(c3.basis), list(c2_in_s3.basis)
+    br = tensor_names(b_names, r_names)
+    write("morphisms/act_r_s3.map", render_morphism(pair.act_r, br, r_names))
+    write("morphisms/act_b_s3.map", render_morphism(pair.act_b, br, b_names))
 
 
 if __name__ == "__main__":

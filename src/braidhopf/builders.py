@@ -48,8 +48,9 @@ def symmetric_group(n: int) -> FiniteGroup:
     return FiniteGroup.from_table(f"s{n}", names, table)
 
 
-def subgroup_closure(group: FiniteGroup, generator_names: list[str]) -> list[str]:
-    """Names of the subgroup generated by the given elements, in table order."""
+def subgroup_closure(group: FiniteGroup, name: str, generator_names: list[str]) -> FiniteGroup:
+    """The subgroup generated by the given elements, called name, with its
+    elements in the table order of group."""
     gens = [group.index(n) for n in generator_names]
     seen = {group.identity}
     frontier = [group.identity]
@@ -62,7 +63,10 @@ def subgroup_closure(group: FiniteGroup, generator_names: list[str]) -> list[str
                     seen.add(b)
                     nxt.append(b)
         frontier = nxt
-    return [group.elements[i] for i in sorted(seen)]
+    members = sorted(seen)
+    position = {g: k for k, g in enumerate(members)}
+    table = [[position[group.mul(i, j)] for j in members] for i in members]
+    return FiniteGroup.from_table(name, [group.elements[i] for i in members], table)
 
 
 def group_algebra(group: FiniteGroup) -> HopfAlgebra:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .builders import group_algebra
-from .category import FiniteGroup, Morphism
+from .category import Morphism
 from .hopf import (BraidedBialgebra, is_cocommutative, make_bialgebra,
                    verify_bialgebra, verify_bialgebra_map)
 from .linalg import Formula, Matrix, compose, kron, pipeline
@@ -332,53 +331,3 @@ def bosonization_checks(ctx: WeakProjectionContext) -> list[CheckResult]:
     checks.append(bool_check("smash_iso_invertible", phi.rank() == a.dim))
     return checks + prefixed("smash_", verify_bialgebra(smash))
 
-
-def exact_factorization_pair(group: FiniteGroup, r_names: list[str],
-                             b_names: list[str]) -> MatchedPair:
-    """Matched pair of group algebras from an exact factorization G = R*B.
-
-    Every group element must factor uniquely as r*b; the actions come from
-    refactoring b*r.  Raises ValueError when the factorization is not exact.
-    """
-    r_idx = [group.index(n) for n in r_names]
-    b_idx = [group.index(n) for n in b_names]
-    n = len(group.elements)
-    if len(r_idx) * len(b_idx) != n:
-        raise ValueError("subset sizes do not multiply to the group order")
-    factor = {}
-    for ri, rv in enumerate(r_idx):
-        for bi, bv in enumerate(b_idx):
-            prod = group.mul(rv, bv)
-            if prod in factor:
-                raise ValueError("factorization is not exact")
-            factor[prod] = (ri, bi)
-    if len(factor) != n:
-        raise ValueError("factorization does not cover the group")
-
-    def subgroup(names, idx, label):
-        table = []
-        for i in idx:
-            row = []
-            for j in idx:
-                p = group.mul(i, j)
-                if p not in idx:
-                    raise ValueError(f"{label} is not closed under multiplication")
-                row.append(idx.index(p))
-            table.append(row)
-        return FiniteGroup.from_table(label, list(names), table)
-
-    gr = subgroup(r_names, r_idx, "r_factor")
-    gb = subgroup(b_names, b_idx, "b_factor")
-    r_alg = group_algebra(gr)
-    b_alg = group_algebra(gb)
-    nr, nb = len(r_idx), len(b_idx)
-    act_r_entries = []
-    act_b_entries = []
-    for bi, bv in enumerate(b_idx):
-        for ri, rv in enumerate(r_idx):
-            rp, bp = factor[group.mul(bv, rv)]
-            act_r_entries.append((rp, bi * nr + ri, 1))
-            act_b_entries.append((bp, bi * nr + ri, 1))
-    act_r = Matrix.from_entries(nr, nb * nr, act_r_entries)
-    act_b = Matrix.from_entries(nb, nb * nr, act_b_entries)
-    return MatchedPair(r_alg, b_alg, act_r, act_b)

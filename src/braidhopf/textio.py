@@ -23,7 +23,7 @@ The header, backend, dim and basis lines appear once each, and so does the
 grade line of a basis name.
 
 Group and bicharacter blocks may appear in the same file, one block per name
-and one elements line per group:
+and one elements line per group; the backend line must name every block:
 
     group c2
     elements e g
@@ -248,6 +248,14 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
             raise ParseError(g["line"], str(exc))
 
     backend = _build_backend(backend_spec, backend_line, built_groups, bichars)
+    # the backend line names at most one group (its second token) and one
+    # bichar (its third); rendering writes back only those
+    for block_kind, blocks, named in (("group", groups, backend_spec[1:2]),
+                                      ("bichar", bichars, backend_spec[2:3])):
+        for bname, blk in blocks.items():
+            if bname not in named:
+                raise ParseError(blk["line"],
+                                 f"{block_kind} {bname!r} is not named by the backend line")
     obj = _build_object(backend, dim, basis, grades, actions)
     for c in backend.object_report(obj):
         if c.status == "fail":

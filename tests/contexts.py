@@ -1,8 +1,11 @@
-"""Canonical weak projection contexts shared across the test modules."""
+"""Canonical weak projection contexts, and the group-table oracle of matched
+pairs, shared across the test modules."""
 
-from braidhopf.builders import cyclic_group, group_algebra, s3_group, sweedler_h4
+from braidhopf.builders import (cyclic_group, group_algebra, s3_group, subgroup_closure,
+                                sweedler_h4)
 from braidhopf.category import Morphism
 from braidhopf.linalg import Matrix
+from braidhopf.products import MatchedPair
 
 
 def h4_c2():
@@ -56,3 +59,40 @@ def trivial(alg):
     """B = A with identity inclusion and retraction."""
     ident = Morphism(alg.carrier, alg.carrier, Matrix.identity(alg.dim))
     return alg, alg, ident, ident
+
+
+def group_table_pair(group, r_names, b_names):
+    """Matched pair of group algebras from an exact factorization G = R*B,
+    read off the Cayley table: b*r refactors uniquely as r'*b', giving
+    b |> r = r' and b <| r = b'.  This is the oracle for the pair derived
+    through psi.
+
+    Raises ValueError when R or B is not a subgroup or the factorization is
+    not exact.
+    """
+    r_sub = subgroup_closure(group, "r_factor", r_names)
+    b_sub = subgroup_closure(group, "b_factor", b_names)
+    if list(r_sub.elements) != list(r_names) or list(b_sub.elements) != list(b_names):
+        raise ValueError("each factor must be a subgroup listed in table order")
+    r_idx = [group.index(n) for n in r_names]
+    b_idx = [group.index(n) for n in b_names]
+    factor = {}
+    for ri, rv in enumerate(r_idx):
+        for bi, bv in enumerate(b_idx):
+            prod = group.mul(rv, bv)
+            if prod in factor:
+                raise ValueError("factorization is not exact")
+            factor[prod] = (ri, bi)
+    if len(factor) != len(group.elements):
+        raise ValueError("factorization does not cover the group")
+    nr, nb = len(r_idx), len(b_idx)
+    act_r_entries = []
+    act_b_entries = []
+    for bi, bv in enumerate(b_idx):
+        for ri, rv in enumerate(r_idx):
+            rp, bp = factor[group.mul(bv, rv)]
+            act_r_entries.append((rp, bi * nr + ri, 1))
+            act_b_entries.append((bp, bi * nr + ri, 1))
+    return MatchedPair(group_algebra(r_sub), group_algebra(b_sub),
+                       Matrix.from_entries(nr, nb * nr, act_r_entries),
+                       Matrix.from_entries(nb, nb * nr, act_b_entries))

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from contexts import h4_c2, s3_c2, s3_c3
+from contexts import group_table_pair, h4_c2, s3_c2, s3_c3
 from braidhopf.builders import (conjugation_yd_object, cyclic_group,
                                 exterior_line, group_algebra, s3_group,
                                 subgroup_closure, sweedler_h4, symmetric_group)
@@ -27,8 +27,7 @@ from braidhopf.products import (MatchedPair, PreconditionFailed,
                                 build_cross_product, build_double_cross,
                                 check_matched_pair, cross_product_report,
                                 derive_actions_cocomm, derive_actions_general,
-                                exact_factorization_pair, make_factorization,
-                                r_bialgebra)
+                                make_factorization, r_bialgebra)
 from braidhopf.weakproj import (SplitFailure, build_context, compute_diagram,
                                 projection_operators, run_bd_suite, search_weak_projection,
                                 structure_report, verify_weak_projection)
@@ -226,9 +225,9 @@ def test_criterion_7_matched_pairs():
 
         # the 24-dimensional exact factorization
         s4 = symmetric_group(4)
-        d4 = subgroup_closure(s4, ["p1230", "p2103"])
-        c3 = subgroup_closure(s4, ["p1203"])
-        pair = exact_factorization_pair(s4, d4, c3)
+        d4 = list(subgroup_closure(s4, "d4", ["p1230", "p2103"]).elements)
+        c3 = list(subgroup_closure(s4, "c3", ["p1203"]).elements)
+        pair = group_table_pair(s4, d4, c3)
         assert all_pass(check_matched_pair(pair))
         dc = build_double_cross(pair)
         assert dc.dim == 24
@@ -385,7 +384,7 @@ def test_criterion_11_mutation_sensitivity():
 
         # 9: corrupted right action breaks matched pair axiom 5
         s3 = s3_group()
-        pair = exact_factorization_pair(s3, ["e", "c", "c2"], ["e", "t"])
+        pair = group_table_pair(s3, ["e", "c", "c2"], ["e", "t"])
         bad_pair = MatchedPair(pair.r, pair.b, pair.act_r, corrupt(pair.act_b, 0, 4))
         rep = by_name(check_matched_pair(bad_pair))
         assert rep["mp5_mixed_multiplicativity_b"].status == "fail"

@@ -1,6 +1,6 @@
 import pytest
 
-from contexts import c4_c2, h4_c2, s3_c2, s3_c3, trivial
+from contexts import c4_c2, group_table_pair, h4_c2, s3_c2, s3_c3, trivial
 from braidhopf.builders import (cyclic_group, group_algebra, s3_group,
                                 subgroup_closure, symmetric_group)
 from braidhopf.category import Morphism
@@ -13,8 +13,7 @@ from braidhopf.products import (CrossProductData, MatchedPair, NotInvertible,
                                 build_smash, bosonization_checks,
                                 check_matched_pair, cross_product_report,
                                 derive_actions_cocomm, derive_actions_general,
-                                exact_factorization_pair, make_factorization,
-                                r_bialgebra, xi_is_trivial)
+                                make_factorization, r_bialgebra, xi_is_trivial)
 from braidhopf.weakproj import build_context
 
 
@@ -107,7 +106,7 @@ def test_trivial_matched_pair_of_commuting_factors():
 
 def test_s3_factorization_matched_pair():
     g = s3_group()
-    mp = exact_factorization_pair(g, ["e", "c", "c2"], ["e", "t"])
+    mp = group_table_pair(g, ["e", "c", "c2"], ["e", "t"])
     assert all_pass(check_matched_pair(mp))
     # the left action is conjugation, straight from the group oracle
     assert mp.act_r == conj_action_oracle(g, ["e", "t"], ["e", "c", "c2"])
@@ -119,7 +118,7 @@ def test_s3_pair_with_corrupted_right_action_breaks():
     # replacing an action by the fully trivial one just gives the (valid)
     # tensor-product pair, so the mutation has to hit an actual entry
     g = s3_group()
-    mp = exact_factorization_pair(g, ["e", "c", "c2"], ["e", "t"])
+    mp = group_table_pair(g, ["e", "c", "c2"], ["e", "t"])
     bad_tl = mp.act_b + Matrix.from_entries(2, 6, [(0, 1 * 3 + 1, 1)])
     names = [c.name for c in check_matched_pair(MatchedPair(mp.r, mp.b, mp.act_r, bad_tl))
              if c.status == "fail"]
@@ -128,20 +127,21 @@ def test_s3_pair_with_corrupted_right_action_breaks():
 
 def test_fully_trivialized_pair_is_the_tensor_pair():
     g = s3_group()
-    mp = exact_factorization_pair(g, ["e", "c", "c2"], ["e", "t"])
+    mp = group_table_pair(g, ["e", "c", "c2"], ["e", "t"])
     triv_tr = kron(mp.b.eps.mat, Matrix.identity(3))
     assert all_pass(check_matched_pair(MatchedPair(mp.r, mp.b, triv_tr, mp.act_b)))
 
 
 def _s4_over_d4_c3():
     g = symmetric_group(4)
-    return g, subgroup_closure(g, ["p1230", "p2103"]), subgroup_closure(g, ["p1203"])
+    return (g, list(subgroup_closure(g, "d4", ["p1230", "p2103"]).elements),
+            list(subgroup_closure(g, "c3", ["p1203"]).elements))
 
 
 def test_s4_factorization_24_dim():
     g, d4, c3 = _s4_over_d4_c3()
     assert len(d4) == 8 and len(c3) == 3
-    mp = exact_factorization_pair(g, d4, c3)
+    mp = group_table_pair(g, d4, c3)
     assert all_pass(check_matched_pair(mp))
     dc = build_double_cross(mp)
     assert dc.dim == 24
@@ -154,7 +154,7 @@ def test_s4_factorization_24_dim():
 ], ids=["s3", "s4"])
 def test_group_table_pair_equals_the_pair_derived_from_psi(group, r_names, b_names):
     # the group-table refactoring of b*r against psi = phi^-1 m_A (sigma (x) i)
-    pair = exact_factorization_pair(group, r_names, b_names)
+    pair = group_table_pair(group, r_names, b_names)
     a = group_algebra(group)
 
     def inclusion(sub, names):
@@ -175,7 +175,7 @@ def test_matched_pair_axioms_iff_double_cross_bialgebra():
     # the two verdicts agree on the honest pair and on every single-entry
     # mutation of either action
     g = s3_group()
-    mp = exact_factorization_pair(g, ["e", "c", "c2"], ["e", "t"])
+    mp = group_table_pair(g, ["e", "c", "c2"], ["e", "t"])
     assert all_pass(check_matched_pair(mp))
     assert all_pass(verify_bialgebra(build_double_cross(mp)))
     saw_failure = False

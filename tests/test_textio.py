@@ -232,6 +232,26 @@ def test_a_repeated_declaration_is_a_parse_error(text, message):
     assert str(err.value) == message
 
 
+with open(os.path.join(CORPUS, "algebras", "c2.alg"), encoding="utf-8") as fh:
+    C2_TEXT = fh.read()
+
+
+@pytest.mark.parametrize("text, message", [
+    (C2_TEXT + "group z\nelements e\ntable e\n",
+     "line 16: group 'z' is not named by the backend line"),
+    ("object v\nbackend yd c2\n" + GROUP_C2 + BICHAR_CHI + "dim 1\nbasis v\n",
+     "line 7: bichar 'chi' is not named by the backend line"),
+    ("object v\nbackend graded c2 chi\n" + GROUP_C2 + BICHAR_CHI
+     + GROUP_C2.replace("group c2", "group c2b") + "dim 1\nbasis v\n",
+     "line 10: group 'c2b' is not named by the backend line"),
+], ids=["vec_group", "yd_bichar", "graded_second_group"])
+def test_a_block_the_backend_line_does_not_name_is_a_parse_error(text, message):
+    # rendering writes back only the named blocks, so another one would be lost
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("text, message", [
     ("object t\nbackend vec\ndim 1\nbasis z\nmul z z -> z 1\n",
      "object files cannot carry mul entries"),
