@@ -116,7 +116,7 @@ def exterior_line(backend: Backend) -> HopfAlgebra:
     delta = Matrix.from_entries(4, 2, [(0, 0, 1), (2, 1, 1), (1, 1, 1)])
     eps = Matrix.from_rows([[1, 0]])
     s = Matrix.from_rows([[1, 0], [0, -1]])
-    grading = (0, 1) if backend.kind in ("super", "graded") else None
+    grading = (0, 1) if backend.kind == "super" else None
     carrier = CatObject(2, grading=grading)
     return make_bialgebra(backend, carrier, m, u, delta, eps, s)
 

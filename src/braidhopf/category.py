@@ -20,20 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .linalg import Formula, Matrix, kron
+from .linalg import Formula, Matrix, ShapeMismatch, kron
 from .report import CheckResult, bool_check, eq_check
-
-
-class BackendMismatch(ValueError):
-    pass
-
-
-class MissingGrading(ValueError):
-    pass
-
-
-class MissingAction(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -105,7 +93,7 @@ class Morphism:
 
     def __post_init__(self):
         if self.mat.rows != self.cod.dim or self.mat.cols != self.dom.dim:
-            raise BackendMismatch(
+            raise ShapeMismatch(
                 f"matrix {self.mat.rows}x{self.mat.cols} does not fit "
                 f"{self.cod.dim}x{self.dom.dim}")
 
@@ -144,7 +132,7 @@ class VecBackend(Backend):
 
 def _require_grading(x: CatObject) -> tuple[int, ...]:
     if x.grading is None:
-        raise MissingGrading("backend requires a grading on every object")
+        raise ValueError("backend requires a grading on every object")
     return x.grading
 
 
@@ -225,7 +213,7 @@ class SignGradedBackend(_GradedBackend):
 
 def _require_action(x: CatObject) -> tuple[Matrix, ...]:
     if x.action is None:
-        raise MissingAction("backend requires a group action on every object")
+        raise ValueError("backend requires a group action on every object")
     return x.action
 
 

@@ -13,8 +13,7 @@ import argparse
 import sys
 
 from .category import Morphism
-from .filtration import (NotSubcoalgebra, b_adic_filtration, check_magnum_preconditions,
-                         coradical)
+from .filtration import b_adic_filtration, check_magnum_preconditions, coradical
 from .hopf import (build_cosep_section, full_axiom_report, solve_total_integral,
                    verify_bialgebra, verify_cosep_section)
 from .products import (MatchedPair, bosonization_checks, build_cross_product,
@@ -28,22 +27,18 @@ from .weakproj import (build_context, run_bd_suite, search_weak_projection,
                        structure_report, verify_weak_projection)
 
 
-class InputError(ValueError):
-    pass
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}")
+        raise ValueError(f"cannot read {path}: {exc.strerror}")
 
 
 def load_algebra(path: str, kinds=("hopf", "bialgebra")) -> LoadedAlgebra:
     loaded = parse_algebra_file(_read(path))
     if loaded.kind not in kinds:
-        raise InputError(f"{path}: expected a {'/'.join(kinds)} file, got {loaded.kind}")
+        raise ValueError(f"{path}: expected a {'/'.join(kinds)} file, got {loaded.kind}")
     return loaded
 
 
@@ -64,17 +59,17 @@ def _require_same_backend(*loaded: LoadedAlgebra) -> None:
     first = loaded[0].backend
     for other in loaded[1:]:
         if other.backend != first:
-            raise InputError("all files in one command must use the same backend")
+            raise ValueError("all files in one command must use the same backend")
 
 
 def _weakproj_args(args) -> tuple[LoadedAlgebra, LoadedAlgebra, Morphism, Morphism | None]:
     files = [f for f in (args.sigma, args.pi) if f is not None]
     if args.mode == "search":
         if len(files) == 2:
-            raise InputError("weakproj search takes at most a sigma file")
+            raise ValueError("weakproj search takes at most a sigma file")
         return _load_context_files(args.a, args.b, args.sigma)
     if not files:
-        raise InputError("this weakproj mode needs a pi morphism file")
+        raise ValueError("this weakproj mode needs a pi morphism file")
     sigma_path, pi_path = files if len(files) == 2 else (None, files[0])
     return _load_context_files(args.a, args.b, sigma_path, pi_path)
 
@@ -175,10 +170,10 @@ def cmd_matchedpair(args) -> list[CheckResult]:
 def cmd_filtration(args) -> list[CheckResult]:
     a = load_algebra(args.a)
     b = load_algebra(args.b, kinds=("hopf", "bialgebra", "coalgebra"))
+    _require_same_backend(a, b)
     sigma = inclusion_by_names(b, a)
-    try:
-        report = b_adic_filtration(a.algebra, sigma.mat)
-    except NotSubcoalgebra:
+    report = b_adic_filtration(a.algebra, sigma.mat)
+    if report is None:
         return [CheckResult("b_subcoalgebra", "fail", witness="delta_leaves_b")]
     dims = ",".join(str(d) for d in report.dims)
     return [
@@ -238,14 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("b")
         q.add_argument("sigma", nargs="?")
         q.add_argument("pi")
-        q.set_defaults(fn=cmd_build, what=what, failure=failure)
+        q.set_defaults(fn=cmd_build, failure=failure)
     q = sub_build.add_parser("doublecross")
     q.add_argument("a")
     q.add_argument("b")
     q.add_argument("r")
     q.add_argument("sigma", nargs="?")
     q.add_argument("include", nargs="?")
-    q.set_defaults(fn=cmd_build, what="doublecross", failure="factorization_invertible")
+    q.set_defaults(fn=cmd_build, failure="factorization_invertible")
 
     p = subs.add_parser("matchedpair", help="check or derive matched pairs")
     sub_mp = p.add_subparsers(dest="mode", required=True)
@@ -254,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("b")
     q.add_argument("tr", help="morphism file B(x)R -> R over dotted basis names")
     q.add_argument("tl", help="morphism file B(x)R -> B over dotted basis names")
-    q.set_defaults(fn=cmd_matchedpair, mode="check")
+    q.set_defaults(fn=cmd_matchedpair)
     q = sub_mp.add_parser("derive")
     q.add_argument("a")
     q.add_argument("b")
     q.add_argument("r")
     q.add_argument("sigma", nargs="?")
     q.add_argument("include", nargs="?")
-    q.set_defaults(fn=cmd_matchedpair, mode="derive", failure="factorization_invertible")
+    q.set_defaults(fn=cmd_matchedpair, failure="factorization_invertible")
 
     p = subs.add_parser("filtration", help="the iterated wedge filtration against B")
     p.add_argument("a")

@@ -3,7 +3,7 @@
 The long multiplication formula of the cross product is transcription
 risky, so it is built twice: once literally and once by conjugating A's
 structure through the proven isomorphism, and the two results must agree
-entry for entry.  Any disagreement raises TranscriptionMismatch instead of
+entry for entry.  Any disagreement raises ConstructionFailed instead of
 silently producing a wrong bialgebra.
 """
 
@@ -17,18 +17,6 @@ from .hopf import (BraidedBialgebra, is_cocommutative, make_bialgebra,
 from .linalg import Formula, Matrix, compose, kron, pipeline
 from .report import CheckResult, ConstructionFailed, bool_check, eq_check, merge_checks, prefixed
 from .weakproj import WeakProjectionContext
-
-
-class TranscriptionMismatch(ConstructionFailed):
-    pass
-
-
-class NotInvertible(ConstructionFailed):
-    pass
-
-
-class PreconditionFailed(ConstructionFailed):
-    pass
 
 
 @dataclass(frozen=True)
@@ -71,7 +59,7 @@ def make_factorization(a: BraidedBialgebra, b: BraidedBialgebra, r: BraidedBialg
     phi = pipeline((include.mat, sigma.mat), a.m.mat)
     phi_inv = phi.inverse()
     if phi_inv is None:
-        raise NotInvertible("m_A(i (x) sigma) is singular")
+        raise ConstructionFailed("m_A(i (x) sigma) is singular")
     psi = pipeline((sigma.mat, include.mat), a.m.mat, phi_inv)
     return FactorizationContext(a, b, r, sigma, include, phi, psi)
 
@@ -122,7 +110,7 @@ def build_cross_product(ctx: WeakProjectionContext) -> CrossProductData:
         diff = literal[key].first_difference(transported[key])
         if diff is not None:
             i, j, lit, moved = diff
-            raise TranscriptionMismatch(
+            raise ConstructionFailed(
                 f"{key} literal vs transported differ at ({i},{j}): {lit} vs {moved}")
 
     carrier = backend.tensor(r_obj, b.carrier)
@@ -288,9 +276,9 @@ def derive_actions_cocomm(ctx: WeakProjectionContext) -> MatchedPair:
     verifies the resulting smash product against A.
     """
     if not is_cocommutative(ctx.a):
-        raise PreconditionFailed("not cocommutative")
+        raise ConstructionFailed("not cocommutative")
     if not xi_is_trivial(ctx):
-        raise PreconditionFailed("cocycle is not trivial")
+        raise ConstructionFailed("cocycle is not trivial")
     return MatchedPair(r_bialgebra(ctx), ctx.b, ctx.maps.act_left, ctx.maps.act_b)
 
 

@@ -36,7 +36,8 @@ and one elements line per group; the backend line must name every block:
 
 Morphism files contain `map <dom-basis> -> <cod-basis> <coeff>` lines;
 unspecified columns are zero.  Basis names of tensor-product objects are
-dotted pairs like `g.x`.  Numbers are exact and in ASCII digits: a coefficient
+dotted pairs like `g.x`, so a declared basis name contains no `.` and is
+not `->`.  Numbers are exact and in ASCII digits: a coefficient
 is -?[0-9]+(/[0-9]+)?, a bichar entry -?[0-9]+ and a dim [0-9]+.
 """
 
@@ -195,6 +196,9 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
                 raise ParseError(line, f"expected {dim} basis names, got {len(toks[1:])}")
             if len(set(toks[1:])) != dim:
                 raise ParseError(line, "duplicate basis names")
+            for tok in toks[1:]:
+                if "." in tok or tok == "->":
+                    raise ParseError(line, f"basis name {tok!r} contains '.' or is '->'")
             basis = toks[1:]
         elif head in _MAPS:
             _, k_in, k_out = _MAPS[head]

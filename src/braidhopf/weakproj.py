@@ -21,10 +21,6 @@ from .report import (CheckResult, ConstructionFailed, bool_check, chain_eq_check
                      eq_check, merge_checks, prefixed)
 
 
-class SplitFailure(ConstructionFailed):
-    """Pi2 does not split as i*p through an object R; some upstream axiom must be violated."""
-
-
 @dataclass(frozen=True)
 class StructureMaps:
     """The eight maps derived from a weak projection context.
@@ -146,7 +142,7 @@ def _subobject(ambient: CatObject, emb: Matrix) -> CatObject:
         for j in range(emb.cols):
             degs = {ambient.grading[i] for i in emb.column(j)}
             if len(degs) != 1:
-                raise SplitFailure("subobject basis column is not homogeneous")
+                raise ConstructionFailed("subobject basis column is not homogeneous")
             grading.append(degs.pop())
         grading = tuple(grading)
     action = None
@@ -155,7 +151,7 @@ def _subobject(ambient: CatObject, emb: Matrix) -> CatObject:
         for g_act in ambient.action:
             restricted = solve_matrix(emb, g_act * emb)
             if restricted is None:
-                raise SplitFailure("subobject is not action-invariant")
+                raise ConstructionFailed("subobject is not action-invariant")
             mats.append(restricted)
         action = tuple(mats)
     return CatObject(emb.cols, grading=grading, action=action)
@@ -163,18 +159,22 @@ def _subobject(ambient: CatObject, emb: Matrix) -> CatObject:
 
 def compute_diagram(a: BraidedBialgebra, b: HopfAlgebra,
                     pi: Morphism, p2: Matrix) -> tuple[CatObject, Matrix, Matrix]:
-    """(R, i, p): the coinvariant equalizer splitting the idempotent Pi2 = p2."""
+    """(R, i, p): the coinvariant equalizer splitting the idempotent Pi2 = p2.
+
+    Raises ConstructionFailed when Pi2 does not split as i*p through an
+    object R; some upstream axiom must then be violated.
+    """
     ida = Matrix.identity(a.dim)
     f = pipeline(a.delta.mat, (ida, pi.mat))
     g = kron(ida, b.u.mat)
     include = equalizer(f, g)
     project = solve_matrix(include, p2)
     if project is None:
-        raise SplitFailure("image of Pi2 is not contained in the coinvariants")
+        raise ConstructionFailed("image of Pi2 is not contained in the coinvariants")
     if project * include != Matrix.identity(include.cols):
-        raise SplitFailure("p*i is not the identity on R")
+        raise ConstructionFailed("p*i is not the identity on R")
     if p2.rank() != include.cols:
-        raise SplitFailure("column span of i exceeds the image of Pi2")
+        raise ConstructionFailed("column span of i exceeds the image of Pi2")
     r_obj = _subobject(a.carrier, include)
     return r_obj, include, project
 

@@ -153,8 +153,8 @@ def test_every_exception_has_one_exit_class():
     classes = {cls for module in modules for cls in vars(module).values()
                if isinstance(cls, type) and issubclass(cls, Exception)
                and cls.__module__.startswith("braidhopf")}
-    assert {"SplitFailure", "TranscriptionMismatch", "NotInvertible", "PreconditionFailed",
-            "ShapeMismatch", "ParseError", "InputError"} <= {cls.__name__ for cls in classes}
+    assert {cls.__name__ for cls in classes} == {"ConstructionFailed", "ParseError",
+                                                 "ShapeMismatch"}
     unclassed = sorted(cls.__name__ for cls in classes
                        if issubclass(cls, ValueError) == issubclass(cls, ConstructionFailed))
     assert unclassed == []
@@ -184,6 +184,17 @@ def test_super_grade_is_a_parity_group_element(tmp_path, capsys):
     bad.write_text(text.replace("grade x -> 1", "grade x -> 2"), encoding="utf-8")
     assert main(["check", "hopf", str(bad)]) == 2
     assert capsys.readouterr().err == "error: line 6: unknown group element '2'\n"
+
+
+@pytest.mark.parametrize("command", ["filtration", "magnum"])
+def test_files_of_two_backends_are_bad_input(tmp_path, capsys, command):
+    with open(corpus("algebras", "c2_in_h4.alg"), encoding="utf-8") as fh:
+        text = fh.read()
+    sub = tmp_path / "c2_in_h4_super.alg"
+    sub.write_text(text.replace("backend vec", "backend super"), encoding="utf-8")
+    assert main([command, corpus("algebras", "h4.alg"), str(sub)]) == 2
+    assert (capsys.readouterr().err
+            == "error: all files in one command must use the same backend\n")
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

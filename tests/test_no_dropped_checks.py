@@ -1,0 +1,97 @@
+"""Every check the engine computes reaches a report; none is computed and dropped.
+
+The corpus battery of scripts/verify_corpus.py runs in-process with every
+CheckResult construction recorded.  A result reaches its command's report
+when it is one of the report's checks, or when merge_checks or prefixed
+turned it into one that does.  Two kinds of result reach no report on
+purpose: the inner comparisons of bd4, whose verdict chain_eq_check folds
+into its own result, and the parse-time grading_wellformed, whose failure
+the parser turns into a parse error.
+"""
+
+import importlib.util
+import os
+import sys
+
+from braidhopf import report as report_module
+from braidhopf.cli import dispatch
+from braidhopf.report import CheckResult
+
+SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "verify_corpus.py")
+
+# (a function on the stack when the result was built, the result's name)
+KNOWN_UNREPORTED = {("chain_eq_check", "bd4"), ("parse_algebra_file", "grading_wellformed")}
+
+
+def corpus_commands():
+    spec = importlib.util.spec_from_file_location("verify_corpus", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COMMANDS
+
+
+def record_results(monkeypatch):
+    """(built, feeds): every CheckResult built, with the names of the functions
+    on the stack at the time, and the id of each result merge_checks or
+    prefixed consumed, mapped to the ids of the results it went into."""
+    built: list[tuple[CheckResult, set[str]]] = []
+    feeds: dict[int, list[int]] = {}
+    init = CheckResult.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        frame, stack = sys._getframe(1), set()
+        while frame is not None:
+            stack.add(frame.f_code.co_name)
+            frame = frame.f_back
+        built.append((self, stack))
+
+    merge, prefixed = report_module.merge_checks, report_module.prefixed
+
+    def recording_merge(name, checks):
+        checks = list(checks)
+        merged = merge(name, checks)
+        for c in checks:
+            feeds.setdefault(id(c), []).append(id(merged))
+        return merged
+
+    def recording_prefixed(prefix, checks):
+        checks = list(checks)
+        renamed = prefixed(prefix, checks)
+        for c, r in zip(checks, renamed):
+            feeds.setdefault(id(c), []).append(id(r))
+        return renamed
+
+    monkeypatch.setattr(CheckResult, "__init__", recording_init)
+    modules = [m for name, m in sys.modules.items() if name.startswith("braidhopf.")]
+    for module in modules:
+        for attr, original, wrapper in (("merge_checks", merge, recording_merge),
+                                        ("prefixed", prefixed, recording_prefixed)):
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, wrapper)
+    return built, feeds
+
+
+def reached(result_id: int, reported: set[int], feeds: dict[int, list[int]]) -> bool:
+    return result_id in reported or any(reached(nxt, reported, feeds)
+                                        for nxt in feeds.get(result_id, ()))
+
+
+def test_every_computed_check_reaches_the_report(monkeypatch):
+    commands = corpus_commands()
+    assert len(commands) == 29
+    built, feeds = record_results(monkeypatch)
+    dropped = []
+    for argv, expected in commands:
+        del built[:]
+        feeds.clear()
+        code, report, error = dispatch(argv)
+        assert (code, error) == (expected, None)
+        reported = {id(c) for c in report.checks}
+        assert built, argv
+        for result, stack in built:
+            if reached(id(result), reported, feeds):
+                continue
+            if not any((fn, result.name) in KNOWN_UNREPORTED for fn in stack):
+                dropped.append((" ".join(argv[:2]), result.name))
+    assert dropped == []

@@ -232,6 +232,16 @@ def test_a_repeated_declaration_is_a_parse_error(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("name", ["a.b", "->"])
+def test_a_basis_name_with_a_dot_or_named_arrow_is_a_parse_error(name):
+    # tensor basis names are dotted pairs, so B = {a, a.b} and R = {b.c, c}
+    # would both name a.b.c in B (x) R; and a basis named '->' could never be
+    # written in a counit line
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file(f"object v\nbackend vec\ndim 2\nbasis z {name}\n")
+    assert str(err.value) == f"line 4: basis name {name!r} contains '.' or is '->'"
+
+
 with open(os.path.join(CORPUS, "algebras", "c2.alg"), encoding="utf-8") as fh:
     C2_TEXT = fh.read()
 

@@ -7,7 +7,8 @@ from braidhopf.category import CatObject, Morphism
 from braidhopf.hopf import verify_coalgebra
 from braidhopf import linalg
 from braidhopf.linalg import Matrix, compose, map_system, pipeline
-from braidhopf.weakproj import (SplitFailure, build_context, compute_diagram,
+from braidhopf.report import ConstructionFailed
+from braidhopf.weakproj import (build_context, compute_diagram,
                                 pi_affine_conditions, projection_operators, run_bd_suite,
                                 search_weak_projection, structure_report,
                                 verify_weak_projection, _subobject)
@@ -126,7 +127,8 @@ def test_context_splitting_facts(make):
 def test_split_failure_on_broken_pi():
     a, b, sigma, pi = h4_c2()
     bad_pi = corrupt_morphism(pi, 0, 2, 1)   # pi(x) = e breaks everything
-    with pytest.raises(SplitFailure):
+    with pytest.raises(ConstructionFailed,
+                       match="^image of Pi2 is not contained in the coinvariants$"):
         diagram(a, b, sigma, bad_pi)
 
 
@@ -138,7 +140,7 @@ def test_split_failure_on_broken_pi():
      "not action-invariant"),
 ], ids=["grading", "action"])
 def test_subobject_that_inherits_no_structure_is_a_split_failure(ambient, emb, message):
-    with pytest.raises(SplitFailure, match=message):
+    with pytest.raises(ConstructionFailed, match=message):
         _subobject(ambient, emb)
 
 
