@@ -113,7 +113,7 @@ class Backend:
         return []
 
     def morphism_report(self, f: Morphism) -> list[CheckResult]:
-        return [CheckResult("morphism_shape", "pass")]
+        return []                     # Morphism itself rejects a matrix that does not fit
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,15 @@ always produce identical bases and solutions.  A missing answer (``inverse``,
 ``solve_matrix``, ``solve_affine``'s particular solution) is ``None``, never
 an exception; ``ShapeMismatch`` means operands whose shapes do not fit.
 
-``Formula`` is the one evaluator of tensor formulas: a list of stages, each a
-matrix or a tuple of matrices meaning their Kronecker product, applied to one
-basis column at a time.  A tuple stage is compiled once: adjacent identity
-factors merge into one run of index digits passed through, and the other
-factors' columns are precomputed with their output strides, so the product is
-never materialized.  Checks stream: ``Matrix.first_difference`` (and through
-it ``report.eq_check``) reads a Formula column by column, holds one column of
+``Formula`` is the one evaluator of tensor formulas; ``kron`` and
+``compose`` keep loops of their own so that the tests can check ``Formula``
+against them.  A formula is a list of stages, each a matrix or a tuple of
+matrices meaning their Kronecker product, applied to one basis column at a
+time.  A tuple stage is compiled once: adjacent identity factors merge into
+one run of index digits passed through, and the other factors' columns are
+precomputed with their output strides, so the product is never materialized.
+Checks stream: ``Matrix.first_difference`` (and through it
+``report.eq_check``) reads a Formula column by column, holds one column of
 each side and stops at the first column that differs.  ``pipeline`` is
 ``Formula(...).materialize()``, for values that are read more than once.
 
@@ -381,7 +383,10 @@ def equalizer(f: Matrix, g: Matrix) -> Matrix:
 # -- tensor composites -------------------------------------------------------
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product with block ordering (i*rows_b + k, j*cols_b + l)."""
+    """Kronecker product with block ordering (i*rows_b + k, j*cols_b + l).
+
+    Its own loop, not ``Formula((a, b)).materialize()``: with ``compose`` it
+    is the tests' independent reference for ``Formula``."""
     cols: list[dict] = []
     for ja in range(a.cols):
         ca = a._cols[ja]

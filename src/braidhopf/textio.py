@@ -120,9 +120,8 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
     entries: dict[str, list] = {kw: [] for kw in _MAPS}   # (in indices, out indices, coeff)
     grades: dict[str, tuple[str, int]] = {}
     actions: list = []
-    groups: dict[str, dict] = {}
-    bichars: dict[str, dict] = {}
-    block = None                      # ("group"|"bichar", name)
+    blocks: dict[tuple[str, str], dict] = {}   # ("group"|"bichar", name) -> its lines
+    block = None                      # the key of the open block
 
     def need_basis(tok: str, line: int) -> int:
         if basis is None:
@@ -147,33 +146,23 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
                 raise ParseError(line, f"usage: {head} <name>")
             kind, name = head, toks[1]
             block = None
-        elif head == "group":
+        elif head in ("group", "bichar"):
             if len(toks) != 2:
-                raise ParseError(line, "usage: group <name>")
-            if toks[1] in groups:
-                raise ParseError(line, f"duplicate group {toks[1]!r}")
-            block = ("group", toks[1])
-            groups[toks[1]] = {"elements": None, "table": [], "line": line}
-        elif head == "bichar":
-            if len(toks) != 2:
-                raise ParseError(line, "usage: bichar <name>")
-            if toks[1] in bichars:
-                raise ParseError(line, f"duplicate bichar {toks[1]!r}")
-            block = ("bichar", toks[1])
-            bichars[toks[1]] = {"table": [], "line": line}
+                raise ParseError(line, f"usage: {head} <name>")
+            block = (head, toks[1])
+            if block in blocks:
+                raise ParseError(line, f"duplicate {head} {toks[1]!r}")
+            blocks[block] = {"elements": None, "table": [], "line": line}
         elif head == "elements":
             if block is None or block[0] != "group":
                 raise ParseError(line, "'elements' outside a group block")
-            if groups[block[1]]["elements"] is not None:
+            if blocks[block]["elements"] is not None:
                 raise ParseError(line, "duplicate elements line")
-            groups[block[1]]["elements"] = toks[1:]
+            blocks[block]["elements"] = toks[1:]
         elif head == "table":
             if block is None:
                 raise ParseError(line, "'table' outside a group or bichar block")
-            if block[0] == "group":
-                groups[block[1]]["table"].append((line, toks[1:]))
-            else:
-                bichars[block[1]]["table"].append((line, toks[1:]))
+            blocks[block]["table"].append((line, toks[1:]))
         elif head == "backend":
             if backend_spec is not None:
                 raise ParseError(line, "duplicate backend line")
@@ -231,8 +220,10 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
     if dim is None or basis is None:
         raise ParseError(None, "missing dim or basis declaration")
 
-    built_groups = {}
-    for gname, g in groups.items():
+    groups = {}
+    for (block_kind, gname), g in blocks.items():
+        if block_kind != "group":
+            continue
         if g["elements"] is None:
             raise ParseError(g["line"], f"group {gname} has no elements line")
         elems = g["elements"]
@@ -247,19 +238,17 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
             except ValueError:
                 raise ParseError(tline, "table entry is not a declared element")
         try:
-            built_groups[gname] = FiniteGroup.from_table(gname, elems, table)
+            groups[gname] = FiniteGroup.from_table(gname, elems, table)
         except ValueError as exc:
             raise ParseError(g["line"], str(exc))
 
-    backend = _build_backend(backend_spec, backend_line, built_groups, bichars)
+    backend = _build_backend(backend_spec, backend_line, groups, blocks)
     # the backend line names at most one group (its second token) and one
     # bichar (its third); rendering writes back only those
-    for block_kind, blocks, named in (("group", groups, backend_spec[1:2]),
-                                      ("bichar", bichars, backend_spec[2:3])):
-        for bname, blk in blocks.items():
-            if bname not in named:
-                raise ParseError(blk["line"],
-                                 f"{block_kind} {bname!r} is not named by the backend line")
+    named = set(zip(("group", "bichar"), backend_spec[1:3]))
+    for key, blk in blocks.items():
+        if key not in named:
+            raise ParseError(blk["line"], f"{key[0]} {key[1]!r} is not named by the backend line")
     obj = _build_object(backend, dim, basis, grades, actions)
     for c in backend.object_report(obj):
         if c.status == "fail":
@@ -287,7 +276,7 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
     return LoadedAlgebra(kind, name, backend, tuple(basis), obj, alg)
 
 
-def _build_backend(spec, line, groups, bichars):
+def _build_backend(spec, line, groups, blocks):
     if spec is None:
         raise ParseError(None, "missing backend line")
     kind = spec[0] if spec else ""
@@ -305,10 +294,10 @@ def _build_backend(spec, line, groups, bichars):
         gname, bname = spec[1], spec[2]
         if gname not in groups:
             raise ParseError(line, f"unknown group {gname!r}")
-        if bname not in bichars:
+        if ("bichar", bname) not in blocks:
             raise ParseError(line, f"unknown bichar {bname!r}")
         rows = []
-        for tline, row in bichars[bname]["table"]:
+        for tline, row in blocks["bichar", bname]["table"]:
             if not all(COUNT.fullmatch(v.removeprefix("-")) for v in row):
                 raise ParseError(tline, "bichar entries must be 1 or -1")
             rows.append([int(v) for v in row])

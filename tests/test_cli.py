@@ -8,6 +8,7 @@ import braidhopf
 from braidhopf import cli, products
 from braidhopf.cli import dispatch, main
 from braidhopf.report import CheckResult, ConstructionFailed
+from braidhopf.textio import parse_algebra_file
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -333,10 +334,38 @@ def test_build_smash_rejects_h4(capsys):
 
 
 def test_build_doublecross_s4():
-    code, report, _ = run(["build", "doublecross", corpus("algebras", "s4.alg"),
-                           corpus("algebras", "c3_in_s4.alg"),
+    # S4 = D4 * C3 rebuilt as the double cross product kD4 |><| kC3
+    code, report, _ = run(["--report", "machine", "build", "doublecross",
+                           corpus("algebras", "s4.alg"), corpus("algebras", "c3_in_s4.alg"),
                            corpus("algebras", "d4_in_s4.alg")])
     assert code == 0
+    status = dict(line.removeprefix("check=").split(" status=")
+                  for line in machine(report).splitlines() if line.startswith("check="))
+    named = {p: [n for n in status if n.startswith(p)] for p in ("mp", "doublecross_", "phi_")}
+    assert [n[:4] for n in named["mp"]] == [f"mp{k}_" for k in range(1, 8)]
+    assert (len(named["doublecross_"]), len(named["phi_"])) == (14, 5)
+    assert all(status[n] == "pass" for names in named.values() for n in names)
+    d4 = parse_algebra_file(open(corpus("algebras", "d4_in_s4.alg")).read())
+    c3 = parse_algebra_file(open(corpus("algebras", "c3_in_s4.alg")).read())
+    assert d4.basis == ("p0123", "p0321", "p1032", "p1230", "p2103", "p2301",
+                        "p3012", "p3210")
+    assert c3.basis == ("p0123", "p1203", "p2013")
+
+
+def test_the_non_normal_projection_fails_exactly_the_left_linearity_checks():
+    # pi_s3_c3 projects kS3 onto the non-normal 3-cycle subalgebra kC3:
+    # a weak projection whose cross product exists, but no smash product
+    s3, c3 = corpus("algebras", "s3.alg"), corpus("algebras", "c3.alg")
+    pi = corpus("morphisms", "pi_s3_c3.map")
+    code, report, _ = run(["build", "smash", s3, c3, pi])
+    assert code == 1
+    status = {c.name: (c.status, c.value) for c in report.checks}
+    assert {n: sv for n, sv in status.items() if sv[0] == "fail"} == {
+        "act_b_trivial": ("fail", "false"), "pi_left_linear": ("fail", "false")}
+    assert status["triviality_iff_left_linear"][0] == "pass"
+    assert status["left_action_is_adjoint"][0] == "skipped"
+    for command in (["weakproj", "check"], ["build", "cross"]):
+        assert run([*command, s3, c3, pi])[0] == 0, command
 
 
 def test_matchedpair_check_files():

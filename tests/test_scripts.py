@@ -1,24 +1,10 @@
-"""The demonstration scripts run to completion and print their success lines."""
+"""The scripts run to completion and print their success lines."""
 
 import os
 import subprocess
 import sys
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
-
-DEMO_LINES = [
-    "S4 order 24, D4 = ['p0123', 'p0321', 'p1032', 'p1230', 'p2103', 'p2301', 'p3012', "
-    "'p3210'], C3 = ['p0123', 'p1203', 'p2013']",
-    "  mp1_left_module_coalgebra: pass",
-    "  mp2_right_module_coalgebra: pass",
-    "  mp3_unit_acted_trivially: pass",
-    "  mp4_unit_acts_trivially: pass",
-    "  mp5_mixed_multiplicativity_b: pass",
-    "  mp6_mixed_multiplicativity_r: pass",
-    "  mp7_symmetry: pass",
-    "double cross product dim 24; 14/14 bialgebra checks pass",
-    "multiplication map is a 24-dim algebra isomorphism onto kS4",
-]
 
 
 def run_script(*argv, env=None):
@@ -29,11 +15,8 @@ def run_script(*argv, env=None):
     return done.stdout
 
 
-def test_verify_corpus_and_factorization_demo_succeed():
+def test_verify_corpus_succeeds():
     assert "29 commands, 0 surprises" in run_script("verify_corpus.py").decode().splitlines()
-    lines = run_script("factorization_demo.py").decode().splitlines()
-    assert lines[:-1] == DEMO_LINES
-    assert lines[-1].startswith("done in ")
 
 
 def test_verify_corpus_machine_output_does_not_depend_on_the_hash_seed():

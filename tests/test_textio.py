@@ -254,7 +254,11 @@ with open(os.path.join(CORPUS, "algebras", "c2.alg"), encoding="utf-8") as fh:
     ("object v\nbackend graded c2 chi\n" + GROUP_C2 + BICHAR_CHI
      + GROUP_C2.replace("group c2", "group c2b") + "dim 1\nbasis v\n",
      "line 10: group 'c2b' is not named by the backend line"),
-], ids=["vec_group", "yd_bichar", "graded_second_group"])
+    # of several unnamed blocks, the first in file order is reported
+    ("object v\nbackend vec\nbichar chi\ntable 1\ngroup z\nelements e\ntable e\n"
+     "dim 1\nbasis v\n",
+     "line 3: bichar 'chi' is not named by the backend line"),
+], ids=["vec_group", "yd_bichar", "graded_second_group", "vec_bichar_before_group"])
 def test_a_block_the_backend_line_does_not_name_is_a_parse_error(text, message):
     # rendering writes back only the named blocks, so another one would be lost
     with pytest.raises(ParseError) as err:
