@@ -4,11 +4,23 @@
 and ``HopfAlgebra`` (s).  Axiom status is always computed, never assumed:
 every verifier returns a list of CheckResults, one exact matrix identity
 each, and never aborts on the first failure.
+
+Associativity is decided by Light's test (Clifford and Preston, *The
+Algebraic Theory of Semigroups* I, 1961).  For any bilinear product m on A,
+T = {a : (xa)y = x(ay) for all x, y} is a subspace closed under m: for b, c
+in T, (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) = x((bc)y).  So when the
+left-normed words ((s1 s2) s3)... in a set S span A, (xs)y = x(sy) for s in
+S and basis x, y proves associativity, with |S| n^2 columns instead of n^3.
+``generating_set`` picks S greedily from the basis, each e_j not yet in that
+span; at worst S is the whole basis.  The reduced identity's columns are
+columns of the full one, so the two verdicts agree; a failure is reported
+by the full scan, whose witness is the first failing column of (xy)z = x(yz).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .category import Backend, CatObject, Morphism
 from .linalg import Formula, Matrix, compose, kron, map_system, pipeline, solve_affine
@@ -55,11 +67,74 @@ def make_bialgebra(backend: Backend, carrier: CatObject,
     return HopfAlgebra(*args, Morphism(carrier, carrier, s))
 
 
+def generating_set(m: Matrix) -> list[int]:
+    """Basis indices S whose left-normed words span the algebra of m.
+
+    Walks the basis in order and takes e_j when it is not in the span W of
+    the left-normed words in the S so far.  W is kept as an exact echelon
+    basis, {leading index: vector with leading entry 1}, closed under right
+    multiplication by every s in S.
+    """
+    n = m.rows
+    ida = Matrix.identity(n)
+    echelon: dict[int, dict] = {}
+    right: list[Matrix] = []          # x -> x e_s, one matrix per s in S
+    gens: list[int] = []
+
+    def reduce(vec: dict) -> dict:
+        """vec minus a combination of W's vectors, empty iff vec is in W."""
+        vec = dict(vec)
+        while vec:
+            lead = min(vec)
+            if lead not in echelon:
+                break
+            f = vec[lead]
+            for j, x in echelon[lead].items():
+                nv = vec.get(j, 0) - f * x
+                if nv:
+                    vec[j] = nv
+                else:
+                    del vec[j]
+        return vec
+
+    for j in range(n):
+        if len(echelon) == n:
+            break
+        if not reduce({j: 1}):
+            continue
+        gens.append(j)
+        right.append(pipeline((ida, Matrix(n, 1, [{j: 1}])), m))
+        # e_j, then W e_j: W is already closed under the earlier generators
+        todo = [{j: 1}, *(right[-1] * Matrix(n, len(echelon), list(echelon.values()))).columns()]
+        while todo:
+            rest = reduce(todo.pop())
+            if not rest:
+                continue
+            lead = min(rest)
+            if rest[lead] != 1:
+                rest = {i: Fraction(x) / rest[lead] for i, x in rest.items()}
+            echelon[lead] = rest
+            todo.extend((r * Matrix(n, 1, [rest])).column(0) for r in right)
+    return gens
+
+
+def associativity_check(m: Matrix) -> CheckResult:
+    """(xy)z = x(yz), decided on the generating set (module docstring)."""
+    ida = Matrix.identity(m.rows)
+    gens = generating_set(m)
+    g = Matrix(m.rows, len(gens), [{s: 1} for s in gens])
+    mg, gm = pipeline((ida, g), m), pipeline((g, ida), m)
+    reduced = eq_check("algebra_associativity", Formula((mg, ida), m), Formula((ida, gm), m))
+    if not reduced.failed():
+        return reduced
+    return eq_check("algebra_associativity", Formula((m, ida), m), Formula((ida, m), m))
+
+
 def verify_algebra(a: BraidedBialgebra) -> list[CheckResult]:
     m, u = a.m.mat, a.u.mat
     ida = Matrix.identity(a.dim)
     return [
-        eq_check("algebra_associativity", Formula((m, ida), m), Formula((ida, m), m)),
+        associativity_check(m),
         eq_check("algebra_unit_left", Formula((u, ida), m), ida),
         eq_check("algebra_unit_right", Formula((ida, u), m), ida),
     ]

@@ -10,8 +10,10 @@ semantics (a rows x cols grid) but store one ``{row: value}`` dict per
 column, which keeps the large Kronecker composites arising from tensor
 formulas cheap.
 
-``_eliminate`` is the only row reduction: rank, inverse, kernels, equalizers
-and every solve go through it.  It works on sparse ``{col: value}`` rows.
+``_eliminate`` is the only row reduction of a matrix: rank, inverse,
+kernels, equalizers and every solve go through it.  (``hopf.generating_set``
+grows an echelon basis one vector at a time, for span membership.)  It works
+on sparse ``{col: value}`` rows.
 Its pivot rule: leftmost pivot columns; the row with the fewest entries;
 outputs are the unique reduced form.  Which row carries a pivot changes no
 result, because the reduced row echelon form is unique, so identical inputs

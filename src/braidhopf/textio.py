@@ -229,13 +229,14 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
         elems = g["elements"]
         if len(g["table"]) != len(elems):
             raise ParseError(g["line"], f"group {gname} needs one table row per element")
+        index = {t: k for k, t in enumerate(elems)}
         table = []
         for tline, row in g["table"]:
             if len(row) != len(elems):
                 raise ParseError(tline, "table row of wrong length")
             try:
-                table.append([elems.index(t) for t in row])
-            except ValueError:
+                table.append([index[t] for t in row])
+            except KeyError:
                 raise ParseError(tline, "table entry is not a declared element")
         try:
             groups[gname] = FiniteGroup.from_table(gname, elems, table)

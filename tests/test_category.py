@@ -26,6 +26,19 @@ def test_group_law_is_verified():
         FiniteGroup.from_table("bad", ["e", "a"], [[0, 1], [1, 1]])
 
 
+# an order-5 loop: a Latin square with identity e and inverses, not associative
+L5_TABLE = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_a_loop_names_its_first_non_associative_triple():
+    # the unit alone passes (x e) y = x (e y); a and b must be checked too
+    assert all(L5_TABLE[L5_TABLE[x][0]][y] == L5_TABLE[x][L5_TABLE[0][y]]
+               for x in range(5) for y in range(5))
+    with pytest.raises(ValueError) as err:
+        FiniteGroup.from_table("L5", list("eabcd"), L5_TABLE)
+    assert str(err.value) == "group L5: associativity fails at (a,a,b)"
+
+
 def test_s3_has_expected_relations():
     g = s3_group()
     c, t = g.index("c"), g.index("t")

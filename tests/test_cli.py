@@ -178,6 +178,19 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "line 5" in capsys.readouterr().err
 
 
+def test_a_non_associative_group_block_is_bad_input(tmp_path, capsys):
+    # the order-5 loop of test_category.py: identity e, inverses, no associativity
+    bad = tmp_path / "loop.alg"
+    bad.write_text("hopf line\nbackend yd L5\ngroup L5\nelements e a b c d\n"
+                   "table e a b c d\ntable a e c d b\ntable b d e a c\n"
+                   "table c b d e a\ntable d c a b e\ndim 1\nbasis z\ngrade z -> e\n"
+                   "mul z z -> z 1\nunit -> z 1\ncomul z -> z z 1\ncounit z -> 1\n"
+                   "antipode z -> z 1\n", encoding="utf-8")
+    assert main(["check", "hopf", str(bad)]) == 2
+    assert (capsys.readouterr().err
+            == "error: line 3: group L5: associativity fails at (a,a,b)\n")
+
+
 def test_super_grade_is_a_parity_group_element(tmp_path, capsys):
     with open(corpus("algebras", "ext_super.alg"), encoding="utf-8") as fh:
         text = fh.read()

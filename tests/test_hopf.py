@@ -1,15 +1,17 @@
 import pytest
 
 from braidhopf.builders import (cyclic_group, exterior_line, group_algebra,
-                                s3_group, sweedler_h4)
+                                s3_group, sweedler_h4, symmetric_group)
 from braidhopf.category import SUPER, VEC
-from braidhopf.hopf import (build_cosep_section, full_axiom_report,
+from braidhopf.hopf import (associativity_check, build_cosep_section,
+                            full_axiom_report, generating_set,
                             integral_from_section, is_cocommutative,
                             make_bialgebra,
                             solve_total_integral, verify_algebra,
                             verify_antipode, verify_bialgebra,
                             verify_coalgebra, verify_cosep_section)
-from braidhopf.linalg import Matrix
+from braidhopf.linalg import Formula, Matrix
+from braidhopf.report import eq_check
 
 
 def all_pass(checks):
@@ -56,6 +58,41 @@ def test_corrupted_multiplication_breaks_associativity(h4):
                          h4.u.mat, h4.delta.mat, h4.eps.mat, h4.s.mat)
     names = failing_names(verify_algebra(bad))
     assert "algebra_associativity" in names
+
+
+# -- associativity on a generating set (Light's test) -------------------------
+
+def full_associativity_scan(m):
+    ida = Matrix.identity(m.rows)
+    return eq_check("algebra_associativity", Formula((m, ida), m), Formula((ida, m), m))
+
+
+def test_the_unit_alone_does_not_certify_associativity():
+    # basis 1, a, b with 1 a two-sided unit, ab = 1 and every other product of
+    # a and b zero: (ab)a = a but a(ba) = 0
+    m = Matrix.from_entries(3, 9, [(0, 0, 1), (1, 1, 1), (2, 2, 1),
+                                   (1, 3, 1), (2, 6, 1), (0, 1 * 3 + 2, 1)])
+    ida, unit = Matrix.identity(3), Matrix(3, 1, [{0: 1}])
+    # the reduced identity over S = {1} alone passes, since 1 is a unit ...
+    assert eq_check("s", Formula((ida, unit, ida), (m, ida), m),
+                    Formula((ida, unit, ida), (ida, m), m)).status == "pass"
+    # ... but the words in {1} do not span, so the certificate takes a and b too
+    assert generating_set(m) == [0, 1, 2]
+    check = associativity_check(m)
+    assert check.status == "fail"
+    assert check == full_associativity_scan(m)
+    assert check.witness == "(1,14):lhs=0:rhs=1"     # (a a) b = 0, a (a b) = a
+
+
+def test_a_cyclic_group_algebra_is_generated_by_the_unit_and_one_element():
+    assert generating_set(group_algebra(cyclic_group(32)).m.mat) == [0, 1]
+
+
+def test_ks5_passes_its_axiom_suite_on_a_small_generating_set():
+    ks5 = group_algebra(symmetric_group(5))
+    assert len(generating_set(ks5.m.mat)) < 120
+    checks = verify_bialgebra(ks5) + verify_antipode(ks5)
+    assert len(checks) == 17 and all_pass(checks)
 
 
 def test_exterior_line_passes_in_super():

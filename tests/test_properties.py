@@ -2,15 +2,17 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from braidhopf.builders import cyclic_group, group_algebra
+from braidhopf.builders import cyclic_group, group_algebra, sweedler_h4
 from braidhopf.category import (CatObject, SUPER, VEC, YetterDrinfeldBackend,
                                 verify_braiding_axioms)
 from braidhopf.filtration import b_adic_filtration, coradical
-from braidhopf.hopf import full_axiom_report, is_cocommutative, solve_total_integral
-from braidhopf.linalg import Matrix, kron
+from braidhopf.hopf import (associativity_check, full_axiom_report, generating_set,
+                            is_cocommutative, solve_total_integral)
+from braidhopf.linalg import Formula, Matrix, kron
+from braidhopf.report import eq_check
 
 
 def all_pass(checks):
@@ -107,3 +109,89 @@ def test_flip_braiding_matches_kron_transpose_rule(dx, dy):
     b = Matrix.from_rows([[Fraction(3 * i + j + 2) for j in range(dy)] for i in range(dy)])
     # naturality of the flip: c (a (x) b) = (b (x) a) c
     assert c * kron(a, b) == kron(b, a) * c
+
+
+# -- associativity on a generating set equals the full scan ---------------------
+
+def assert_reduced_equals_full(m):
+    """The generating-set verdict is the n^3 scan's, witness bytes included."""
+    ida = Matrix.identity(m.rows)
+    full = eq_check("algebra_associativity", Formula((m, ida), m), Formula((ida, m), m))
+    assert associativity_check(m) == full
+    return full
+
+
+def product_from(n, coeffs):
+    """The product with e_i e_j = sum_k coeffs[(i * n + j) * n + k] e_k."""
+    return Matrix.from_entries(n, n * n, ((c % n, c // n, v) for c, v in enumerate(coeffs) if v))
+
+
+@st.composite
+def random_products(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    coeffs = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=n ** 3,
+                           max_size=n ** 3))
+    return product_from(n, coeffs)
+
+
+@given(random_products())
+@settings(max_examples=200, deadline=None)
+def test_reduced_associativity_equals_the_full_scan_on_random_products(m):
+    assert_reduced_equals_full(m)
+
+
+# e11, e12, e22: upper-triangular 2 x 2 matrices
+UT2 = Matrix.from_entries(3, 9, [(0, 0, 1), (1, 1, 1), (1, 5, 1), (2, 8, 1)])
+ASSOCIATIVE = [group_algebra(cyclic_group(3)).m.mat, sweedler_h4().m.mat, UT2]
+
+
+@st.composite
+def changed_bases(draw):
+    m = draw(st.sampled_from(ASSOCIATIVE))
+    n = m.rows
+    # the identity keeps the sparse basis, where the first failures of the
+    # reduced and the full identity lie in different columns
+    p = draw(st.just(Matrix.identity(n)) | st.builds(Matrix.from_rows, st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+    p_inv = p.inverse()
+    assume(p_inv is not None)
+    # x . y = P^-1 m(Px (x) Py): the same algebra in the basis P e_1, ..., P e_n
+    changed = p_inv * (m * kron(p, p))
+    entry = draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n * n - 1),
+                                       st.sampled_from([1, -1, Fraction(1, 3)])))
+    if entry is not None:
+        changed = changed + Matrix.from_entries(n, n * n, [entry])
+    return changed, entry is None
+
+
+@given(changed_bases())
+@settings(max_examples=100, deadline=None)
+def test_reduced_associativity_equals_the_full_scan_after_a_change_of_basis(case):
+    m, unperturbed = case
+    full = assert_reduced_equals_full(m)
+    if unperturbed:
+        assert full.status == "pass"
+
+
+@st.composite
+def nilpotent_products(draw):
+    # e_i e_j lies in the span of e_k, k > max(i, j): nilpotent, without unit,
+    # and associative or not
+    n = draw(st.integers(min_value=1, max_value=4))
+    coeffs = [draw(st.sampled_from([0, 1, -1, 2])) if k > max(i, j) else 0
+              for i in range(n) for j in range(n) for k in range(n)]
+    return product_from(n, coeffs)
+
+
+@given(nilpotent_products())
+@settings(max_examples=100, deadline=None)
+def test_reduced_associativity_equals_the_full_scan_on_nilpotent_products(m):
+    assert_reduced_equals_full(m)
+
+
+@given(st.integers(min_value=1, max_value=4))
+@settings(max_examples=4, deadline=None)
+def test_the_zero_product_needs_the_whole_basis(n):
+    m = Matrix(n, n * n, [{} for _ in range(n * n)])
+    assert generating_set(m) == list(range(n))
+    assert assert_reduced_equals_full(m).status == "pass"

@@ -232,6 +232,17 @@ def test_a_repeated_declaration_is_a_parse_error(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("table, message", [
+    ("table e g\ntable g q\n", "line 6: table entry is not a declared element"),
+    ("table e g\ntable g\n", "line 6: table row of wrong length"),
+], ids=["undeclared", "short_row"])
+def test_a_bad_group_table_row_names_its_line(table, message):
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file("object v\nbackend yd c2\ngroup c2\nelements e g\n" + table
+                           + "dim 1\nbasis v\n")
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("name", ["a.b", "->"])
 def test_a_basis_name_with_a_dot_or_named_arrow_is_a_parse_error(name):
     # tensor basis names are dotted pairs, so B = {a, a.b} and R = {b.c, c}
