@@ -38,7 +38,7 @@ class FiniteGroup:
         inverses, and is associative.
 
         Associativity is Light's test: the set T of elements a with
-        (x a) y = x (a y) for all x, y is closed under the product, so when
+        (a x) y = a (x y) for all x, y is closed under the product, so when
         the left-normed words ((s1 s2) s3)... in a set S reach every element,
         checking s in S alone suffices.  S is chosen greedily, each element
         in table order that the words in the S so far do not reach.  When
@@ -79,8 +79,8 @@ class FiniteGroup:
                 if w not in reached:
                     reached.add(w)
                     todo.extend(table[w][s] for s in gens)
-        if not all(table[table[i][s]][k] == table[i][table[s][k]]
-                   for i in range(n) for s in gens for k in range(n)):
+        if not all(table[table[s][j]][k] == table[s][table[j][k]]
+                   for s in gens for j in range(n) for k in range(n)):
             i, j, k = next((i, j, k) for i in range(n) for j in range(n) for k in range(n)
                            if table[table[i][j]][k] != table[i][table[j][k]])
             raise ValueError(f"group {name}: associativity fails at "

@@ -7,14 +7,15 @@ each, and never aborts on the first failure.
 
 Associativity is decided by Light's test (Clifford and Preston, *The
 Algebraic Theory of Semigroups* I, 1961).  For any bilinear product m on A,
-T = {a : (xa)y = x(ay) for all x, y} is a subspace closed under m: for b, c
-in T, (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) = x((bc)y).  So when the
-left-normed words ((s1 s2) s3)... in a set S span A, (xs)y = x(sy) for s in
-S and basis x, y proves associativity, with |S| n^2 columns instead of n^3.
-``generating_set`` picks S greedily from the basis, each e_j not yet in that
-span; at worst S is the whole basis.  The reduced identity's columns are
-columns of the full one, so the two verdicts agree; a failure is reported
-by the full scan, whose witness is the first failing column of (xy)z = x(yz).
+the left nucleus T = {a : (ax)y = a(xy) for all x, y} is a subspace closed
+under m: for b, c in T, ((bc)x)y = (b(cx))y = b((cx)y) = b(c(xy)) = (bc)(xy).
+So when the left-normed words ((s1 s2) s3)... in a set S span A,
+(sx)y = s(xy) for s in S and basis x, y proves associativity, with |S| n^2
+columns instead of n^3.  ``generating_set`` picks S greedily from the basis,
+each e_j not yet in that span; at worst S is the whole basis.  The reduced
+identity is the full one read only at the columns (s, x, y), s in S, so the
+two verdicts agree; a failure is reported by the full scan, whose witness is
+the first failing column of (xy)z = x(yz).
 """
 
 from __future__ import annotations
@@ -67,55 +68,91 @@ def make_bialgebra(backend: Backend, carrier: CatObject,
     return HopfAlgebra(*args, Morphism(carrier, carrier, s))
 
 
-def generating_set(m: Matrix) -> list[int]:
-    """Basis indices S whose left-normed words span the algebra of m.
+def _reduced(vec: dict, echelon: dict[int, dict]) -> dict:
+    """vec minus a combination of the echelon basis {leading index: vector
+    with leading entry 1}; empty iff vec lies in its span."""
+    vec = dict(vec)
+    while vec:
+        lead = min(vec)
+        if lead not in echelon:
+            break
+        f = vec[lead]
+        for j, x in echelon[lead].items():
+            nv = vec.get(j, 0) - f * x
+            if nv:
+                vec[j] = nv
+            else:
+                del vec[j]
+    return vec
 
-    Walks the basis in order and takes e_j when it is not in the span W of
-    the left-normed words in the S so far.  W is kept as an exact echelon
-    basis, {leading index: vector with leading entry 1}, closed under right
-    multiplication by every s in S.
+
+def _extend(vec: dict, echelon: dict[int, dict]) -> dict:
+    """Adds vec to the echelon basis; returns the vector added ({} if vec
+    was in the span already)."""
+    rest = _reduced(vec, echelon)
+    if rest:
+        lead = min(rest)
+        if rest[lead] != 1:
+            rest = {i: Fraction(x) / rest[lead] for i, x in rest.items()}
+        echelon[lead] = rest
+    return rest
+
+
+def generating_set(m: Matrix) -> list[int]:
+    """Basis indices S whose left-normed words span the algebra of m, ascending.
+
+    Takes e_j greedily when it is not in the span W of the left-normed words
+    in the S so far, W kept as an echelon basis closed under right
+    multiplication by every s in S.  The candidates are tried in an order
+    read off the products rather than the labels: first the e_j whose powers
+    e_j, e_j e_j, (e_j e_j) e_j, ... span most, then those in the most
+    nonzero products e_x e_j and e_j e_x, then by index.  So a generator of
+    a cyclic group comes before its powers, and renaming the basis leaves
+    |S|, and with it the cost of the check, as it was.
     """
     n = m.rows
-    ida = Matrix.identity(n)
-    echelon: dict[int, dict] = {}
-    right: list[Matrix] = []          # x -> x e_s, one matrix per s in S
-    gens: list[int] = []
+    prods = list(m.columns())            # prods[x * n + y] = e_x e_y
 
-    def reduce(vec: dict) -> dict:
-        """vec minus a combination of W's vectors, empty iff vec is in W."""
-        vec = dict(vec)
-        while vec:
-            lead = min(vec)
-            if lead not in echelon:
-                break
-            f = vec[lead]
-            for j, x in echelon[lead].items():
-                nv = vec.get(j, 0) - f * x
+    def times(vec: dict, j: int) -> dict:
+        """vec e_j"""
+        out: dict = {}
+        for x, c in vec.items():
+            for i, v in prods[x * n + j].items():
+                nv = out.get(i, 0) + c * v
                 if nv:
-                    vec[j] = nv
+                    out[i] = nv
                 else:
-                    del vec[j]
-        return vec
+                    del out[i]
+        return out
 
+    powers = []
     for j in range(n):
+        span: dict[int, dict] = {}
+        vec = _extend({j: 1}, span)
+        while vec:
+            vec = _extend(times(vec, j), span)
+        powers.append(len(span))
+    involved = [0] * n
+    for xy, col in enumerate(prods):
+        if col:
+            involved[xy // n] += 1
+            involved[xy % n] += 1
+
+    echelon: dict[int, dict] = {}
+    gens: list[int] = []
+    for j in sorted(range(n), key=lambda j: (-powers[j], -involved[j], j)):
         if len(echelon) == n:
             break
-        if not reduce({j: 1}):
+        if not _reduced({j: 1}, echelon):
             continue
         gens.append(j)
-        right.append(pipeline((ida, Matrix(n, 1, [{j: 1}])), m))
         # e_j, then W e_j: W is already closed under the earlier generators
-        todo = [{j: 1}, *(right[-1] * Matrix(n, len(echelon), list(echelon.values()))).columns()]
+        todo = [{j: 1}, *(times(w, j) for w in echelon.values())]
         while todo:
-            rest = reduce(todo.pop())
-            if not rest:
-                continue
-            lead = min(rest)
-            if rest[lead] != 1:
-                rest = {i: Fraction(x) / rest[lead] for i, x in rest.items()}
-            echelon[lead] = rest
-            todo.extend((r * Matrix(n, 1, [rest])).column(0) for r in right)
-    return gens
+            added = _extend(todo.pop(), echelon)
+            if added:
+                todo.extend(times(added, s) for s in gens)
+    return sorted(gens)
 
 
 def associativity_check(m: Matrix) -> CheckResult:
@@ -123,8 +160,8 @@ def associativity_check(m: Matrix) -> CheckResult:
     ida = Matrix.identity(m.rows)
     gens = generating_set(m)
     g = Matrix(m.rows, len(gens), [{s: 1} for s in gens])
-    mg, gm = pipeline((ida, g), m), pipeline((g, ida), m)
-    reduced = eq_check("algebra_associativity", Formula((mg, ida), m), Formula((ida, gm), m))
+    reduced = eq_check("algebra_associativity",
+                       Formula((pipeline((g, ida), m), ida), m), Formula((g, m), m))
     if not reduced.failed():
         return reduced
     return eq_check("algebra_associativity", Formula((m, ida), m), Formula((ida, m), m))

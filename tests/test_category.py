@@ -31,8 +31,8 @@ L5_TABLE = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], 
 
 
 def test_a_loop_names_its_first_non_associative_triple():
-    # the unit alone passes (x e) y = x (e y); a and b must be checked too
-    assert all(L5_TABLE[L5_TABLE[x][0]][y] == L5_TABLE[x][L5_TABLE[0][y]]
+    # the unit alone passes (e x) y = e (x y); a and b must be checked too
+    assert all(L5_TABLE[L5_TABLE[0][x]][y] == L5_TABLE[0][L5_TABLE[x][y]]
                for x in range(5) for y in range(5))
     with pytest.raises(ValueError) as err:
         FiniteGroup.from_table("L5", list("eabcd"), L5_TABLE)

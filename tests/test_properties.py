@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from braidhopf.builders import cyclic_group, group_algebra, sweedler_h4
+from braidhopf.builders import cyclic_group, group_algebra, sweedler_h4, symmetric_group
 from braidhopf.category import (CatObject, SUPER, VEC, YetterDrinfeldBackend,
                                 verify_braiding_axioms)
 from braidhopf.filtration import b_adic_filtration, coradical
@@ -195,3 +195,39 @@ def test_the_zero_product_needs_the_whole_basis(n):
     m = Matrix(n, n * n, [{} for _ in range(n * n)])
     assert generating_set(m) == list(range(n))
     assert assert_reduced_equals_full(m).status == "pass"
+
+
+def tensor_cube(m):
+    """The product of A (x) A (x) A, factor by factor: (x y z)(x' y' z') = xx' yy' zz'."""
+    n = m.rows
+    prods = list(m.columns())
+    entries = []
+    for a, b, c in ((a, b, c) for a in range(n * n) for b in range(n * n) for c in range(n * n)):
+        (x, x2), (y, y2), (z, z2) = divmod(a, n), divmod(b, n), divmod(c, n)
+        col = ((x * n + y) * n + z) * n ** 3 + (x2 * n + y2) * n + z2
+        entries += [((i * n + j) * n + k, col, u * v * w) for i, u in prods[a].items()
+                    for j, v in prods[b].items() for k, w in prods[c].items()]
+    return Matrix.from_entries(n ** 3, n ** 6, entries)
+
+
+def renamed(m, perm):
+    """The product m with basis vector j renamed perm[j]."""
+    n = m.rows
+    return Matrix.from_entries(n, n * n, ((perm[i], perm[xy // n] * n + perm[xy % n], v)
+                                          for xy, col in enumerate(m.columns())
+                                          for i, v in col.items()))
+
+
+# (product, |S|): one generator of C32; two 4-cycles from different cyclic
+# subgroups of S4; g and x in each factor of h4 (x) h4 (x) h4
+GENERATED = [(group_algebra(cyclic_group(32)).m.mat, 1),
+             (group_algebra(symmetric_group(4)).m.mat, 2),
+             (tensor_cube(sweedler_h4().m.mat), 6)]
+
+
+@given(st.sampled_from(GENERATED).flatmap(
+    lambda case: st.tuples(st.just(case), st.permutations(range(case[0].rows)))))
+@settings(max_examples=30, deadline=None)
+def test_renaming_the_basis_keeps_the_size_of_the_generating_set(case):
+    (m, size), perm = case
+    assert len(generating_set(renamed(m, perm))) == size
