@@ -11,20 +11,20 @@ the left nucleus T = {a : (ax)y = a(xy) for all x, y} is a subspace closed
 under m: for b, c in T, ((bc)x)y = (b(cx))y = b((cx)y) = b(c(xy)) = (bc)(xy).
 So when the left-normed words ((s1 s2) s3)... in a set S span A,
 (sx)y = s(xy) for s in S and basis x, y proves associativity, with |S| n^2
-columns instead of n^3.  ``generating_set`` picks S greedily from the basis,
-each e_j not yet in that span; at worst S is the whole basis.  The reduced
-identity is the full one read only at the columns (s, x, y), s in S, so the
-two verdicts agree; a failure is reported by the full scan, whose witness is
-the first failing column of (xy)z = x(yz).
+columns instead of n^3.  ``linalg.generating_set`` picks S greedily from the
+basis, each e_j not yet in that span; at worst S is the whole basis.  The
+reduced identity is the full one read only at the columns (s, x, y), s in S,
+so the two verdicts agree; a failure is reported by the full scan, whose
+witness is the first failing column of (xy)z = x(yz).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .category import Backend, CatObject, Morphism
-from .linalg import Formula, Matrix, compose, kron, map_system, pipeline, solve_affine
+from .linalg import (Formula, Matrix, compose, generating_set, kron, map_system, pipeline,
+                     solve_affine)
 from .report import CheckResult, eq_check, merge_checks
 
 
@@ -66,93 +66,6 @@ def make_bialgebra(backend: Backend, carrier: CatObject,
     if s is None:
         return BraidedBialgebra(*args)
     return HopfAlgebra(*args, Morphism(carrier, carrier, s))
-
-
-def _reduced(vec: dict, echelon: dict[int, dict]) -> dict:
-    """vec minus a combination of the echelon basis {leading index: vector
-    with leading entry 1}; empty iff vec lies in its span."""
-    vec = dict(vec)
-    while vec:
-        lead = min(vec)
-        if lead not in echelon:
-            break
-        f = vec[lead]
-        for j, x in echelon[lead].items():
-            nv = vec.get(j, 0) - f * x
-            if nv:
-                vec[j] = nv
-            else:
-                del vec[j]
-    return vec
-
-
-def _extend(vec: dict, echelon: dict[int, dict]) -> dict:
-    """Adds vec to the echelon basis; returns the vector added ({} if vec
-    was in the span already)."""
-    rest = _reduced(vec, echelon)
-    if rest:
-        lead = min(rest)
-        if rest[lead] != 1:
-            rest = {i: Fraction(x) / rest[lead] for i, x in rest.items()}
-        echelon[lead] = rest
-    return rest
-
-
-def generating_set(m: Matrix) -> list[int]:
-    """Basis indices S whose left-normed words span the algebra of m, ascending.
-
-    Takes e_j greedily when it is not in the span W of the left-normed words
-    in the S so far, W kept as an echelon basis closed under right
-    multiplication by every s in S.  The candidates are tried in an order
-    read off the products rather than the labels: first the e_j whose powers
-    e_j, e_j e_j, (e_j e_j) e_j, ... span most, then those in the most
-    nonzero products e_x e_j and e_j e_x, then by index.  So a generator of
-    a cyclic group comes before its powers, and renaming the basis leaves
-    |S|, and with it the cost of the check, as it was.
-    """
-    n = m.rows
-    prods = list(m.columns())            # prods[x * n + y] = e_x e_y
-
-    def times(vec: dict, j: int) -> dict:
-        """vec e_j"""
-        out: dict = {}
-        for x, c in vec.items():
-            for i, v in prods[x * n + j].items():
-                nv = out.get(i, 0) + c * v
-                if nv:
-                    out[i] = nv
-                else:
-                    del out[i]
-        return out
-
-    powers = []
-    for j in range(n):
-        span: dict[int, dict] = {}
-        vec = _extend({j: 1}, span)
-        while vec:
-            vec = _extend(times(vec, j), span)
-        powers.append(len(span))
-    involved = [0] * n
-    for xy, col in enumerate(prods):
-        if col:
-            involved[xy // n] += 1
-            involved[xy % n] += 1
-
-    echelon: dict[int, dict] = {}
-    gens: list[int] = []
-    for j in sorted(range(n), key=lambda j: (-powers[j], -involved[j], j)):
-        if len(echelon) == n:
-            break
-        if not _reduced({j: 1}, echelon):
-            continue
-        gens.append(j)
-        # e_j, then W e_j: W is already closed under the earlier generators
-        todo = [{j: 1}, *(times(w, j) for w in echelon.values())]
-        while todo:
-            added = _extend(todo.pop(), echelon)
-            if added:
-                todo.extend(times(added, s) for s in gens)
-    return sorted(gens)
 
 
 def associativity_check(m: Matrix) -> CheckResult:

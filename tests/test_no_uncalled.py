@@ -1,7 +1,7 @@
 """Every function, class and method of the package has a caller, every
 field of a package dataclass has a reader, every parameter of a package
-function is read in its body, and every parameter default is overridden by
-some call.
+function is read in its body, every parameter default is overridden by
+some call, and every name a package module imports is read in it.
 
 A definition counts as used when its name occurs in the code of src/,
 scripts/ or perfbench/ more often than it is defined there; a field counts as
@@ -156,3 +156,24 @@ def test_every_defaulted_parameter_is_passed():
                     if fn not in ALLOWED
                     and not any(called_name(c) == fn and passes(c, p, position) for c in calls)]
     assert never_passed == []
+
+
+def imports_never_read():
+    """(module, name) for each name a package module other than ``__init__``
+    imports and never reads; ``__init__`` imports to re-export."""
+    for f in sorted(os.listdir(PACKAGE)):
+        if not f.endswith(".py") or f == "__init__.py":
+            continue
+        with open(os.path.join(PACKAGE, f), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = [alias.asname or alias.name.partition(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        yield from ((f, name) for name in imported if name not in read)
+
+
+def test_every_imported_name_is_read():
+    assert list(imports_never_read()) == []

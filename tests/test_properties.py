@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -187,6 +188,35 @@ def nilpotent_products(draw):
 @settings(max_examples=100, deadline=None)
 def test_reduced_associativity_equals_the_full_scan_on_nilpotent_products(m):
     assert_reduced_equals_full(m)
+
+
+def left_normed_word_rank(m, gens):
+    """sympy's rank of the left-normed words e_s, e_s e_t, (e_s e_t) e_u, ...
+    in gens, without the package's echelon.
+
+    A word is kept when it raises the rank of the words kept so far, and
+    only kept words are multiplied further: a word in their span is a
+    combination of kept words, and so is its product with any e_s.
+    """
+    sympy = pytest.importorskip("sympy")
+    n = m.rows
+    prods = sympy.Matrix(n, n * n, lambda i, j: sympy.Rational(m.entry(i, j).numerator,
+                                                                 m.entry(i, j).denominator))
+    kept = []
+    todo = [sympy.eye(n)[:, s] for s in gens]
+    while todo:
+        word = todo.pop()
+        if sympy.Matrix.hstack(*kept, word).rank() > len(kept):
+            kept.append(word)
+            todo += [sum((word[x] * prods[:, x * n + s] for x in range(n)), sympy.zeros(n, 1))
+                     for s in gens]
+    return len(kept)
+
+
+@given(random_products() | nilpotent_products() | changed_bases().map(lambda case: case[0]))
+@settings(max_examples=200, deadline=None)
+def test_the_left_normed_words_in_the_generating_set_span_the_algebra(m):
+    assert left_normed_word_rank(m, generating_set(m)) == m.rows
 
 
 @given(st.integers(min_value=1, max_value=4))
