@@ -46,7 +46,7 @@ rows of the system and their negated constants the right-hand side
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, islice
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -143,17 +143,19 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
-    def first_difference(self, other: "Matrix | Formula") -> tuple | None:
+    def first_difference(self, other: "Matrix | Formula",
+                         stop: int | None = None) -> tuple | None:
         """The first differing entry in column-major order, as (i, j, self's
-        entry, other's entry), or None when the two agree.
+        entry, other's entry), or None when the two agree; given stop, only
+        the columns before column stop are compared.
 
         Either operand may be a Formula (call ``Matrix.first_difference(f, g)``
         for a Formula on the left): the scan holds one column of each and
-        evaluates no column after the first one that differs.
+        evaluates no column after the first one that differs, nor column stop.
         """
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        for j, (a, b) in enumerate(zip(self.columns(), other.columns())):
+        for j, (a, b) in enumerate(islice(zip(self.columns(), other.columns()), stop)):
             if a == b:
                 continue
             for i in sorted(a.keys() | b.keys()):

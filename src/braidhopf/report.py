@@ -33,7 +33,14 @@ def eq_check(name: str, lhs: Matrix | Formula, rhs: Matrix | Formula, *,
     never held whole.  A failure's witness is ``(i,j):lhs=a:rhs=b``, the first
     differing entry in column-major order.
     """
-    diff = Matrix.first_difference(lhs, rhs)
+    return difference_check(name, Matrix.first_difference(lhs, rhs),
+                            informational=informational)
+
+
+def difference_check(name: str, diff: tuple | None, *,
+                     informational: bool = False) -> CheckResult:
+    """The result of a comparison whose first difference, as
+    ``Matrix.first_difference`` returns it, is diff (None: no difference)."""
     if diff is None:
         return CheckResult(name, "pass", informational=informational)
     i, j, a, b = diff

@@ -1,8 +1,9 @@
 import pytest
 
+from braidhopf import hopf
 from braidhopf.builders import (cyclic_group, exterior_line, group_algebra,
                                 s3_group, sweedler_h4, symmetric_group)
-from braidhopf.category import SUPER, VEC
+from braidhopf.category import SUPER, VEC, CatObject, YetterDrinfeldBackend
 from braidhopf.hopf import (associativity_check, build_cosep_section,
                             full_axiom_report, generating_set,
                             integral_from_section, is_cocommutative,
@@ -94,6 +95,108 @@ def test_ks5_passes_its_axiom_suite_on_a_small_generating_set():
     assert len(generating_set(ks5.m.mat)) < 120
     checks = verify_bialgebra(ks5) + verify_antipode(ks5)
     assert len(checks) == 17 and all_pass(checks)
+
+
+# -- identities multiplicative in one argument, on the generating set ----------
+
+KC3 = group_algebra(cyclic_group(3))
+
+
+def c3_with(backend=VEC, carrier=None, m=None, delta=None, s=None):
+    """kC3 on 1, g, g^2, with any of its data replaced."""
+    return make_bialgebra(backend, carrier or KC3.carrier, m or KC3.m.mat, KC3.u.mat,
+                          delta or KC3.delta.mat, KC3.eps.mat, s or KC3.s.mat)
+
+
+# g^2 g^2 = 2g: not associative, and Delta is multiplicative on S = {g} only
+SKEWED = corrupt(KC3.m.mat, 1, 8, 1)
+# the automorphism g <-> g^2 of C3, and a map that does not commute with it
+INVERT = Matrix.from_entries(3, 3, [(0, 0, 1), (2, 1, 1), (1, 2, 1)])
+SWAP_1_G = Matrix.from_entries(3, 3, [(1, 0, 1), (0, 1, 1), (2, 2, 1)])
+YD_C2 = YetterDrinfeldBackend(cyclic_group(2))
+
+# case -> (algebra, the checks whose preconditions fail)
+PRECONDITION_CASES = {
+    "all hold": (c3_with(), set()),
+    "m not associative": (c3_with(m=SKEWED), {"bialgebra_compatibility", "counit_multiplicative",
+                                              "antipode_anti_multiplicative", "right_linear"}),
+    # g g = g^2 lands in the wrong parity
+    "m not a morphism": (c3_with(SUPER, CatObject(3, grading=(0, 1, 1))),
+                         {"bialgebra_compatibility", "counit_multiplicative",
+                          "antipode_anti_multiplicative", "right_linear"}),
+    # the identity acts by INVERT: no Yetter-Drinfeld object, though m commutes with it
+    "carrier not an object": (c3_with(YD_C2, CatObject(3, grading=(0, 0, 0),
+                                                       action=(INVERT, INVERT))),
+                              {"bialgebra_compatibility", "counit_multiplicative",
+                               "antipode_anti_multiplicative", "right_linear"}),
+    "antipode not equivariant": (c3_with(YD_C2, CatObject(3, grading=(0, 0, 0),
+                                                   action=(Matrix.identity(3), INVERT)),
+                                  s=SWAP_1_G),
+                          {"antipode_anti_multiplicative"}),
+    # Delta(g) gains 1 (x) 1: not multiplicative on S
+    "Delta not multiplicative": (c3_with(delta=corrupt(KC3.delta.mat, 0, 1, 1)),
+                                 {"right_linear"}),
+}
+
+REDUCED = ("bialgebra_compatibility", "counit_multiplicative", "antipode_anti_multiplicative",
+           "right_linear")
+
+
+def full_scans(monkeypatch, run) -> set[str]:
+    """The checks among REDUCED that run() leaves to the full scan, an
+    eq_check of the whole identity."""
+    names = set()
+
+    def recording(name, lhs, rhs, **kwargs):
+        names.add(name)
+        return eq_check(name, lhs, rhs, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hopf, "eq_check", recording)
+        run()
+    return names & set(REDUCED)
+
+
+@pytest.mark.parametrize("case", sorted(PRECONDITION_CASES))
+def test_a_failing_precondition_leaves_the_check_to_the_full_scan(monkeypatch, case):
+    alg, fallbacks = PRECONDITION_CASES[case]
+    theta = build_cosep_section(KC3, solve_total_integral(KC3))
+    assert full_scans(monkeypatch, lambda: (full_axiom_report(alg),
+                                            verify_cosep_section(alg, theta))) == fallbacks
+
+
+def test_compatibility_on_a_non_associative_product_is_the_full_scans():
+    alg = c3_with(m=SKEWED)
+    m, d = alg.m.mat, alg.delta.mat
+    ida, c, g = Matrix.identity(3), alg.braiding(), Matrix(3, 1, [{1: 1}])
+    assert generating_set(m) == [1]
+    # Delta(g x) = Delta(g) Delta(x) for every x ...
+    assert eq_check("s", Formula((g, ida), m, d),
+                    Formula((g, ida), (d, d), (ida, c, ida), (m, m))).status == "pass"
+    # ... but Delta(g^2 g^2) = 2 g (x) g and Delta(g^2) Delta(g^2) = 4 g (x) g
+    check = {c.name: c for c in verify_bialgebra(alg)}["bialgebra_compatibility"]
+    assert check == eq_check("bialgebra_compatibility", Formula(m, d),
+                             Formula((d, d), (ida, c, ida), (m, m)))
+    assert check.witness == "(4,8):lhs=2:rhs=4"
+
+
+def test_a_reduced_failure_reads_no_full_column_twice_or_past_it(monkeypatch):
+    read = []
+
+    class Counting(Formula):
+        def _evaluate(self, js):
+            for col in super()._evaluate(js):
+                read.append(col)
+                yield col
+
+    monkeypatch.setattr(hopf, "Formula", Counting)
+    # first failure (g g) g^2 = 2g, g (g g^2) = g at column (1, 1, 2) = 14,
+    # inside the slice of the generator g; the columns of 1 before it pass
+    check = associativity_check(SKEWED)
+    monkeypatch.undo()
+    assert check == full_associativity_scan(SKEWED)
+    assert check.witness == "(1,14):lhs=2:rhs=1"
+    assert len(read) == 2 * 15
 
 
 def test_exterior_line_passes_in_super():

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from braidhopf.builders import cyclic_group, group_algebra, sweedler_h4, symmetric_group
+from braidhopf.builders import (cyclic_group, exterior_line, group_algebra, s3_group,
+                                sweedler_h4, symmetric_group)
 from braidhopf.category import (CatObject, SUPER, VEC, YetterDrinfeldBackend,
                                 verify_braiding_axioms)
 from braidhopf.filtration import b_adic_filtration, coradical
-from braidhopf.hopf import (associativity_check, full_axiom_report, generating_set,
-                            is_cocommutative, solve_total_integral)
+from braidhopf.hopf import (associativity_check, build_cosep_section, full_axiom_report,
+                            generating_set, is_cocommutative, make_bialgebra,
+                            solve_total_integral, verify_cosep_section)
 from braidhopf.linalg import Formula, Matrix, kron
 from braidhopf.report import eq_check
 
@@ -51,7 +53,6 @@ def test_group_algebras_are_their_own_coradical(n):
 @given(group_orders)
 @settings(max_examples=6, deadline=None)
 def test_integral_always_yields_a_valid_section(n):
-    from braidhopf.hopf import build_cosep_section, verify_cosep_section
     alg = group_algebra(cyclic_group(n))
     theta = build_cosep_section(alg, solve_total_integral(alg))
     assert all_pass(verify_cosep_section(alg, theta))
@@ -261,3 +262,51 @@ GENERATED = [(group_algebra(cyclic_group(32)).m.mat, 1),
 def test_renaming_the_basis_keeps_the_size_of_the_generating_set(case):
     (m, size), perm = case
     assert len(generating_set(renamed(m, perm))) == size
+
+
+# -- identities multiplicative in one argument: on S equals the full scan -------
+
+SMALL_HOPF = [group_algebra(cyclic_group(2)), group_algebra(cyclic_group(3)),
+              group_algebra(s3_group()), sweedler_h4(), exterior_line(SUPER)]
+
+
+def some_section(h):
+    """The coseparability section of h's integral, or of its counit when it has none."""
+    lam = solve_total_integral(h)
+    return build_cosep_section(h, h.eps.mat if lam is None else lam)
+
+
+@st.composite
+def perturbed_hopf(draw):
+    """(h, theta) with at most one entry of m, Delta, S or theta changed."""
+    h = draw(st.sampled_from(SMALL_HOPF))
+    maps = {"m": h.m.mat, "delta": h.delta.mat, "s": h.s.mat, "theta": some_section(h)}
+    which = draw(st.sampled_from([None, "m", "delta", "s", "theta"]))
+    if which is not None:
+        mat = maps[which]
+        entry = (draw(st.integers(0, mat.rows - 1)), draw(st.integers(0, mat.cols - 1)),
+                 draw(st.sampled_from([1, -1, Fraction(1, 3)])))
+        maps[which] = mat + Matrix.from_entries(mat.rows, mat.cols, [entry])
+    alg = make_bialgebra(h.backend, h.carrier, maps["m"], h.u.mat, maps["delta"],
+                         h.eps.mat, maps["s"])
+    return alg, maps["theta"]
+
+
+@given(perturbed_hopf())
+@settings(max_examples=200, deadline=None)
+def test_identities_decided_on_the_generating_set_equal_the_full_scan(case):
+    """Each check the certificate can reduce equals its full scan, witness included."""
+    h, theta = case
+    m, d, e, s = h.m.mat, h.delta.mat, h.eps.mat, h.s.mat
+    ida, c = Matrix.identity(h.dim), h.braiding()
+    full = [
+        eq_check("algebra_associativity", Formula((m, ida), m), Formula((ida, m), m)),
+        eq_check("bialgebra_compatibility", Formula(m, d), Formula((d, d), (ida, c, ida), (m, m))),
+        eq_check("counit_multiplicative", Formula(m, e), kron(e, e)),
+        eq_check("antipode_anti_multiplicative", Formula(m, s), Formula(c, (s, s), m)),
+    ]
+    reported = {check.name: check for check in full_axiom_report(h)}
+    assert [reported[check.name] for check in full] == full
+    right_linear = eq_check("right_linear", Formula((ida, ida, d), (ida, c, ida), (m, m), theta),
+                            Formula((theta, ida), m))
+    assert verify_cosep_section(h, theta)[-1] == right_linear
