@@ -2,21 +2,24 @@
 """Run the whole check battery over the bundled corpus and print reports.
 
 Exit status is nonzero when any command reports an unexpected overall
-status, so this doubles as a smoke test of the shipped files.
+status, so this doubles as a smoke test of the shipped files.  The commands
+run from the repository root and name their files relative to it, so the
+``--machine`` output is the same bytes from any working directory and in any
+checkout.
 """
 
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from braidhopf.cli import dispatch
 
-ROOT = os.path.join(os.path.dirname(__file__), "..", "corpus")
-
 
 def path(*parts):
-    return os.path.join(ROOT, *parts)
+    """A corpus file, relative to the repository root."""
+    return os.path.join("corpus", *parts)
 
 
 # (argv, expected exit code)
@@ -68,6 +71,7 @@ COMMANDS = [
 
 def main() -> int:
     style = "machine" if "--machine" in sys.argv else "plain"
+    os.chdir(ROOT)
     surprises = 0
     for argv, expected in COMMANDS:
         code, report, error = dispatch(argv)

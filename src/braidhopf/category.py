@@ -19,9 +19,10 @@ are strict), so formulas are transcribed with those factors deleted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from .linalg import Formula, Matrix, ShapeMismatch, kron
-from .report import CheckResult, bool_check, eq_check
+from .report import CheckResult, bool_check, difference_witness, eq_check
 
 
 @dataclass(frozen=True)
@@ -121,20 +122,29 @@ class Morphism:
 
 def _flip(x: CatObject, y: CatObject, sign) -> Matrix:
     """v_i (x) w_j -> sign(i, j) w_j (x) v_i; with sign +-1 its inverse is its transpose."""
-    return Matrix.from_entries(x.dim * y.dim, x.dim * y.dim,
-                               ((j * x.dim + i, i * y.dim + j, sign(i, j))
-                                for i in range(x.dim) for j in range(y.dim)))
+    n = x.dim * y.dim
+    # column i * y.dim + j holds its one entry
+    return Matrix(n, n, [{j * x.dim + i: sign(i, j)}
+                         for i in range(x.dim) for j in range(y.dim)])
 
 
 class Backend:
     """Common machinery.  Each concrete backend defines unit, tensor and
-    braiding_mat, and fixes the grading/action semantics."""
+    braiding_mat, and fixes the grading/action semantics.  The object and
+    morphism checks come as a report and as a yes/no answer; a plain
+    backend has none (Morphism itself rejects a matrix that does not fit)."""
 
     def object_report(self, x: CatObject) -> list[CheckResult]:
         return []
 
     def morphism_report(self, f: Morphism) -> list[CheckResult]:
-        return []                     # Morphism itself rejects a matrix that does not fit
+        return []
+
+    def object_holds(self, x: CatObject) -> bool:
+        return True
+
+    def morphism_holds(self, f: Morphism) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
@@ -157,10 +167,23 @@ def _require_grading(x: CatObject) -> tuple[int, ...]:
     return x.grading
 
 
+# (check name, witness): the witness is None when the check passes
+Verdicts = Iterator[tuple[str, str | None]]
+
+
+def _witness(ok: bool) -> str | None:
+    """The witness of a yes/no check, as ``bool_check`` writes it."""
+    return None if ok else "condition_violated"
+
+
 @dataclass(frozen=True)
 class _GradedBackend(Backend):
     """Objects graded by a finite group: the tensor product multiplies grades
-    and a morphism must preserve them.  Subclasses define the braiding."""
+    and a morphism must preserve them.  Subclasses define the braiding.
+
+    The object and morphism checks are verdict generators, evaluated as they
+    are read.  The reports turn every verdict into a CheckResult; the holds
+    methods read the verdicts up to the first failure and build none."""
 
     group: FiniteGroup
 
@@ -173,18 +196,33 @@ class _GradedBackend(Backend):
         return CatObject(x.dim * y.dim, grading=grading)
 
     def object_report(self, x: CatObject) -> list[CheckResult]:
-        grading = _require_grading(x)
-        n = len(self.group.elements)
-        ok = len(grading) == x.dim and all(0 <= g < n for g in grading)
-        return [bool_check("grading_wellformed", ok)]
+        return [bool_check(name, w is None, w) for name, w in self.object_verdicts(x)]
 
     def morphism_report(self, f: Morphism) -> list[CheckResult]:
-        """grade_preserving: f equals its part between equal grades."""
+        return [bool_check(name, w is None, w) for name, w in self.morphism_verdicts(f)]
+
+    def object_holds(self, x: CatObject) -> bool:
+        return all(w is None for _, w in self.object_verdicts(x))
+
+    def morphism_holds(self, f: Morphism) -> bool:
+        return all(w is None for _, w in self.morphism_verdicts(f))
+
+    def _wellformed(self, x: CatObject) -> bool:
+        grading = _require_grading(x)
+        n = len(self.group.elements)
+        return len(grading) == x.dim and all(0 <= g < n for g in grading)
+
+    def object_verdicts(self, x: CatObject) -> Verdicts:
+        yield "grading_wellformed", _witness(self._wellformed(x))
+
+    def morphism_verdicts(self, f: Morphism) -> Verdicts:
+        """grade_preserving: f equals its part between equal grades; the
+        witness is the first entry between two grades, as ``eq_check`` of f
+        and that part writes it."""
         gd, gc = _require_grading(f.dom), _require_grading(f.cod)
-        kept = Matrix.from_entries(f.mat.rows, f.mat.cols,
-                                   ((i, j, v) for j in range(f.mat.cols)
-                                    for i, v in f.mat.column(j).items() if gc[i] == gd[j]))
-        return [eq_check("grade_preserving", f.mat, kept)]
+        joins = ((i, j, col[i], 0) for j, col in enumerate(f.mat.columns())
+                 for i in sorted(col) if gc[i] != gd[j])
+        yield "grade_preserving", difference_witness(next(joins, None))
 
 
 PARITY = FiniteGroup.from_table("parity", ["0", "1"], [[0, 1], [1, 0]])
@@ -254,23 +292,21 @@ class YetterDrinfeldBackend(_GradedBackend):
         return replace(xy, action=tuple(kron(ax[g], ay[g])
                                         for g in range(len(self.group.elements))))
 
-    def object_report(self, x: CatObject) -> list[CheckResult]:
+    def object_verdicts(self, x: CatObject) -> Verdicts:
         """The grade check, then the action checks; compatibility, the one
         that reads grades, fails on a grading that is not well formed."""
-        checks = super().object_report(x)
+        yield from super().object_verdicts(x)
         g = self.group
         n = len(g.elements)
         grading = x.grading
         action = _require_action(x)
-        checks.append(eq_check("action_identity", action[g.identity], Matrix.identity(x.dim)))
-        hom_ok = all(action[a] * action[b] == action[g.mul(a, b)]
-                     for a in range(n) for b in range(n))
-        checks.append(bool_check("action_homomorphism", hom_ok))
-        yd_ok = not checks[0].failed() and all(
+        yield "action_identity", difference_witness(
+            Matrix.first_difference(action[g.identity], Matrix.identity(x.dim)))
+        yield "action_homomorphism", _witness(all(action[a] * action[b] == action[g.mul(a, b)]
+                                                  for a in range(n) for b in range(n)))
+        yield "yetter_drinfeld_compatibility", _witness(self._wellformed(x) and all(
             grading[i] == g.conjugate(h, grading[j])
-            for h in range(n) for j in range(x.dim) for i in action[h].column(j))
-        checks.append(bool_check("yetter_drinfeld_compatibility", yd_ok))
-        return checks
+            for h in range(n) for j in range(x.dim) for i in action[h].column(j)))
 
     def braiding_mat(self, x: CatObject, y: CatObject) -> Matrix:
         grading = _require_grading(x)
@@ -283,18 +319,12 @@ class YetterDrinfeldBackend(_GradedBackend):
                     entries.append((k * x.dim + i, i * y.dim + j, v))
         return Matrix.from_entries(x.dim * y.dim, x.dim * y.dim, entries)
 
-    def morphism_report(self, f: Morphism) -> list[CheckResult]:
-        checks = super().morphism_report(f)
+    def morphism_verdicts(self, f: Morphism) -> Verdicts:
+        yield from super().morphism_verdicts(f)
         ad, ac = _require_action(f.dom), _require_action(f.cod)
-        for g in range(len(self.group.elements)):
-            if f.mat * ad[g] != ac[g] * f.mat:
-                checks.append(CheckResult(
-                    "equivariance", "fail",
-                    witness=f"element={self.group.elements[g]}"))
-                break
-        else:
-            checks.append(CheckResult("equivariance", "pass"))
-        return checks
+        broken = (f"element={name}" for g, name in enumerate(self.group.elements)
+                  if f.mat * ad[g] != ac[g] * f.mat)
+        yield "equivariance", next(broken, None)
 
 
 VEC = VecBackend()

@@ -30,6 +30,11 @@ matrices meaning their Kronecker product, applied to one basis column at a
 time.  A tuple stage is compiled once: adjacent identity factors merge into
 one run of index digits passed through, and the other factors' columns are
 precomputed with their output strides, so the product is never materialized.
+A column with one entry travels between stages as an (index, value) pair,
+not a dict: that is every column of a monomial map (a group algebra's
+product, a flip), so such formulas build no dict until the column is
+yielded.  Only a stage that reads a column of two or more entries turns the
+pair into a dict, and a stage result of one entry turns back into a pair.
 Checks stream: ``Matrix.first_difference`` (and through it
 ``report.eq_check``) reads a Formula column by column, holds one column of
 each side and stops at the first column that differs.  ``pipeline`` is
@@ -556,6 +561,18 @@ class Formula:
     is compiled once (``_compile_factors``), identity runs merged, so the
     product is never materialized.  A column is evaluated only when it is
     read, and nothing holds the columns but ``materialize``.
+
+    While a column has one entry it is carried as idx and val.  A plain
+    stage reads its stored column idx; a tuple stage adds its runs' offsets
+    and each factor's one (row * out_stride, value) pair, multiplying the
+    values in the order the dict path does, current value * stage value
+    (``map_system`` sends its linear forms through here).  An empty column
+    ends the evaluation with {}.  Where the column read has two or more
+    entries, that stage applies ``_apply_plain`` or ``_apply_compiled`` to
+    {idx: val}, val as it was before the stage; the dict goes on through the
+    later stages until a result has one entry and becomes a pair again.  The
+    compiled tables serve both paths, so there is one evaluator and no
+    second pass over the factors.
     """
 
     __slots__ = ("rows", "cols", "_start", "_steps")
@@ -572,17 +589,62 @@ class Formula:
         self.rows, self.cols = cur, dom
         # a plain first stage maps basis vector j to its stored column j
         self._start = stages[0]._cols if isinstance(stages[0], Matrix) else None
-        self._steps = [(_apply_plain, st) if isinstance(st, Matrix) else
-                       (_apply_compiled, _compile_factors(st))
-                       for st in stages[self._start is not None:]]
+        # (runs, tables, apply, arg) per later stage; runs None marks a plain
+        # stage, whose tables are its stored columns
+        self._steps = []
+        for st in stages[self._start is not None:]:
+            if isinstance(st, Matrix):
+                self._steps.append((None, st._cols, _apply_plain, st))
+            else:
+                compiled = _compile_factors(st)
+                self._steps.append((*compiled, _apply_compiled, compiled))
 
     def _evaluate(self, js: Iterable[int]) -> Iterator[dict]:
         start, steps = self._start, self._steps
         for j in js:
-            vec: dict = {j: 1} if start is None else start[j]
-            for apply, arg in steps:
+            vec = None                  # None: the column is the one entry idx: val
+            if start is None:
+                idx, val = j, 1
+            elif len(start[j]) == 1:
+                (idx, val), = start[j].items()
+            else:
+                vec = start[j]
+            for runs, tables, apply, arg in steps:
+                if vec is None:
+                    if runs is None:    # a plain stage: tables are its stored columns
+                        col = tables[idx]
+                        if len(col) == 1:
+                            (idx, v), = col.items()
+                            val = val * v
+                            continue
+                    else:
+                        out, out_val = 0, val
+                        for in_stride, size, out_stride in runs:
+                            out += idx // in_stride % size * out_stride
+                        for in_stride, size, table in tables:
+                            col = table[idx // in_stride % size]
+                            if len(col) != 1:
+                                break
+                            (r, v), = col
+                            out += r
+                            out_val = out_val * v
+                        else:
+                            idx, val = out, out_val
+                            continue
+                    if not col:         # the column is zero from here on
+                        break
+                    # a column of two or more entries: this stage takes the dict path
+                    vec = {idx: val}
                 vec = apply(arg, vec)
-            yield vec
+                if len(vec) == 1:
+                    (idx, val), = vec.items()
+                    vec = None
+                elif not vec:
+                    break
+            else:
+                yield {idx: val} if vec is None else vec
+                continue
+            yield {}
 
     def column(self, j: int) -> dict:
         """Column j, evaluated on its own."""

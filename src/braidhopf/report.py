@@ -41,11 +41,18 @@ def difference_check(name: str, diff: tuple | None, *,
                      informational: bool = False) -> CheckResult:
     """The result of a comparison whose first difference, as
     ``Matrix.first_difference`` returns it, is diff (None: no difference)."""
-    if diff is None:
-        return CheckResult(name, "pass", informational=informational)
-    i, j, a, b = diff
-    return CheckResult(name, "fail", witness=f"({i},{j}):lhs={a}:rhs={b}",
+    witness = difference_witness(diff)
+    return CheckResult(name, "pass" if witness is None else "fail", witness=witness,
                        informational=informational)
+
+
+def difference_witness(diff: tuple | None) -> str | None:
+    """The witness ``(i,j):lhs=a:rhs=b`` of a first difference (i, j, a, b),
+    None for no difference."""
+    if diff is None:
+        return None
+    i, j, a, b = diff
+    return f"({i},{j}):lhs={a}:rhs={b}"
 
 
 def chain_eq_check(name: str, mats: list[Matrix]) -> CheckResult:

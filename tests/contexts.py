@@ -1,9 +1,11 @@
-"""Canonical weak projection contexts, and the group-table oracle of matched
-pairs, shared across the test modules."""
+"""Canonical weak projection contexts, a bialgebra in a Yetter-Drinfeld
+category, and the group-table oracle of matched pairs, shared across the
+test modules."""
 
-from braidhopf.builders import (cyclic_group, group_algebra, s3_group, subgroup_closure,
-                                sweedler_h4)
-from braidhopf.category import Morphism
+from braidhopf.builders import (cyclic_group, exterior_line, group_algebra, s3_group,
+                                subgroup_closure, sweedler_h4)
+from braidhopf.category import SUPER, CatObject, Morphism, YetterDrinfeldBackend
+from braidhopf.hopf import make_bialgebra
 from braidhopf.linalg import Matrix
 from braidhopf.products import MatchedPair
 
@@ -17,6 +19,17 @@ def h4_c2():
     pi = Morphism(a.carrier, b.carrier,
                   Matrix.from_entries(2, 4, [(0, 0, 1), (1, 1, 1)]))
     return a, b, sigma, pi
+
+
+def yd_exterior_line():
+    """The exterior line as a bialgebra in YD(C2): x odd, g acts by -1 on x."""
+    g = cyclic_group(2)
+    backend = YetterDrinfeldBackend(g)
+    neg = Matrix.from_rows([[1, 0], [0, -1]])
+    carrier = CatObject(2, grading=(0, 1), action=(Matrix.identity(2), neg))
+    base = exterior_line(SUPER)
+    return make_bialgebra(backend, carrier, base.m.mat, base.u.mat,
+                          base.delta.mat, base.eps.mat, base.s.mat)
 
 
 def s3_c2():

@@ -5,14 +5,15 @@ whole projector/diagram/cross-product pipeline through SuperVec and a
 Yetter-Drinfeld backend so the sign bookkeeping is exercised everywhere.
 """
 
-from braidhopf.builders import cyclic_group, exterior_line
-from braidhopf.category import CatObject, Morphism, SUPER, YetterDrinfeldBackend
+from braidhopf.builders import exterior_line
+from braidhopf.category import Morphism, SUPER
 from braidhopf.hopf import (full_axiom_report, make_bialgebra,
                             solve_total_integral)
 from braidhopf.linalg import Matrix
 from braidhopf.products import build_cross_product, cross_product_report
 from braidhopf.weakproj import (build_context, run_bd_suite, structure_report,
                                 verify_weak_projection)
+from contexts import yd_exterior_line
 
 
 def all_pass(checks):
@@ -58,17 +59,6 @@ def test_super_cross_product_over_the_trivial_base():
     data = build_cross_product(ctx)
     assert all_pass(cross_product_report(data))
     assert data.product.m.mat == ctx.a.m.mat
-
-
-def yd_exterior_line():
-    """The exterior line as a bialgebra in YD(C2): x odd, g acts by -1 on x."""
-    g = cyclic_group(2)
-    backend = YetterDrinfeldBackend(g)
-    neg = Matrix.from_rows([[1, 0], [0, -1]])
-    carrier = CatObject(2, grading=(0, 1), action=(Matrix.identity(2), neg))
-    base = exterior_line(SUPER)
-    return make_bialgebra(backend, carrier, base.m.mat, base.u.mat,
-                          base.delta.mat, base.eps.mat, base.s.mat)
 
 
 def test_exterior_line_is_a_yd_bialgebra():

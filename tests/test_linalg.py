@@ -409,19 +409,32 @@ def near_identities(draw, n):
     return Matrix(n + draw(st.integers(1, 2)), n, [{j: 1} for j in range(n)])
 
 
+def monomials(rows, cols):
+    """A rows x cols matrix each of whose columns is empty or holds one entry
+    (empty where the drawn value is 0)."""
+    return st.lists(st.tuples(st.integers(0, rows - 1), scalars),
+                    min_size=cols, max_size=cols).map(
+        lambda col: Matrix.from_entries(rows, cols, [(i, j, v) for j, (i, v) in enumerate(col)]))
+
+
 @st.composite
 def factors(draw, cols, pool):
     """A factor with the given number of columns: random, identity (drawn
     twice as often, so that identities stand next to each other), near the
-    identity, zero, or one drawn before (so that stages repeat factors)."""
+    identity, zero, monomial (each column empty or one entry, so that a
+    column is carried as one entry through several stages before a random
+    factor's column hands it to the dict path), or one drawn before (so that
+    stages repeat factors)."""
     kind = draw(st.sampled_from(["random", "identity", "identity", "near_identity", "zero",
-                                 "repeat"]))
+                                 "monomial", "repeat"]))
     if kind == "repeat" and pool.get(cols):
         return draw(st.sampled_from(pool[cols]))
     if kind == "identity":
         return Matrix.identity(cols)
     if kind == "near_identity":
         f = draw(near_identities(cols))
+    elif kind == "monomial":
+        f = draw(monomials(draw(st.sampled_from([2, 1, 3])), cols))
     else:
         rows = draw(st.sampled_from([2, 1, 3]))
         f = Matrix.from_entries(rows, cols, ()) if kind == "zero" else draw(matrices(rows, cols))
@@ -507,6 +520,15 @@ def test_eq_check_on_formulas_matches_pipeline_and_the_oracle(data):
     f = Formula(*stages)
     assert (f.rows, f.cols, f.nnz) == (lhs.rows, lhs.cols, lhs.nnz)
     assert [f.column(j) for j in range(f.cols)] == [lhs.column(j) for j in range(lhs.cols)]
+
+
+def test_a_stage_takes_the_dict_path_with_the_value_the_column_reached_it_with():
+    """Column 0 reaches the stage (a, b) as the one entry 5.  b's column,
+    read first, is the one entry 3 and a's has two entries, so the stage
+    applies the dict path to {0: 5}, not to the 15 it had built from b."""
+    a, b = mat([[1], [2]]), mat([[3]])
+    assert Formula(mat([[5]]), (a, b)).column(0) == {0: 15, 1: 30}
+    assert pipeline(mat([[5]]), (a, b)) == kron(a, b) * mat([[5]])
 
 
 def test_pipeline_needs_a_stage():

@@ -220,6 +220,16 @@ def test_the_left_normed_words_in_the_generating_set_span_the_algebra(m):
     assert left_normed_word_rank(m, generating_set(m)) == m.rows
 
 
+@given(random_products() | nilpotent_products() | changed_bases().map(lambda case: case[0]))
+@settings(max_examples=100, deadline=None)
+def test_generating_set_leaves_the_product_unchanged(m):
+    """generating_set reduces the products of m it computes in place, so
+    none of them may be a stored column of m."""
+    copy = Matrix(m.rows, m.cols, [dict(c) for c in m.columns()])
+    generating_set(m)
+    assert m == copy
+
+
 @given(st.integers(min_value=1, max_value=4))
 @settings(max_examples=4, deadline=None)
 def test_the_zero_product_needs_the_whole_basis(n):

@@ -7,10 +7,10 @@ import sys
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 
 
-def run_script(*argv, env=None):
+def run_script(*argv, env=None, cwd=None):
     """The script's stdout as bytes, after asserting that it exits 0."""
     done = subprocess.run([sys.executable, os.path.join(SCRIPTS, argv[0]), *argv[1:]],
-                          capture_output=True, timeout=300, env=env)
+                          capture_output=True, timeout=300, env=env, cwd=cwd)
     assert done.returncode == 0, done.stderr.decode()
     return done.stdout
 
@@ -24,6 +24,13 @@ def test_verify_corpus_machine_output_does_not_depend_on_the_hash_seed():
                           env={**os.environ, "PYTHONHASHSEED": seed})
                for seed in ("0", "12345")]
     assert outputs[0] == outputs[1]
+
+
+def test_verify_corpus_machine_output_does_not_depend_on_the_working_directory(tmp_path):
+    outputs = [run_script("verify_corpus.py", "--machine", cwd=cwd)
+               for cwd in (tmp_path, os.path.join(SCRIPTS, ".."))]
+    assert outputs[0] == outputs[1]
+    assert b"command=check hopf corpus/algebras/c2.alg\n" in outputs[0]
 
 
 def test_family_memory_runs_the_axiom_suite_of_ks3():
