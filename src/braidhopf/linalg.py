@@ -27,9 +27,11 @@ means operands whose shapes do not fit.
 ``compose`` keep loops of their own so that the tests can check ``Formula``
 against them.  A formula is a list of stages, each a matrix or a tuple of
 matrices meaning their Kronecker product, applied to one basis column at a
-time.  A tuple stage is compiled once: adjacent identity factors merge into
-one run of index digits passed through, and the other factors' columns are
-precomputed with their output strides, so the product is never materialized.
+time.  A tuple stage is laid out once: adjacent identity factors merge into
+one run of index digits passed through, and each other factor keeps its
+stored columns; a factor column is read, its rows scaled by the factor's
+output stride, only when a column being evaluated needs it.  So the product
+is never materialized, and building a formula reads no factor column.
 A column with one entry travels between stages as an (index, value) pair,
 not a dict: that is every column of a monomial map (a group algebra's
 product, a flip), so such formulas build no dict until the column is
@@ -504,14 +506,16 @@ def _is_identity(f: Matrix) -> bool:
 
 
 def _compile_factors(factors: Sequence[Matrix]) -> tuple[list, list]:
-    """(runs, tables) applying the Kronecker product of factors to a vector.
+    """(runs, factors) applying the Kronecker product of factors to a vector.
 
     A factor's digit of input index idx is ``idx // in_stride % size``.  A run
     of adjacent identities, (in_stride, size, out_stride), adds its digit
     times out_stride to the output index; any other factor is (in_stride,
-    size, table) with ``table[digit]`` its column as (row * out_stride, value).
+    size, out_stride, cols) with cols its stored columns: column digit is
+    read, each row scaled by out_stride, only when a column needs it, so
+    building this reads no column of such a factor.
     """
-    runs, tables = [], []
+    runs, others = [], []
     in_stride = out_stride = 1
     for is_identity, group in groupby(reversed(factors), _is_identity):
         if is_identity:
@@ -521,24 +525,23 @@ def _compile_factors(factors: Sequence[Matrix]) -> tuple[list, list]:
             out_stride *= size
             continue
         for f in group:
-            tables.append((in_stride, f.cols,
-                           [[(r * out_stride, v) for r, v in c.items()] for c in f._cols]))
+            others.append((in_stride, f.cols, out_stride, f._cols))
             in_stride *= f.cols
             out_stride *= f.rows
-    return runs, tables
+    return runs, others
 
 
 def _apply_compiled(compiled: tuple[list, list], vec: dict) -> dict:
-    runs, tables = compiled
+    runs, others = compiled
     out: dict = {}
     for idx, val in vec.items():
         base = 0
         for in_stride, size, out_stride in runs:
             base += idx // in_stride % size * out_stride
         terms = {base: val}
-        for in_stride, size, table in tables:
-            col = table[idx // in_stride % size]
-            terms = {o + r: w * v for o, w in terms.items() for r, v in col}
+        for in_stride, size, out_stride, cols in others:
+            col = cols[idx // in_stride % size].items()
+            terms = {o + r * out_stride: w * v for o, w in terms.items() for r, v in col}
         if not out:
             # the output indices of one entry are distinct and its values nonzero
             out = terms
@@ -558,21 +561,23 @@ class Formula:
     Stages are applied in the given order (the first acts first); each is a
     Matrix or a tuple of Matrices meaning their Kronecker product.  Every
     stage shape is checked before any column is read.  Then each tuple stage
-    is compiled once (``_compile_factors``), identity runs merged, so the
-    product is never materialized.  A column is evaluated only when it is
-    read, and nothing holds the columns but ``materialize``.
+    is laid out once (``_compile_factors``), identity runs merged, so the
+    product is never materialized; building reads no factor column.  A
+    column is evaluated only when it is read, and it reads a factor column,
+    each row scaled by the factor's output stride, only where it needs it.
+    Nothing holds the columns but ``materialize``.
 
     While a column has one entry it is carried as idx and val.  A plain
     stage reads its stored column idx; a tuple stage adds its runs' offsets
-    and each factor's one (row * out_stride, value) pair, multiplying the
+    and each factor's one entry, its row * out_stride, multiplying the
     values in the order the dict path does, current value * stage value
     (``map_system`` sends its linear forms through here).  An empty column
     ends the evaluation with {}.  Where the column read has two or more
     entries, that stage applies ``_apply_plain`` or ``_apply_compiled`` to
     {idx: val}, val as it was before the stage; the dict goes on through the
-    later stages until a result has one entry and becomes a pair again.  The
-    compiled tables serve both paths, so there is one evaluator and no
-    second pass over the factors.
+    later stages until a result has one entry and becomes a pair again.
+    Both paths read the same stored factor columns, so there is one
+    evaluator and no second pass over the factors.
     """
 
     __slots__ = ("rows", "cols", "_start", "_steps")
@@ -589,8 +594,8 @@ class Formula:
         self.rows, self.cols = cur, dom
         # a plain first stage maps basis vector j to its stored column j
         self._start = stages[0]._cols if isinstance(stages[0], Matrix) else None
-        # (runs, tables, apply, arg) per later stage; runs None marks a plain
-        # stage, whose tables are its stored columns
+        # (runs, cols, apply, arg) per later stage; runs None marks a plain stage
+        # and cols its stored columns, else cols are _compile_factors' factors
         self._steps = []
         for st in stages[self._start is not None:]:
             if isinstance(st, Matrix):
@@ -609,10 +614,10 @@ class Formula:
                 (idx, val), = start[j].items()
             else:
                 vec = start[j]
-            for runs, tables, apply, arg in steps:
+            for runs, cols, apply, arg in steps:
                 if vec is None:
-                    if runs is None:    # a plain stage: tables are its stored columns
-                        col = tables[idx]
+                    if runs is None:    # a plain stage: cols are its stored columns
+                        col = cols[idx]
                         if len(col) == 1:
                             (idx, v), = col.items()
                             val = val * v
@@ -621,12 +626,12 @@ class Formula:
                         out, out_val = 0, val
                         for in_stride, size, out_stride in runs:
                             out += idx // in_stride % size * out_stride
-                        for in_stride, size, table in tables:
-                            col = table[idx // in_stride % size]
+                        for in_stride, size, out_stride, stored in cols:
+                            col = stored[idx // in_stride % size]
                             if len(col) != 1:
                                 break
-                            (r, v), = col
-                            out += r
+                            (r, v), = col.items()
+                            out += r * out_stride
                             out_val = out_val * v
                         else:
                             idx, val = out, out_val
@@ -647,8 +652,9 @@ class Formula:
             yield {}
 
     def column(self, j: int) -> dict:
-        """Column j, evaluated on its own."""
-        return next(self._evaluate((j,)))
+        """Column j, evaluated on its own; j is read as ``Matrix.column``
+        reads it, so j outside the columns raises IndexError."""
+        return next(self._evaluate((range(self.cols)[j],)))
 
     def columns(self) -> Iterator[dict]:
         """Each column in order, evaluated as it is read; a column may be a

@@ -116,7 +116,7 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
     backend_spec: list[str] | None = None
     backend_line = None
     dim = None
-    basis: list[str] | None = None
+    basis: dict[str, int] | None = None   # basis name -> its position, in order
     entries: dict[str, list] = {kw: [] for kw in _MAPS}   # (in indices, out indices, coeff)
     grades: dict[str, tuple[str, int]] = {}
     actions: list = []
@@ -127,8 +127,8 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
         if basis is None:
             raise ParseError(line, "basis must be declared before entries")
         try:
-            return basis.index(tok)
-        except ValueError:
+            return basis[tok]
+        except KeyError:
             raise ParseError(line, f"undeclared basis name {tok!r}")
 
     def split_arrow(toks: list[str], line: int) -> tuple[list[str], list[str]]:
@@ -188,7 +188,7 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
             for tok in toks[1:]:
                 if "." in tok or tok == "->":
                     raise ParseError(line, f"basis name {tok!r} contains '.' or is '->'")
-            basis = toks[1:]
+            basis = {tok: i for i, tok in enumerate(toks[1:])}
         elif head in _MAPS:
             _, k_in, k_out = _MAPS[head]
             lhs, rhs = split_arrow(toks[1:], line)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidhopf import hopf
+from braidhopf import hopf, linalg
 from braidhopf.builders import cyclic_group, group_algebra, s3_group, sweedler_h4
 from braidhopf.linalg import (Formula, Matrix, ShapeMismatch, _frac, compose, equalizer,
                               hstack, kernel_basis, kron, map_system, pipeline, solve_affine,
@@ -564,6 +564,71 @@ def test_formula_raises_the_pipeline_errors_before_reading_a_column():
         m._cols = Unreadable()
     with pytest.raises(ShapeMismatch, match="^stage expects domain 3, got 4$"):
         Formula((a, b), c, Matrix.from_entries(1, 3, ()))
+
+
+class Reads(tuple):
+    """A matrix's stored columns, recording the index of each one read."""
+
+    def __new__(cls, cols):
+        self = super().__new__(cls, cols)
+        self.read = []
+        return self
+
+    def __getitem__(self, j):
+        self.read.append(j)
+        return super().__getitem__(j)
+
+    def __iter__(self):
+        self.read.append("all")
+        return super().__iter__()
+
+
+def recorded(m):
+    """A copy of m whose stored columns record each read."""
+    copy = Matrix(m.rows, m.cols, m._cols)
+    copy._cols = Reads(copy._cols)
+    return copy
+
+
+def test_building_a_formula_reads_no_factor_column(monkeypatch):
+    # columns of one and of two entries, so a column takes the pair path
+    # through a tuple stage for some j and the dict path for others
+    m, ida = mat([[1, 0, F(1, 2), 1], [0, 2, 0, -1]]), Matrix.identity(2)
+    dict_path = []
+    apply = linalg._apply_compiled
+
+    def counted(compiled, vec):
+        dict_path.append(vec)
+        return apply(compiled, vec)
+
+    monkeypatch.setattr(linalg, "_apply_compiled", counted)
+    rec, plain = recorded(m), recorded(m)
+    cases = [(Formula((rec, ida), plain), compose(kron(m, ida), m), lambda j: {j // 2}),
+             (Formula((rec, rec)), kron(m, m), lambda j: {j // 4, j % 4})]
+    assert rec._cols.read == plain._cols.read == []
+    for f, expected, digits in cases:
+        took_dict_path = set()
+        for j in range(f.cols):
+            rec._cols.read.clear()
+            before = len(dict_path)
+            assert f.column(j) == expected.column(j)
+            assert set(rec._cols.read) == digits(j)
+            took_dict_path.add(len(dict_path) > before)
+        assert took_dict_path == {False, True}
+        assert f.materialize() == expected
+
+
+def test_formula_column_reads_j_as_the_materialized_matrix_does():
+    a, b = mat([[1, 2], [3, 4]]), mat([[0, 1], [5, 6]])
+    for f in (Formula((a, b)), Formula((Matrix.identity(2), b)), Formula(kron(a, b)),
+              Formula((a, b), kron(b, a))):
+        m = f.materialize()
+        assert [f.column(j) for j in range(-4, 4)] == [m.column(j) for j in range(-4, 4)]
+        for j in (4, 5, -5, 17):
+            with pytest.raises(IndexError):
+                m.column(j)
+            with pytest.raises(IndexError):
+                f.column(j)
 
 
 def test_eq_check_stops_at_the_first_differing_column(monkeypatch):

@@ -1,5 +1,6 @@
 """The scripts run to completion and print their success lines."""
 
+import json
 import os
 import subprocess
 import sys
@@ -33,7 +34,25 @@ def test_verify_corpus_machine_output_does_not_depend_on_the_working_directory(t
     assert b"command=check hopf corpus/algebras/c2.alg\n" in outputs[0]
 
 
-def test_family_memory_runs_the_axiom_suite_of_ks3():
-    lines = run_script("family_memory.py", "kS3").decode().splitlines()
-    assert lines[0] == "kS3 (dim 6): 17 checks, overall pass"
-    assert lines[1].startswith("wall ") and lines[1].endswith(" MB")
+def test_bench_record_writes_every_metric_and_the_axiom_suite(tmp_path):
+    with open(os.path.join(SCRIPTS, "..", "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    out = run_script("bench_record.py", "7", "--runs", "1", "--seconds", "1",
+                     "--suite", "kS3", "--out", str(tmp_path)).decode()
+    path = tmp_path / "BENCH_7.json"
+    assert out.endswith(f"wrote {path}\n")
+    text = path.read_text(encoding="utf-8")
+    record = json.loads(text)
+    assert text == json.dumps(record, indent=2, sort_keys=True) + "\n"
+    assert sorted(record) == ["axiom_suite", "commit", "end_to_end", "nproc", "per_layer", "pr",
+                              "python", "runs", "seconds", "seed", "src_lines", "src_sha256"]
+    assert (record["pr"], record["seed"], record["runs"], record["seconds"]) == (7, 1, 1, 1)
+    assert sorted(record["end_to_end"]) == sorted(w["name"] for w in bench["workloads"])
+    for metrics in record["end_to_end"].values():
+        assert sorted(metrics) == sorted(m["name"] for m in bench["end_to_end"])
+    assert sorted(record["per_layer"]) == ["families"]
+    assert sorted(record["per_layer"]["families"]) == sorted(m["name"] for m in bench["per_layer"])
+    suite = record["axiom_suite"]
+    assert sorted(suite) == ["algebra", "checks", "dim", "overall", "peak_rss_mb", "wall_s"]
+    assert (suite["algebra"], suite["dim"], suite["checks"], suite["overall"]) == ("kS3", 6, 17,
+                                                                                   "pass")

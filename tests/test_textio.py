@@ -71,6 +71,20 @@ def test_unknown_basis_name_reports_line():
     assert err.value.line == 5
 
 
+@pytest.mark.parametrize("text, message", [
+    ("hopf t\nbackend vec\ndim 2\nbasis z y\ncomul y -> y Z 1\n",
+     "line 5: undeclared basis name 'Z'"),
+    ("object v\nbackend vec\ndim 2\nbasis z y\ngrade w -> 0\n",
+     "line 5: undeclared basis name 'w'"),
+    ("hopf t\nbackend vec\ndim 1\nmul z z -> z 1\nbasis z\n",
+     "line 4: basis must be declared before entries"),
+], ids=["comul", "grade", "before_basis"])
+def test_a_basis_name_outside_the_basis_line_names_its_line(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file(text)
+    assert str(err.value) == message
+
+
 def test_group_law_violation_caught():
     bad = ("hopf t\nbackend vec\ngroup brk\nelements e a\ntable e a\ntable a a\n"
            "dim 1\nbasis z\nunit -> z 1\ncomul z -> z z 1\ncounit z -> 1\n"
