@@ -51,9 +51,12 @@ the full scan decides:
 check, so ``right_linear`` decides its preconditions itself, on S, without
 reporting them, and its verdict rests on them.  Nothing is kept across calls.
 
-When the identity fails on S, first at column j of the full identity, the
-full scan's witness is the first failure among the columns before j whose
-argument is outside S, or else j's (``_decide``): no column is read twice.
+Both scans read the whole identity, built once as a ``Formula`` per side,
+at the columns ``_columns_in`` names (``Matrix.first_difference``'s column
+selector), so a witness keeps its column number in the full identity.  When
+the identity fails on S, first at column j, the full scan's witness is the
+first failure among the columns before j whose argument is outside S, or
+else j's (``_decide``): no column is read twice, and none after j.
 The ``mult`` check of ``verify_bialgebra_map`` is not reduced: it would need
 the associativity verdicts of both algebras, |S| n^2 columns each, where the
 full scan reads n^2.
@@ -61,9 +64,9 @@ full scan reads n^2.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import count
+from itertools import takewhile
+from typing import Iterator
 
 from .category import Backend, CatObject, Morphism
 from .linalg import (Formula, Matrix, compose, generating_set, kron, map_system, pipeline,
@@ -111,72 +114,41 @@ def make_bialgebra(backend: Backend, carrier: CatObject,
     return HopfAlgebra(*args, Morphism(carrier, carrier, s))
 
 
-def _picked(stages: tuple, slot: int, n: int, picks: list[int]) -> tuple[Formula, int]:
-    """Formula(*stages) on A^(x)k read only at the columns whose index in
-    tensor slot `slot` is in picks (ascending), and the stride of that index
-    in a column number.
-
-    The first stage's factor over that slot is cut down to those columns; a
-    factor spans as many slots as its domain has tensor factors A.
-    """
-    first = stages[0]
-    factors = list(first) if isinstance(first, tuple) else [first]
-    at = slot
-    for k, f in enumerate(factors):
-        width = next(w for w in count() if n ** w >= f.cols)
-        if 0 <= at < width:
-            stride, cols = n ** (width - at - 1), list(f.columns())
-            factors[k] = Matrix(f.rows, f.cols // n * len(picks),
-                                [cols[(hi * n + x) * stride + lo] for hi in range(n ** at)
-                                 for x in picks for lo in range(stride)])
-        at -= width
-    first = tuple(factors) if isinstance(first, tuple) else factors[0]
-    return Formula(first, *stages[1:]), n ** (-at - 1)
+def _columns_in(picks: list[int], slot: int, n: int, cols: int) -> Iterator[int]:
+    """The column numbers, ascending, of an identity on A^(x)k with cols =
+    n^k columns whose index in tensor slot `slot` is in picks (ascending)."""
+    stride = cols // n ** (slot + 1)
+    for hi in range(0, cols, n * stride):
+        for x in picks:
+            first = hi + x * stride
+            yield from range(first, first + stride)
 
 
-def _difference_on(lhs: tuple, rhs: tuple, slot: int, n: int, picks: list[int],
-                   before: int | None = None) -> tuple | None:
-    """The first difference of Formula(*lhs) and Formula(*rhs) among the
-    columns whose index in tensor slot `slot` is in picks, as
-    ``Matrix.first_difference`` gives it but with the column numbered as in
-    the full identity.  Given before, a column whose slot index is not in
-    picks, only the columns before it are read."""
-    (left, after), (right, _) = (_picked(stages, slot, n, picks) for stages in (lhs, rhs))
-    stop = None
-    if before is not None:
-        hi, x = divmod(before // after, n)
-        stop = (hi * len(picks) + bisect_left(picks, x)) * after
-    diff = Matrix.first_difference(left, right, stop)
-    if diff is None:
-        return None
-    i, k, a, b = diff
-    hi, x = divmod(k // after, len(picks))
-    return i, (hi * n + picks[x]) * after + k % after, a, b
-
-
-def _decide(name: str, lhs: tuple, rhs: tuple, slot: int, n: int,
+def _decide(name: str, lhs: Formula, rhs: Formula, slot: int, n: int,
             gens: list[int] | None) -> CheckResult:
-    """Formula(*lhs) == Formula(*rhs) on A^(x)k, an identity multiplicative in
-    tensor slot `slot`, decided on gens with the fallback of the module
-    docstring; with gens None (or the whole basis), by the full scan."""
+    """lhs == rhs on A^(x)k, an identity multiplicative in tensor slot
+    `slot`, decided on gens with the fallback of the module docstring; with
+    gens None (or the whole basis), by the full scan."""
     if gens is None or len(gens) == n:
-        return eq_check(name, Formula(*lhs), Formula(*rhs))
-    diff = _difference_on(lhs, rhs, slot, n, gens)
+        return eq_check(name, lhs, rhs)
+    diff = Matrix.first_difference(lhs, rhs, _columns_in(gens, slot, n, lhs.cols))
     if diff is not None:
         rest = [x for x in range(n) if x not in gens]
-        diff = _difference_on(lhs, rhs, slot, n, rest, before=diff[1]) or diff
+        j = diff[1]
+        before = takewhile(lambda k: k < j, _columns_in(rest, slot, n, lhs.cols))
+        diff = Matrix.first_difference(lhs, rhs, before) or diff
     return difference_check(name, diff)
 
 
-def _associativity(m: Matrix) -> tuple[tuple, tuple]:
+def _associativity(m: Matrix) -> tuple[Formula, Formula]:
     ida = Matrix.identity(m.rows)
-    return ((m, ida), m), ((ida, m), m)
+    return Formula((m, ida), m), Formula((ida, m), m)
 
 
-def _compatibility(a: BraidedBialgebra, c: Matrix) -> tuple[tuple, tuple]:
+def _compatibility(a: BraidedBialgebra, c: Matrix) -> tuple[Formula, Formula]:
     m, d = a.m.mat, a.delta.mat
     ida = Matrix.identity(a.dim)
-    return (m, d), ((d, d), (ida, c, ida), (m, m))
+    return Formula(m, d), Formula((d, d), (ida, c, ida), (m, m))
 
 
 def _certified(a: BraidedBialgebra, gens: list[int], preconditions) -> list[int] | None:
@@ -232,7 +204,7 @@ def verify_bialgebra(a: BraidedBialgebra, gens: list[int] | None = None) -> list
     return algebra + verify_coalgebra(a) + morphisms + [
         _decide("bialgebra_compatibility", *_compatibility(a, a.braiding()), 0, a.dim, certified),
         eq_check("unit_comultiplicative", compose(u, a.delta.mat), kron(u, u)),
-        _decide("counit_multiplicative", (m, e), (kron(e, e),), 0, a.dim, certified),
+        _decide("counit_multiplicative", Formula(m, e), Formula((e, e)), 0, a.dim, certified),
         eq_check("counit_of_unit", compose(u, e), Matrix.identity(1)),
     ]
 
@@ -269,7 +241,8 @@ def verify_antipode(h: HopfAlgebra, *, certified: list[int] | None = None) -> li
     ])
     return [
         axiom,
-        _decide("antipode_anti_multiplicative", (m, s), (c, (s, s), m), 0, h.dim, certified),
+        _decide("antipode_anti_multiplicative", Formula(m, s), Formula(c, (s, s), m), 0, h.dim,
+                certified),
         eq_check("antipode_anti_comultiplicative", compose(s, d), Formula(d, c, (s, s))),
     ]
 
@@ -323,8 +296,8 @@ def verify_cosep_section(h: HopfAlgebra, theta: Matrix) -> list[CheckResult]:
     rhs_two_sided = Formula((d, idb), (idb, idb, s), (idb, lam_m))
     delta_theta = pipeline(theta, d)
     gens = generating_set(m)
-    holds = (_difference_on(*_associativity(m), 0, h.dim, gens) is None
-             and _difference_on(*_compatibility(h, c), 0, h.dim, gens) is None
+    holds = (all(Matrix.first_difference(lhs, rhs, _columns_in(gens, 0, h.dim, lhs.cols)) is None
+                 for lhs, rhs in (_associativity(m), _compatibility(h, c)))
              and h.backend.morphism_holds(h.m))
     certified = _certified(h, gens, ()) if holds else None
     return [
@@ -333,8 +306,8 @@ def verify_cosep_section(h: HopfAlgebra, theta: Matrix) -> list[CheckResult]:
         eq_check("right_colinear", delta_theta, Formula((idb, d), (theta, idb))),
         eq_check("section_of_delta", compose(d, theta), idb),
         # the (B(x)B)(x)B module structure, then theta
-        _decide("right_linear", ((idb, idb, d), (idb, c, idb), (m, m), theta),
-                ((theta, idb), m), 2, h.dim, certified),
+        _decide("right_linear", Formula((idb, idb, d), (idb, c, idb), (m, m), theta),
+                Formula((theta, idb), m), 2, h.dim, certified),
     ]
 
 

@@ -39,8 +39,12 @@ yielded.  Only a stage that reads a column of two or more entries turns the
 pair into a dict, and a stage result of one entry turns back into a pair.
 Checks stream: ``Matrix.first_difference`` (and through it
 ``report.eq_check``) reads a Formula column by column, holds one column of
-each side and stops at the first column that differs.  ``pipeline`` is
-``Formula(...).materialize()``, for values that are read more than once.
+each side and stops at the first column that differs.  Its optional column
+selector, an ascending iterable of column numbers read lazily, restricts a
+scan to those columns (``Matrix.columns(js)``, ``Formula.columns(js)``) and
+keeps their numbers, which is how ``hopf`` reads an identity only at the
+columns of a generating set.  ``pipeline`` is ``Formula(...).materialize()``,
+for values that are read more than once.
 
 ``map_system`` builds every system whose unknown is a map X: each identity
 the map must satisfy is a pair (lhs, rhs) of tensor formulas affine in X,
@@ -53,7 +57,7 @@ rows of the system and their negated constants the right-hand side
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby, islice
+from itertools import groupby, tee
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -132,9 +136,10 @@ class Matrix:
     def column(self, j: int) -> dict:
         return dict(self._cols[j])
 
-    def columns(self) -> Iterator[dict]:
-        """The stored columns in order, as {row: value} dicts not to be mutated."""
-        return iter(self._cols)
+    def columns(self, js: Iterable[int] | None = None) -> Iterator[dict]:
+        """The stored columns in order, or those numbered js, as {row: value}
+        dicts not to be mutated."""
+        return iter(self._cols) if js is None else map(self._cols.__getitem__, js)
 
     @property
     def nnz(self) -> int:
@@ -151,18 +156,21 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
     def first_difference(self, other: "Matrix | Formula",
-                         stop: int | None = None) -> tuple | None:
+                         js: Iterable[int] | None = None) -> tuple | None:
         """The first differing entry in column-major order, as (i, j, self's
-        entry, other's entry), or None when the two agree; given stop, only
-        the columns before column stop are compared.
+        entry, other's entry), or None when the two agree; given js, an
+        ascending iterable of column numbers, only those columns are
+        compared, and j is still the column's number in the whole operands.
 
         Either operand may be a Formula (call ``Matrix.first_difference(f, g)``
         for a Formula on the left): the scan holds one column of each and
-        evaluates no column after the first one that differs, nor column stop.
+        evaluates no column after the first one that differs.  js is read
+        once, lazily, and no number after that column's is drawn from it.
         """
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        for j, (a, b) in enumerate(islice(zip(self.columns(), other.columns()), stop)):
+        js, mine, theirs = tee(range(self.cols) if js is None else js, 3)
+        for j, a, b in zip(js, self.columns(mine), other.columns(theirs)):
             if a == b:
                 continue
             for i in sorted(a.keys() | b.keys()):
@@ -656,10 +664,11 @@ class Formula:
         reads it, so j outside the columns raises IndexError."""
         return next(self._evaluate((range(self.cols)[j],)))
 
-    def columns(self) -> Iterator[dict]:
-        """Each column in order, evaluated as it is read; a column may be a
-        stored column of the first stage, so it is not to be mutated."""
-        return self._evaluate(range(self.cols))
+    def columns(self, js: Iterable[int] | None = None) -> Iterator[dict]:
+        """Each column in order, or those numbered js, evaluated as it is
+        read; a column may be a stored column of the first stage, so it is
+        not to be mutated."""
+        return self._evaluate(range(self.cols) if js is None else js)
 
     @property
     def nnz(self) -> int:

@@ -348,8 +348,8 @@ def _build_object(backend, dim, basis, grades, actions):
 
 def parse_morphism_file(text: str, dom: LoadedAlgebra | tuple, cod: LoadedAlgebra | tuple) -> Morphism:
     """Entries `map <i> -> <j> <coeff>`; unspecified columns are zero."""
-    dom_obj, dom_names = _obj_names(dom)
-    cod_obj, cod_names = _obj_names(cod)
+    dom_obj, dom_at = _obj_positions(dom)
+    cod_obj, cod_at = _obj_positions(cod)
     entries = []
     for line, toks in _tokenize(text):
         if toks[0] != "map":
@@ -357,24 +357,23 @@ def parse_morphism_file(text: str, dom: LoadedAlgebra | tuple, cod: LoadedAlgebr
         if "->" not in toks or len(toks) != 5 or toks[2] != "->":
             raise ParseError(line, "usage: map <i> -> <j> <coeff>")
         src, dst, coeff = toks[1], toks[3], parse_scalar(toks[4], line)
-        try:
-            j = dom_names.index(src)
-        except ValueError:
+        if src not in dom_at:
             raise ParseError(line, f"unknown domain basis name {src!r}")
-        try:
-            i = cod_names.index(dst)
-        except ValueError:
+        if dst not in cod_at:
             raise ParseError(line, f"unknown codomain basis name {dst!r}")
-        entries.append((i, j, coeff))
+        entries.append((cod_at[dst], dom_at[src], coeff))
     return Morphism(dom_obj, cod_obj,
                     Matrix.from_entries(cod_obj.dim, dom_obj.dim, entries))
 
 
-def _obj_names(x):
-    if isinstance(x, LoadedAlgebra):
-        return x.obj, list(x.basis)
-    obj, names = x
-    return obj, list(names)
+def _positions(names) -> dict[str, int]:
+    """{name: its first position in names}."""
+    return {nm: k for k, nm in reversed(list(enumerate(names)))}
+
+
+def _obj_positions(x):
+    obj, names = (x.obj, x.basis) if isinstance(x, LoadedAlgebra) else x
+    return obj, _positions(names)
 
 
 def tensor_names(a: list[str], b: list[str]) -> list[str]:
@@ -383,12 +382,12 @@ def tensor_names(a: list[str], b: list[str]) -> list[str]:
 
 def inclusion_by_names(b: LoadedAlgebra, a: LoadedAlgebra) -> Morphism:
     """Canonical inclusion when every basis name of b occurs in a."""
-    entries = []
+    entries, a_at = [], _positions(a.basis)
     for j, nm in enumerate(b.basis):
-        if nm not in a.basis:
+        if nm not in a_at:
             raise ParseError(None, f"basis name {nm!r} of {b.name} not found in {a.name}; "
                                    "pass an explicit morphism file")
-        entries.append((a.basis.index(nm), j, 1))
+        entries.append((a_at[nm], j, 1))
     return Morphism(b.obj, a.obj, Matrix.from_entries(a.dim, b.dim, entries))
 
 

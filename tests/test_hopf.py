@@ -199,6 +199,48 @@ def test_a_reduced_failure_reads_no_full_column_twice_or_past_it(monkeypatch):
     assert len(read) == 2 * 15
 
 
+@pytest.mark.parametrize("alg", [KC3, group_algebra(s3_group())], ids=["kC3", "kS3"])
+def test_a_certified_check_reads_its_generators_columns_once_per_side(monkeypatch, alg):
+    """Each check decided on S reads, once on each side of its identity on
+    A^(x)k, exactly the |S| n^(k-1) columns whose index in its slot is in S:
+    slot 0 for the four checks of the axiom suite, slot 2 (stride 1) for
+    right_linear."""
+    read, reads = [], {}
+
+    class Counting(Formula):
+        def _evaluate(self, js):
+            def recorded():
+                for j in js:
+                    read.append((self, j))
+                    yield j
+            return super()._evaluate(recorded())
+
+    decide = hopf._decide
+
+    def counted(name, lhs, rhs, *args):
+        read.clear()
+        check = decide(name, lhs, rhs, *args)
+        reads[name] = tuple([j for f, j in read if f is side] for side in (lhs, rhs))
+        return check
+
+    theta = build_cosep_section(alg, solve_total_integral(alg))
+    monkeypatch.setattr(hopf, "Formula", Counting)
+    monkeypatch.setattr(hopf, "_decide", counted)
+    checks = full_axiom_report(alg) + verify_cosep_section(alg, theta)
+    monkeypatch.undo()
+    assert all_pass(checks)
+    gens, n = generating_set(alg.m.mat), alg.dim
+    assert len(gens) < n
+    expected = {}
+    for name, k, slot in [("algebra_associativity", 3, 0), ("bialgebra_compatibility", 2, 0),
+                          ("counit_multiplicative", 2, 0), ("antipode_anti_multiplicative", 2, 0),
+                          ("right_linear", 3, 2)]:
+        columns = [c for c in range(n ** k) if c // n ** (k - 1 - slot) % n in gens]
+        assert len(columns) == len(gens) * n ** (k - 1)
+        expected[name] = (columns, columns)
+    assert reads == expected
+
+
 def test_exterior_line_passes_in_super():
     assert all_pass(full_axiom_report(exterior_line(SUPER)))
 

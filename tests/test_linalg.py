@@ -522,6 +522,38 @@ def test_eq_check_on_formulas_matches_pipeline_and_the_oracle(data):
     assert [f.column(j) for j in range(f.cols)] == [lhs.column(j) for j in range(lhs.cols)]
 
 
+class Recording:
+    """An iterator over js that records each number drawn from it."""
+
+    def __init__(self, js):
+        self.js, self.drawn = iter(js), []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.drawn.append(next(self.js))
+        return self.drawn[-1]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_first_difference_on_selected_columns_reads_only_them(data):
+    stages = data.draw(stage_lists())
+    other = data.draw(perturbed(stages))
+    lhs, rhs = materialized(stages), materialized(other)
+    js = sorted(data.draw(st.sets(st.integers(0, lhs.cols - 1))))
+    # the oracle: the first differing entry among the columns js, column-major
+    expected = next(((i, j, lhs.entry(i, j), rhs.entry(i, j)) for j in js
+                     for i in range(lhs.rows) if lhs.entry(i, j) != rhs.entry(i, j)), None)
+    for x, y in [(Formula(*stages), Formula(*other)), (lhs, Formula(*other)),
+                 (Formula(*stages), rhs), (lhs, rhs)]:
+        selector = Recording(js)
+        assert Matrix.first_difference(x, y, selector) == expected
+        # no number past the differing column's is drawn
+        assert selector.drawn == (js if expected is None else js[:js.index(expected[1]) + 1])
+
+
 def test_a_stage_takes_the_dict_path_with_the_value_the_column_reached_it_with():
     """Column 0 reaches the stage (a, b) as the one entry 5.  b's column,
     read first, is the one entry 3 and a's has two entries, so the stage

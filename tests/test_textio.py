@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from braidhopf.builders import cyclic_group, group_algebra, sweedler_h4
-from braidhopf.category import VEC
+from braidhopf.category import VEC, CatObject
 from braidhopf.hopf import full_axiom_report
 from braidhopf.linalg import Matrix
 from braidhopf.textio import (LoadedAlgebra, ParseError, inclusion_by_names,
@@ -172,6 +172,33 @@ def test_morphism_unknown_codomain_name():
     a = parse_algebra_file(H4_TEXT)
     with pytest.raises(ParseError, match="codomain"):
         parse_morphism_file("map one -> nope 1\n", a, a)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# sigma\nmap one -> one 1\nmap nope -> g 1\n", "line 3: unknown domain basis name 'nope'"),
+    ("map one -> one 1\n\nmap g -> nope 1\n", "line 3: unknown codomain basis name 'nope'"),
+])
+def test_morphism_file_names_the_unknown_basis_name_and_its_line(text, message):
+    a = parse_algebra_file(H4_TEXT)
+    with pytest.raises(ParseError) as err:
+        parse_morphism_file(text, a, a)
+    assert (str(err.value), err.value.line) == (message, 3)
+
+
+def test_a_repeated_basis_name_resolves_to_its_first_position():
+    a = parse_algebra_file(H4_TEXT)
+    mor = parse_morphism_file("map u -> x 1\n", (CatObject(2), ("u", "u")), a)
+    assert mor.mat == Matrix.from_entries(4, 2, [(2, 0, 1)])
+
+
+def test_inclusion_by_names_needs_every_name_in_the_codomain():
+    a = parse_algebra_file(H4_TEXT)
+    b = LoadedAlgebra("object", "b", VEC, ("one", "y"), CatObject(2), None)
+    with pytest.raises(ParseError) as err:
+        inclusion_by_names(b, a)
+    assert err.value.line is None
+    assert str(err.value) == ("basis name 'y' of b not found in h4; "
+                              "pass an explicit morphism file")
 
 
 def test_morphism_unspecified_columns_are_zero():
