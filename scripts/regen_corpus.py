@@ -14,7 +14,7 @@ from braidhopf.builders import (conjugation_yd_object, cyclic_group,
                                 exterior_line, group_algebra, s3_group,
                                 subgroup_closure, sweedler_h4, symmetric_group)
 from braidhopf.category import CatObject, Morphism, SUPER, VEC, YetterDrinfeldBackend
-from braidhopf.hopf import Coalgebra
+from braidhopf.hopf import Coalgebra, make_bialgebra
 from braidhopf.linalg import Matrix
 from braidhopf.products import actions_from_psi, make_factorization
 from braidhopf.textio import (LoadedAlgebra, inclusion_by_names, render_algebra,
@@ -93,6 +93,13 @@ def main() -> None:
                       action=(Matrix.identity(2), Matrix.from_rows([[0, 1], [1, 0]])))
     write("objects/yd_c2_plane.obj",
           render_algebra(loaded("object", "yd_c2_plane", yd2, ["w0", "w1"], plane, None)))
+    # the exterior line as a Hopf algebra in YD(C2): x odd, g acting by -1 on x
+    odd = CatObject(2, grading=(0, 1),
+                    action=(Matrix.identity(2), Matrix.from_rows([[1, 0], [0, -1]])))
+    ext_yd = make_bialgebra(yd2, odd, ext_s.m.mat, ext_s.u.mat, ext_s.delta.mat, ext_s.eps.mat,
+                            ext_s.s.mat)
+    write("algebras/ext_yd.alg",
+          render_algebra(loaded("hopf", "ext_yd", yd2, ["one", "x"], odd, ext_yd)))
     yd3 = YetterDrinfeldBackend(s3)
     reg = conjugation_yd_object(s3)
     write("objects/yd_s3_regular.obj",

@@ -30,6 +30,7 @@ COMMANDS = [
     (["check", "hopf", path("algebras", "h4.alg")], 0),
     (["check", "hopf", path("algebras", "ext_super.alg")], 0),
     (["check", "hopf", path("algebras", "ext_vec.alg")], 1),
+    (["check", "hopf", path("algebras", "ext_yd.alg")], 0),
     (["integral", path("algebras", "c2.alg")], 0),
     (["integral", path("algebras", "s3.alg")], 0),
     (["integral", path("algebras", "h4.alg")], 1),

@@ -14,6 +14,10 @@ identity grade, grades multiply under tensor, and morphisms preserve them.
 
 Unit constraints and associators are identities throughout (the backends
 are strict), so formulas are transcribed with those factors deleted.
+
+A backend's object and morphism checks are verdict generators, lazy
+(name, witness) pairs: ``holds`` reads them up to the first failure, and
+``morphism_report`` turns every morphism verdict into a CheckResult.
 """
 
 from __future__ import annotations
@@ -128,23 +132,28 @@ def _flip(x: CatObject, y: CatObject, sign) -> Matrix:
                          for i in range(x.dim) for j in range(y.dim)])
 
 
+# (check name, witness): the witness is None when the check passes
+Verdicts = Iterator[tuple[str, str | None]]
+
+
+def holds(verdicts: Verdicts) -> bool:
+    """Whether every verdict passes, read up to the first failure."""
+    return all(w is None for _, w in verdicts)
+
+
 class Backend:
     """Common machinery.  Each concrete backend defines unit, tensor and
-    braiding_mat, and fixes the grading/action semantics.  The object and
-    morphism checks come as a report and as a yes/no answer; a plain
-    backend has none (Morphism itself rejects a matrix that does not fit)."""
+    braiding_mat, and fixes the grading/action semantics.  A plain backend
+    yields no verdicts (Morphism itself rejects a matrix that does not fit)."""
 
-    def object_report(self, x: CatObject) -> list[CheckResult]:
-        return []
+    def object_verdicts(self, x: CatObject) -> Verdicts:
+        yield from ()
+
+    def morphism_verdicts(self, f: Morphism) -> Verdicts:
+        yield from ()
 
     def morphism_report(self, f: Morphism) -> list[CheckResult]:
         return []
-
-    def object_holds(self, x: CatObject) -> bool:
-        return True
-
-    def morphism_holds(self, f: Morphism) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -167,10 +176,6 @@ def _require_grading(x: CatObject) -> tuple[int, ...]:
     return x.grading
 
 
-# (check name, witness): the witness is None when the check passes
-Verdicts = Iterator[tuple[str, str | None]]
-
-
 def _witness(ok: bool) -> str | None:
     """The witness of a yes/no check, as ``bool_check`` writes it."""
     return None if ok else "condition_violated"
@@ -179,11 +184,7 @@ def _witness(ok: bool) -> str | None:
 @dataclass(frozen=True)
 class _GradedBackend(Backend):
     """Objects graded by a finite group: the tensor product multiplies grades
-    and a morphism must preserve them.  Subclasses define the braiding.
-
-    The object and morphism checks are verdict generators, evaluated as they
-    are read.  The reports turn every verdict into a CheckResult; the holds
-    methods read the verdicts up to the first failure and build none."""
+    and a morphism must preserve them.  Subclasses define the braiding."""
 
     group: FiniteGroup
 
@@ -195,17 +196,8 @@ class _GradedBackend(Backend):
         grading = tuple(self.group.mul(a, b) for a in gx for b in gy)
         return CatObject(x.dim * y.dim, grading=grading)
 
-    def object_report(self, x: CatObject) -> list[CheckResult]:
-        return [bool_check(name, w is None, w) for name, w in self.object_verdicts(x)]
-
     def morphism_report(self, f: Morphism) -> list[CheckResult]:
         return [bool_check(name, w is None, w) for name, w in self.morphism_verdicts(f)]
-
-    def object_holds(self, x: CatObject) -> bool:
-        return all(w is None for _, w in self.object_verdicts(x))
-
-    def morphism_holds(self, f: Morphism) -> bool:
-        return all(w is None for _, w in self.morphism_verdicts(f))
 
     def _wellformed(self, x: CatObject) -> bool:
         grading = _require_grading(x)

@@ -45,11 +45,15 @@ the full scan decides:
   without which c is no braiding; for the antipode, also s commuting with
   the action.
 
-``verify_bialgebra`` computes S and these verdicts once per call, and
-``full_axiom_report`` hands them to ``verify_antipode``; a bare
-``verify_antipode`` runs the full scan.  ``cosep-section`` reports no axiom
-check, so ``right_linear`` decides its preconditions itself, on S, without
-reporting them, and its verdict rests on them.  Nothing is kept across calls.
+``_certificate`` turns S and the preconditions' verdicts, read lazily up to
+the first failure, into the certificate (S, or None for the full scan); it
+alone reads the carrier's object verdicts.  ``_bialgebra`` returns the
+checks of ``verify_bialgebra`` with their certificate, read from the
+reported associativity and morphism_m, and ``full_axiom_report`` hands it to
+``verify_antipode``; a bare ``verify_antipode`` runs the full scan.
+``verify_cosep_section`` reports no axiom check, so it gives the helper
+unreported verdicts: associativity and compatibility on S, then m's morphism
+checks.  Nothing is kept across calls.
 
 Both scans read the whole identity, built once as a ``Formula`` per side,
 at the columns ``_columns_in`` names (``Matrix.first_difference``'s column
@@ -65,13 +69,13 @@ full scan reads n^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import chain, takewhile
 from typing import Iterator
 
-from .category import Backend, CatObject, Morphism
+from .category import Backend, CatObject, Morphism, Verdicts, holds
 from .linalg import (Formula, Matrix, compose, generating_set, kron, map_system, pipeline,
                      solve_affine)
-from .report import CheckResult, difference_check, eq_check, merge_checks
+from .report import CheckResult, difference_check, difference_witness, eq_check, merge_checks
 
 
 @dataclass(frozen=True)
@@ -151,14 +155,12 @@ def _compatibility(a: BraidedBialgebra, c: Matrix) -> tuple[Formula, Formula]:
     return Formula(m, d), Formula((d, d), (ida, c, ida), (m, m))
 
 
-def _certified(a: BraidedBialgebra, gens: list[int], preconditions) -> list[int] | None:
-    """gens when the preconditions (CheckResults) pass and the carrier's
-    object checks pass on a carrier with a group action; else None."""
-    if any(c.failed() for c in preconditions):
-        return None
-    if a.carrier.action is not None and not a.backend.object_holds(a.carrier):
-        return None
-    return gens
+def _certificate(a: BraidedBialgebra, gens: list[int], verdicts: Verdicts) -> list[int] | None:
+    """gens when the verdicts hold, and then, on a carrier with a group
+    action, its object verdicts; else None."""
+    if a.carrier.action is not None:
+        verdicts = chain(verdicts, a.backend.object_verdicts(a.carrier))
+    return gens if holds(verdicts) else None
 
 
 def associativity_check(m: Matrix, gens: list[int] | None = None) -> CheckResult:
@@ -188,25 +190,27 @@ def verify_coalgebra(a: Coalgebra) -> list[CheckResult]:
     ]
 
 
-def verify_bialgebra(a: BraidedBialgebra, gens: list[int] | None = None) -> list[CheckResult]:
-    """Algebra + coalgebra axioms, morphism validity, braided compatibility.
-
-    gens is the generating set of a.m (``linalg.generating_set``), computed
-    when not given.  Compatibility and counit multiplicativity are decided on
-    it when associativity and morphism_m pass (module docstring).
-    """
+def _bialgebra(a: BraidedBialgebra) -> tuple[list[CheckResult], list[int] | None]:
+    """The checks of ``verify_bialgebra`` and their certificate, the
+    generating set of a.m when associativity and morphism_m pass (else None),
+    on which compatibility and counit multiplicativity are decided."""
     m, u, e = a.m.mat, a.u.mat, a.eps.mat
-    gens = generating_set(m) if gens is None else gens
+    gens = generating_set(m)
     algebra = verify_algebra(a, gens)
     morphisms = [merge_checks(f"morphism_{name}", a.backend.morphism_report(mor))
                  for name, mor in (("m", a.m), ("u", a.u), ("delta", a.delta), ("eps", a.eps))]
-    certified = _certified(a, gens, (algebra[0], morphisms[0]))
+    certified = _certificate(a, gens, ((c.name, c.witness) for c in (algebra[0], morphisms[0])))
     return algebra + verify_coalgebra(a) + morphisms + [
         _decide("bialgebra_compatibility", *_compatibility(a, a.braiding()), 0, a.dim, certified),
         eq_check("unit_comultiplicative", compose(u, a.delta.mat), kron(u, u)),
         _decide("counit_multiplicative", Formula(m, e), Formula((e, e)), 0, a.dim, certified),
         eq_check("counit_of_unit", compose(u, e), Matrix.identity(1)),
-    ]
+    ], certified
+
+
+def verify_bialgebra(a: BraidedBialgebra) -> list[CheckResult]:
+    """Algebra + coalgebra axioms, morphism validity, braided compatibility."""
+    return _bialgebra(a)[0]
 
 
 def verify_bialgebra_map(f: Matrix, src: BraidedBialgebra, dst: BraidedBialgebra,
@@ -296,10 +300,11 @@ def verify_cosep_section(h: HopfAlgebra, theta: Matrix) -> list[CheckResult]:
     rhs_two_sided = Formula((d, idb), (idb, idb, s), (idb, lam_m))
     delta_theta = pipeline(theta, d)
     gens = generating_set(m)
-    holds = (all(Matrix.first_difference(lhs, rhs, _columns_in(gens, 0, h.dim, lhs.cols)) is None
-                 for lhs, rhs in (_associativity(m), _compatibility(h, c)))
-             and h.backend.morphism_holds(h.m))
-    certified = _certified(h, gens, ()) if holds else None
+    on_gens = ((name, difference_witness(Matrix.first_difference(
+                    lhs, rhs, _columns_in(gens, 0, h.dim, lhs.cols))))
+               for name, (lhs, rhs) in (("algebra_associativity", _associativity(m)),
+                                        ("bialgebra_compatibility", _compatibility(h, c))))
+    certified = _certificate(h, gens, chain(on_gens, h.backend.morphism_verdicts(h.m)))
     return [
         eq_check("two_sided_expression", build_cosep_section(h, lam), rhs_two_sided),
         eq_check("left_colinear", delta_theta, Formula((d, idb), (idb, theta))),
@@ -312,9 +317,7 @@ def verify_cosep_section(h: HopfAlgebra, theta: Matrix) -> list[CheckResult]:
 
 
 def full_axiom_report(a: BraidedBialgebra) -> list[CheckResult]:
-    gens = generating_set(a.m.mat)
-    checks = verify_bialgebra(a, gens)
+    checks, certified = _bialgebra(a)
     if isinstance(a, HopfAlgebra):
-        preconditions = [c for c in checks if c.name in ("algebra_associativity", "morphism_m")]
-        checks += verify_antipode(a, certified=_certified(a, gens, preconditions))
+        checks += verify_antipode(a, certified=certified)
     return checks

@@ -269,9 +269,11 @@ def _extend(vec: dict, echelon: dict[int, dict]) -> dict:
     rest = _reduce(vec, echelon)
     if rest:
         lead = min(rest)
-        if rest[lead] != 1:
+        if rest[lead] == -1:
+            rest = {j: -x for j, x in rest.items()}
+        elif rest[lead] != 1:
             inv = Fraction(1, rest[lead])
-            rest = {j: x * inv for j, x in rest.items()}
+            rest = {j: _frac(x * inv) for j, x in rest.items()}
         echelon[lead] = rest
     return rest
 

@@ -251,9 +251,9 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
         if key not in named:
             raise ParseError(blk["line"], f"{key[0]} {key[1]!r} is not named by the backend line")
     obj = _build_object(backend, dim, basis, grades, actions)
-    for c in backend.object_report(obj):
-        if c.status == "fail":
-            raise ParseError(None, f"invalid object data: {c.name}")
+    for check, witness in backend.object_verdicts(obj):
+        if witness is not None:
+            raise ParseError(None, f"invalid object data: {check}")
 
     for kw in _MAPS:
         if entries[kw] and kw not in _CARRIES[kind]:

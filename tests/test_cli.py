@@ -9,6 +9,7 @@ from braidhopf import cli, products
 from braidhopf.cli import dispatch, main
 from braidhopf.report import CheckResult, ConstructionFailed
 from braidhopf.textio import parse_algebra_file
+from contexts import yd_exterior_line
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -247,6 +248,38 @@ def test_ext_vec_fails_compat():
     assert code == 1
     names = [c.name for c in report.checks if c.status == "fail"]
     assert names == ["bialgebra_compatibility"]
+
+
+def test_ext_yd_machine_report(monkeypatch):
+    """The exterior line in YD(C2) of tests/contexts, the one corpus Hopf
+    algebra over a group action, with its report as verify_corpus.py prints it."""
+    monkeypatch.chdir(os.path.join(CORPUS, ".."))
+    path = os.path.join("corpus", "algebras", "ext_yd.alg")
+    with open(path, encoding="utf-8") as fh:
+        assert parse_algebra_file(fh.read()).algebra == yd_exterior_line()
+    code, report, _ = run(["check", "hopf", path])
+    assert code == 0
+    assert machine(report) == "\n".join([
+        "command=check hopf corpus/algebras/ext_yd.alg",
+        "check=algebra_associativity status=pass",
+        "check=algebra_unit_left status=pass",
+        "check=algebra_unit_right status=pass",
+        "check=coalgebra_coassociativity status=pass",
+        "check=coalgebra_counit_left status=pass",
+        "check=coalgebra_counit_right status=pass",
+        "check=morphism_m status=pass",
+        "check=morphism_u status=pass",
+        "check=morphism_delta status=pass",
+        "check=morphism_eps status=pass",
+        "check=bialgebra_compatibility status=pass",
+        "check=unit_comultiplicative status=pass",
+        "check=counit_multiplicative status=pass",
+        "check=counit_of_unit status=pass",
+        "check=antipode_axiom status=pass",
+        "check=antipode_anti_multiplicative status=pass",
+        "check=antipode_anti_comultiplicative status=pass",
+        "overall=pass",
+    ])
 
 
 def test_filtration_values():

@@ -13,6 +13,7 @@ from braidhopf.hopf import (associativity_check, build_cosep_section,
                             verify_coalgebra, verify_cosep_section)
 from braidhopf.linalg import Formula, Matrix
 from braidhopf.report import eq_check
+from contexts import yd_exterior_line
 
 
 def all_pass(checks):
@@ -239,6 +240,22 @@ def test_a_certified_check_reads_its_generators_columns_once_per_side(monkeypatc
         assert len(columns) == len(gens) * n ** (k - 1)
         expected[name] = (columns, columns)
     assert reads == expected
+
+
+def test_the_axiom_suite_reads_the_carriers_object_checks_once(monkeypatch):
+    """The antipode's certificate is the bialgebra checks' one, not a second
+    reading of the preconditions."""
+    read = []
+    verdicts = YetterDrinfeldBackend.object_verdicts
+
+    def counted(self, x):
+        read.append(x)
+        yield from verdicts(self, x)
+
+    h = yd_exterior_line()
+    monkeypatch.setattr(YetterDrinfeldBackend, "object_verdicts", counted)
+    assert all_pass(full_axiom_report(h))
+    assert read == [h.carrier]
 
 
 def test_exterior_line_passes_in_super():

@@ -217,6 +217,17 @@ def test_integer_input_keeps_int_entries(a, b, c):
     assert all(type(v) is int for m in results for v in entries(m))
 
 
+def test_elimination_with_unit_pivots_keeps_int_entries():
+    """Every pivot of these integer matrices is 1 or -1, so an echelon row
+    led by -1 is negated rather than divided, and nothing becomes a Fraction."""
+    a, c, b = mat([[-1, 2, 3], [0, 1, -4]]), mat([[-1, 2], [0, -1]]), mat([[1, 0], [2, 5]])
+    inv, x = c.inverse(), solve_matrix(c, b)
+    particular, kernel = solve_affine(a, [3, -2])
+    assert c * inv == Matrix.identity(2) and c * x == b and kernel == kernel_basis(a)
+    values = [*entries(inv), *entries(x), *particular, *(v for vec in kernel for v in vec)]
+    assert len(values) == 13 and all(type(v) is int for v in values)
+
+
 def test_frac_turns_an_integral_fraction_into_an_int():
     assert _frac(F(4, 2)) == 2 and type(_frac(F(4, 2))) is int
     assert type(_frac(True)) is int

@@ -3,10 +3,10 @@
 The corpus battery of scripts/verify_corpus.py runs in-process with every
 CheckResult construction recorded.  A result reaches its command's report
 when it is one of the report's checks, or when merge_checks or prefixed
-turned it into one that does.  Two kinds of result reach no report on
+turned it into one that does.  One kind of result reaches no report on
 purpose: the inner comparisons of bd4, whose verdict chain_eq_check folds
-into its own result, and the parse-time grading_wellformed, whose failure
-the parser turns into a parse error.
+into its own result.  The parser decides a parsed object from its verdicts
+and builds no result.
 """
 
 import importlib.util
@@ -23,7 +23,7 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCRIPT = os.path.join(ROOT, "scripts", "verify_corpus.py")
 
 # (a function on the stack when the result was built, the result's name)
-KNOWN_UNREPORTED = {("chain_eq_check", "bd4"), ("parse_algebra_file", "grading_wellformed")}
+KNOWN_UNREPORTED = {("chain_eq_check", "bd4")}
 
 
 def corpus_commands():
@@ -90,7 +90,7 @@ def unreported(built, feeds, checks) -> list[str]:
 
 def test_every_computed_check_reaches_the_report(monkeypatch):
     commands = corpus_commands()
-    assert len(commands) == 29
+    assert len(commands) == 30
     monkeypatch.chdir(ROOT)           # the commands name their files from the repository root
     built, feeds = record_results(monkeypatch)
     dropped = []

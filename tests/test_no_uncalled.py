@@ -88,7 +88,7 @@ def parameters_never_read():
     """(function, parameter) for each parameter a function's body never reads.
 
     Methods and lambdas are exempt: a method's signature is fixed by its base
-    class, as in ``Backend.object_report(self, x)``, and a lambda's by the code
+    class, as in ``Backend.object_verdicts(self, x)``, and a lambda's by the code
     that calls it, such as one side of an affine condition.
     """
     for source in python_sources([os.path.relpath(PACKAGE, ROOT)]):

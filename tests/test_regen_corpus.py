@@ -20,7 +20,7 @@ def test_regen_corpus_rewrites_the_corpus_byte_identically(tmp_path):
     regen.ROOT = str(tmp_path)
     regen.main()
     written = _files(tmp_path)
-    assert written == _files(CORPUS) and len(written) == 25
+    assert written == _files(CORPUS) and len(written) == 26
     for rel in sorted(written):
         with open(os.path.join(CORPUS, rel), "rb") as want, open(tmp_path / rel, "rb") as got:
             assert got.read() == want.read(), rel

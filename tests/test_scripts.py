@@ -17,7 +17,7 @@ def run_script(*argv, env=None, cwd=None):
 
 
 def test_verify_corpus_succeeds():
-    assert "29 commands, 0 surprises" in run_script("verify_corpus.py").decode().splitlines()
+    assert "30 commands, 0 surprises" in run_script("verify_corpus.py").decode().splitlines()
 
 
 def test_verify_corpus_machine_output_does_not_depend_on_the_hash_seed():

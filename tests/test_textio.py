@@ -338,8 +338,8 @@ CORPUS_DEFINITIONS = sorted(
     for name in os.listdir(os.path.join(CORPUS, sub)))
 
 
-def test_corpus_has_seventeen_definition_files():
-    assert len(CORPUS_DEFINITIONS) == 17
+def test_corpus_has_eighteen_definition_files():
+    assert len(CORPUS_DEFINITIONS) == 18
 
 
 @pytest.mark.parametrize("relpath", CORPUS_DEFINITIONS)
