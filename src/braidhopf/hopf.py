@@ -53,7 +53,9 @@ reported associativity and morphism_m, and ``full_axiom_report`` hands it to
 ``verify_antipode``; a bare ``verify_antipode`` runs the full scan.
 ``verify_cosep_section`` reports no axiom check, so it gives the helper
 unreported verdicts: associativity and compatibility on S, then m's morphism
-checks.  Nothing is kept across calls.
+checks.  Nothing is kept across calls.  ``weakproj.search_weak_projection``
+writes the right B-linearity equations of its system for b in the S of B's
+product under a certificate of its own, stated in its docstring.
 
 Both scans read the whole identity, built once as a ``Formula`` per side,
 at the columns ``_columns_in`` names (``Matrix.first_difference``'s column
@@ -118,10 +120,10 @@ def make_bialgebra(backend: Backend, carrier: CatObject,
     return HopfAlgebra(*args, Morphism(carrier, carrier, s))
 
 
-def _columns_in(picks: list[int], slot: int, n: int, cols: int) -> Iterator[int]:
-    """The column numbers, ascending, of an identity on A^(x)k with cols =
-    n^k columns whose index in tensor slot `slot` is in picks (ascending)."""
-    stride = cols // n ** (slot + 1)
+def _columns_in(picks: list[int], n: int, stride: int, cols: int) -> Iterator[int]:
+    """The column numbers, ascending, of an identity with cols columns whose
+    index in a tensor slot of dimension n and stride `stride` is in picks
+    (ascending).  On A^(x)k, slot i has stride n^(k - 1 - i)."""
     for hi in range(0, cols, n * stride):
         for x in picks:
             first = hi + x * stride
@@ -135,11 +137,12 @@ def _decide(name: str, lhs: Formula, rhs: Formula, slot: int, n: int,
     gens None (or the whole basis), by the full scan."""
     if gens is None or len(gens) == n:
         return eq_check(name, lhs, rhs)
-    diff = Matrix.first_difference(lhs, rhs, _columns_in(gens, slot, n, lhs.cols))
+    stride = lhs.cols // n ** (slot + 1)
+    diff = Matrix.first_difference(lhs, rhs, _columns_in(gens, n, stride, lhs.cols))
     if diff is not None:
         rest = [x for x in range(n) if x not in gens]
         j = diff[1]
-        before = takewhile(lambda k: k < j, _columns_in(rest, slot, n, lhs.cols))
+        before = takewhile(lambda k: k < j, _columns_in(rest, n, stride, lhs.cols))
         diff = Matrix.first_difference(lhs, rhs, before) or diff
     return difference_check(name, diff)
 
@@ -301,7 +304,7 @@ def verify_cosep_section(h: HopfAlgebra, theta: Matrix) -> list[CheckResult]:
     delta_theta = pipeline(theta, d)
     gens = generating_set(m)
     on_gens = ((name, difference_witness(Matrix.first_difference(
-                    lhs, rhs, _columns_in(gens, 0, h.dim, lhs.cols))))
+                    lhs, rhs, _columns_in(gens, h.dim, lhs.cols // h.dim, lhs.cols))))
                for name, (lhs, rhs) in (("algebra_associativity", _associativity(m)),
                                         ("bialgebra_compatibility", _compatibility(h, c))))
     certified = _certificate(h, gens, chain(on_gens, h.backend.morphism_verdicts(h.m)))

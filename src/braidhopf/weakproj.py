@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import CatObject, Morphism
-from .hopf import (BraidedBialgebra, Coalgebra, HopfAlgebra, verify_bialgebra_map,
-                   verify_coalgebra)
-from .linalg import (Formula, Matrix, compose, equalizer, kron, map_system, pipeline,
-                     solve_affine, solve_matrix)
+from .hopf import (BraidedBialgebra, Coalgebra, HopfAlgebra, _associativity, _columns_in,
+                   verify_bialgebra_map, verify_coalgebra)
+from .linalg import (Formula, Matrix, compose, equalizer, generating_set, kron, map_system,
+                     pipeline, solve_affine, solve_matrix)
 from .report import (CheckResult, ConstructionFailed, bool_check, chain_eq_check,
                      eq_check, merge_checks, prefixed)
 
@@ -65,15 +65,20 @@ def projection_operators(a: BraidedBialgebra, b: HopfAlgebra,
     return phi, pi1, pi2
 
 
-def pi_affine_conditions(a: BraidedBialgebra, b: HopfAlgebra, sigma: Morphism):
+def pi_affine_conditions(a: BraidedBialgebra, b: HopfAlgebra, sigma: Morphism,
+                         gens: list[int] | None = None):
     """The identities on pi that are affine in pi, as (name, lhs, rhs) with
     each side a function of pi's matrix: eps_B pi = eps_A, right B-linearity
-    and pi sigma = Id_B."""
+    and pi sigma = Id_B.  Given gens, basis indices of B, right B-linearity
+    is written for b in gens only, through the inclusion J: span(gens) -> B
+    in its B argument (``search_weak_projection`` says when that suffices)."""
     sm, idb = sigma.mat, Matrix.identity(b.dim)
-    m_sig = pipeline((Matrix.identity(a.dim), sm), a.m.mat)   # A (x) B -> A
+    picks = range(b.dim) if gens is None else gens
+    inc = Matrix.from_entries(b.dim, len(picks), [(s, k, 1) for k, s in enumerate(picks)])
+    m_sig = pipeline((Matrix.identity(a.dim), compose(inc, sm)), a.m.mat)   # A (x) J -> A
     return [
         ("pi_counital", lambda x: compose(x, b.eps.mat), lambda x: a.eps.mat),
-        ("pi_right_linear", lambda x: compose(m_sig, x), lambda x: pipeline((x, idb), b.m.mat)),
+        ("pi_right_linear", lambda x: compose(m_sig, x), lambda x: pipeline((x, inc), b.m.mat)),
         ("pi_section_of_sigma", lambda x: compose(sm, x), lambda x: idb),
     ]
 
@@ -231,6 +236,23 @@ class SearchResult:
     checks: tuple[CheckResult, ...]
 
 
+def _module_certificate(a: BraidedBialgebra, b: HopfAlgebra, sigma: Morphism) -> list[int] | None:
+    """S = generating_set(m_B) when m_B is associative and A is a right
+    B-module through sigma, both decided for the last argument in S only
+    (``search_weak_projection`` says why that suffices); None when either
+    fails or S is the whole basis."""
+    nb, mb = b.dim, b.m.mat
+    gens = generating_set(mb)
+    if len(gens) == nb:
+        return None
+    ida = Matrix.identity(a.dim)
+    m_sig = pipeline((ida, sigma.mat), a.m.mat)   # A (x) B -> A
+    module = Formula((m_sig, Matrix.identity(nb)), m_sig), Formula((ida, mb), m_sig)
+    return gens if all(
+        Matrix.first_difference(lhs, rhs, _columns_in(gens, nb, stride, lhs.cols)) is None
+        for (lhs, rhs), stride in ((_associativity(mb), nb * nb), (module, 1))) else None
+
+
 def search_weak_projection(a: BraidedBialgebra, b: HopfAlgebra,
                            sigma: Morphism) -> SearchResult:
     """Solve the affine part of the weak projection conditions, then test
@@ -243,10 +265,32 @@ def search_weak_projection(a: BraidedBialgebra, b: HopfAlgebra,
     each homogeneous basis vector; the first candidate passing the full
     verification is returned.  The search is a documented heuristic, not a
     decision procedure.
+
+    Right B-linearity, pi(a sigma(b)) = pi(a) b, is written only for b in
+    S = generating_set(m_B) when a certificate holds (Light's test, as in
+    ``hopf``).  For any linear X: A -> B, T = {b : X(a sigma(b)) = X(a) b
+    for all a} is a subspace, and for b, b' in T
+    X(a sigma(bb')) = X((a sigma(b)) sigma(b')) = X(a sigma(b)) b'
+    = (X(a) b) b' = X(a)(bb'), so T is closed under m_B and S in T gives
+    T = B, provided
+
+    * m_B is associative, decided on S;
+    * A is a right B-module through sigma, (a sigma(b)) sigma(b') =
+      a sigma(bb'), decided for b' in S.  With m_B associative the good b'
+      form a subspace closed under m_B: (a sigma(b)) sigma(b'b'') =
+      ((a sigma(b)) sigma(b')) sigma(b'') = (a sigma(bb')) sigma(b'') =
+      a sigma((bb')b'').
+
+    Both are verdicts of ``Matrix.first_difference``, reported nowhere; when
+    either fails (or S is the whole basis), every b is written.  Since the
+    argument holds for every X, the reduced system has the full one's
+    solutions and its homogeneous part the same kernel; the reduced row
+    echelon form is unique, so the particular solution, the kernel basis and
+    every candidate are the full system's.
     """
     na, nb = a.dim, b.dim
-    system, target = map_system(nb, na, [(lhs, rhs) for _, lhs, rhs
-                                         in pi_affine_conditions(a, b, sigma)])
+    system, target = map_system(nb, na, [(lhs, rhs) for _, lhs, rhs in pi_affine_conditions(
+        a, b, sigma, _module_certificate(a, b, sigma))])
     particular, hom = solve_affine(system, target)
     if particular is None:
         checks = (bool_check("linear_system_solvable", False,

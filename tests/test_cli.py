@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import json
 import os
 import pkgutil
 
@@ -377,6 +379,21 @@ def test_build_smash_rejects_h4(capsys):
                  corpus("algebras", "c2_in_h4.alg"),
                  corpus("morphisms", "pi_h4_c2.map")])
     assert code == 1
+
+
+@pytest.mark.parametrize("sub", ["d4_in_s4", "c3_in_s4"])
+def test_weakproj_search_s4_matches_the_benchmark_golden_digest(monkeypatch, sub):
+    # the machine report names the command, so it runs from the repository
+    # root with the relative paths perfbench/golden.json was captured with
+    root = os.path.join(CORPUS, "..")
+    argv = ["weakproj", "search", "corpus/algebras/s4.alg", f"corpus/algebras/{sub}.alg"]
+    with open(os.path.join(root, "perfbench", "golden.json"), encoding="utf-8") as fh:
+        expected = json.load(fh)["s4"][" ".join(argv)]
+    monkeypatch.chdir(root)
+    code, report, _ = run(["--report", "machine", *argv])
+    text = machine(report)
+    assert (code, hashlib.sha256(f"{code}\n{text}".encode()).hexdigest()) == (
+        expected["exit"], expected["digest"])
 
 
 def test_build_doublecross_s4():

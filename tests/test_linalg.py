@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidhopf import hopf, linalg
+from braidhopf import hopf, linalg, weakproj
 from braidhopf.builders import cyclic_group, group_algebra, s3_group, sweedler_h4
 from braidhopf.linalg import (Formula, Matrix, ShapeMismatch, _frac, compose, equalizer,
                               hstack, kernel_basis, kron, map_system, pipeline, solve_affine,
@@ -273,14 +273,19 @@ def test_map_system_matches_the_basis_map_construction_on_the_library_systems(mo
     systems = []
     for ctx in (h4_c2, s3_c2, s3_c3):
         a, b, sigma, _ = ctx()
-        systems.append((b.dim, a.dim, [(lhs, rhs) for _, lhs, rhs
-                                       in pi_affine_conditions(a, b, sigma)]))
+        # the full system, and the one search_weak_projection solves: right
+        # B-linearity on the generating set of B only
+        gens = weakproj._module_certificate(a, b, sigma)
+        assert gens is not None
+        for picks in (None, gens):
+            systems.append((b.dim, a.dim, [(lhs, rhs) for _, lhs, rhs
+                                           in pi_affine_conditions(a, b, sigma, picks)]))
     # the integral conditions are the ones solve_total_integral hands to map_system
     monkeypatch.setattr(hopf, "map_system", lambda *args: systems.append(args) or map_system(*args))
     for alg in (group_algebra(cyclic_group(2)), group_algebra(s3_group()), sweedler_h4()):
         hopf.solve_total_integral(alg)
 
-    assert len(systems) == 6
+    assert len(systems) == 9
     for rows, cols, conditions in systems:
         assert map_system(rows, cols, conditions) == map_system_by_basis_maps(rows, cols, conditions)
 

@@ -1,12 +1,19 @@
+from dataclasses import replace
+from fractions import Fraction
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contexts import h4_c2, s3_c2, s3_c3, trivial
 from braidhopf.builders import (conjugation_yd_object, cyclic_group, group_algebra,
                                 s3_group, sweedler_h4)
 from braidhopf.category import CatObject, Morphism
-from braidhopf.hopf import verify_coalgebra
-from braidhopf import linalg
-from braidhopf.linalg import Matrix, compose, map_system, pipeline
+from braidhopf.hopf import associativity_check, verify_coalgebra
+from braidhopf import linalg, weakproj
+from braidhopf.linalg import (Matrix, compose, generating_set, map_system, pipeline,
+                              solve_affine)
 from braidhopf.report import ConstructionFailed
 from braidhopf.weakproj import (build_context, compute_diagram,
                                 pi_affine_conditions, projection_operators, run_bd_suite,
@@ -232,3 +239,106 @@ def test_search_reports_unsolvable_system(monkeypatch):
     assert result.pi is None
     assert [(c.name, c.status, c.witness) for c in result.checks] == [
         ("linear_system_solvable", "fail", "rank=8:unknowns=8")]
+
+
+# -- right B-linearity on the generating set of B ----------------------------------
+# search_weak_projection writes pi(a sigma(b)) = pi(a) b for b in
+# generating_set(m_B) only, when m_B is associative and A is a right B-module
+# through sigma; otherwise for every b.
+
+def replace_map(alg, name, mat):
+    old = getattr(alg, name)
+    return replace(alg, **{name: Morphism(old.dom, old.cod, mat)})
+
+
+def bump(mat, i, j, value):
+    return mat + Matrix.from_entries(mat.rows, mat.cols, [(i, j, value)])
+
+
+def solved(a, b, sigma, gens):
+    conditions = pi_affine_conditions(a, b, sigma, gens)
+    return solve_affine(*map_system(b.dim, a.dim, [(lhs, rhs) for _, lhs, rhs in conditions]))
+
+
+def system_rows(monkeypatch, a, b, sigma):
+    """The search's result and the row count of each system map_system built."""
+    rows = []
+
+    def recorded(*args):
+        system = map_system(*args)
+        rows.append(system[0].rows)
+        return system
+
+    monkeypatch.setattr(weakproj, "map_system", recorded)
+    return search_weak_projection(a, b, sigma), rows
+
+
+def full_rows(a, b):
+    """pi_counital, pi_right_linear for every b, pi_section_of_sigma."""
+    return a.dim + b.dim * a.dim * b.dim + b.dim * b.dim
+
+
+@st.composite
+def perturbed_contexts(draw):
+    """h4_c2, s3_c2 or s3_c3 with one entry of sigma, m_A or m_B moved."""
+    a, b, sigma, _ = draw(st.sampled_from([h4_c2, s3_c2, s3_c3]))()
+    which = draw(st.sampled_from(["sigma", "m_a", "m_b"]))
+    mat = {"sigma": sigma.mat, "m_a": a.m.mat, "m_b": b.m.mat}[which]
+    moved = bump(mat, draw(st.integers(0, mat.rows - 1)), draw(st.integers(0, mat.cols - 1)),
+                 draw(st.sampled_from([1, -1, 2, Fraction(1, 2)])))
+    if which == "sigma":
+        sigma = Morphism(sigma.dom, sigma.cod, moved)
+    elif which == "m_a":
+        a = replace_map(a, "m", moved)
+    else:
+        b = replace_map(b, "m", moved)
+    return a, b, sigma
+
+
+@given(perturbed_contexts())
+@settings(max_examples=60, deadline=None)
+def test_the_certified_reduced_system_solves_like_the_full_one(ctx):
+    a, b, sigma = ctx
+    gens = weakproj._module_certificate(a, b, sigma)
+    if gens is not None:
+        assert len(gens) < b.dim
+        assert solved(a, b, sigma, gens) == solved(a, b, sigma, None)
+    with mock.patch.object(weakproj, "_module_certificate", return_value=None):
+        full = search_weak_projection(a, b, sigma)
+    assert search_weak_projection(a, b, sigma) == full
+
+
+@pytest.mark.parametrize("ctx", [h4_c2, s3_c2, s3_c3])
+def test_the_library_contexts_are_certified_and_solve_a_smaller_system(monkeypatch, ctx):
+    a, b, sigma, _ = ctx()
+    gens = weakproj._module_certificate(a, b, sigma)
+    assert gens == generating_set(b.m.mat) and len(gens) < b.dim
+    # moving a product x y of m_A with y outside sigma(B) keeps the certificate
+    image = {i for col in sigma.mat.columns() for i in col}
+    outside = next(j for j in range(a.dim * a.dim) if j % a.dim not in image)
+    assert weakproj._module_certificate(replace_map(a, "m", bump(a.m.mat, 0, outside, 1)),
+                                        b, sigma) == gens
+    _, rows = system_rows(monkeypatch, a, b, sigma)
+    assert rows == [a.dim + b.dim * a.dim * len(gens) + b.dim * b.dim]
+
+
+def test_a_non_associative_m_b_builds_the_full_system(monkeypatch):
+    a, b, sigma, _ = s3_c3()
+    # g1 g1 = g2 + e: (g1 g1) g2 = e + g2 but g1 (g1 g2) = g1
+    b = replace_map(b, "m", bump(b.m.mat, 0, 1 * 3 + 1, 1))
+    assert associativity_check(b.m.mat).status == "fail"
+    assert len(generating_set(b.m.mat)) < b.dim
+    _, rows = system_rows(monkeypatch, a, b, sigma)
+    assert rows == [full_rows(a, b)]
+
+
+def test_a_broken_module_identity_builds_the_full_system(monkeypatch):
+    a, b, sigma, _ = s3_c3()
+    # t c = c^2 t moved to c^2 t + e: (t sigma(g1)) sigma(g1) != t sigma(g2)
+    a = replace_map(a, "m", bump(a.m.mat, 0, 3 * 6 + 1, 1))
+    ida = Matrix.identity(a.dim)
+    assert associativity_check(b.m.mat).status == "pass"
+    assert (pipeline((ida, sigma.mat, sigma.mat), (a.m.mat, ida), a.m.mat)
+            != pipeline((ida, b.m.mat), (ida, sigma.mat), a.m.mat))
+    _, rows = system_rows(monkeypatch, a, b, sigma)
+    assert rows == [full_rows(a, b)]
