@@ -41,21 +41,22 @@ the full scan decides:
   associative only when m is and the braiding is natural for m;
 * for ``right_linear``, also ``bialgebra_compatibility``, so that
   B (x) B is a right B-module through Delta;
-* on a carrier with a group action (Yetter-Drinfeld), its object checks,
-  without which c is no braiding; for the antipode, also s commuting with
-  the action.
+* the carrier's object checks, without which c is no braiding over a
+  group action (a graded carrier has one O(n) check, a plain one none);
+  for the antipode, also s commuting with the action.
 
-``_certificate`` turns S and the preconditions' verdicts, read lazily up to
-the first failure, into the certificate (S, or None for the full scan); it
-alone reads the carrier's object verdicts.  ``_bialgebra`` returns the
-checks of ``verify_bialgebra`` with their certificate, read from the
-reported associativity and morphism_m, and ``full_axiom_report`` hands it to
-``verify_antipode``; a bare ``verify_antipode`` runs the full scan.
-``verify_cosep_section`` reports no axiom check, so it gives the helper
-unreported verdicts: associativity and compatibility on S, then m's morphism
-checks.  Nothing is kept across calls.  ``weakproj.search_weak_projection``
-writes the right B-linearity equations of its system for b in the S of B's
-product under a certificate of its own, stated in its docstring.
+``_certificate`` alone decides these preconditions: it returns S, or None
+for the full scan, and None at once when S is the whole basis.  Otherwise
+it reads, each up to the first failure, the identities (lhs, rhs, stride)
+it is given at the columns of S, then the verdicts it is given, then the
+carrier's object verdicts.  Its callers: ``_bialgebra`` gives it the
+reported associativity and morphism_m, and ``full_axiom_report`` hands the
+certificate to ``verify_antipode`` (a bare call runs the full scan);
+``verify_cosep_section``, which reports no axiom check, gives it
+associativity and compatibility as identities and m's morphism verdicts;
+``weakproj._module_certificate`` gives it B's associativity and A's right
+B-module identity, for the system of ``weakproj.search_weak_projection``.
+Nothing is kept across calls.
 
 Both scans read the whole identity, built once as a ``Formula`` per side,
 at the columns ``_columns_in`` names (``Matrix.first_difference``'s column
@@ -72,12 +73,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, takewhile
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .category import Backend, CatObject, Morphism, Verdicts, holds
 from .linalg import (Formula, Matrix, compose, generating_set, kron, map_system, pipeline,
                      solve_affine)
-from .report import CheckResult, difference_check, difference_witness, eq_check, merge_checks
+from .report import CheckResult, difference_check, eq_check, merge_checks
 
 
 @dataclass(frozen=True)
@@ -130,14 +131,13 @@ def _columns_in(picks: list[int], n: int, stride: int, cols: int) -> Iterator[in
             yield from range(first, first + stride)
 
 
-def _decide(name: str, lhs: Formula, rhs: Formula, slot: int, n: int,
+def _decide(name: str, lhs: Formula, rhs: Formula, stride: int, n: int,
             gens: list[int] | None) -> CheckResult:
-    """lhs == rhs on A^(x)k, an identity multiplicative in tensor slot
-    `slot`, decided on gens with the fallback of the module docstring; with
-    gens None (or the whole basis), by the full scan."""
+    """lhs == rhs, an identity multiplicative in the tensor slot of dimension
+    n and stride `stride`, decided on gens with the fallback of the module
+    docstring; with gens None (or the whole basis), by the full scan."""
     if gens is None or len(gens) == n:
         return eq_check(name, lhs, rhs)
-    stride = lhs.cols // n ** (slot + 1)
     diff = Matrix.first_difference(lhs, rhs, _columns_in(gens, n, stride, lhs.cols))
     if diff is not None:
         rest = [x for x in range(n) if x not in gens]
@@ -147,30 +147,37 @@ def _decide(name: str, lhs: Formula, rhs: Formula, slot: int, n: int,
     return difference_check(name, diff)
 
 
-def _associativity(m: Matrix) -> tuple[Formula, Formula]:
+def _associativity(m: Matrix) -> tuple[Formula, Formula, int]:
     ida = Matrix.identity(m.rows)
-    return Formula((m, ida), m), Formula((ida, m), m)
+    return Formula((m, ida), m), Formula((ida, m), m), m.rows ** 2
 
 
-def _compatibility(a: BraidedBialgebra, c: Matrix) -> tuple[Formula, Formula]:
+def _compatibility(a: BraidedBialgebra, c: Matrix) -> tuple[Formula, Formula, int]:
     m, d = a.m.mat, a.delta.mat
     ida = Matrix.identity(a.dim)
-    return Formula(m, d), Formula((d, d), (ida, c, ida), (m, m))
+    return Formula(m, d), Formula((d, d), (ida, c, ida), (m, m)), a.dim
 
 
-def _certificate(a: BraidedBialgebra, gens: list[int], verdicts: Verdicts) -> list[int] | None:
-    """gens when the verdicts hold, and then, on a carrier with a group
-    action, its object verdicts; else None."""
-    if a.carrier.action is not None:
-        verdicts = chain(verdicts, a.backend.object_verdicts(a.carrier))
-    return gens if holds(verdicts) else None
+def _certificate(a: BraidedBialgebra, gens: list[int],
+                 identities: Iterable[tuple[Formula, Formula, int]],
+                 verdicts: Verdicts) -> list[int] | None:
+    """gens when they are not the whole basis of a and the preconditions
+    hold, read in order up to the first failure: each identity (lhs, rhs,
+    stride) at the columns of gens, the verdicts, then a's object verdicts;
+    else None."""
+    n = a.dim
+    if len(gens) == n:
+        return None
+    agree = all(Matrix.first_difference(lhs, rhs, _columns_in(gens, n, stride, lhs.cols)) is None
+                for lhs, rhs, stride in identities)
+    return gens if agree and holds(chain(verdicts, a.backend.object_verdicts(a.carrier))) else None
 
 
 def associativity_check(m: Matrix, gens: list[int] | None = None) -> CheckResult:
     """(xy)z = x(yz), decided on the generating set gens of m (module
     docstring), computed when not given."""
     gens = generating_set(m) if gens is None else gens
-    return _decide("algebra_associativity", *_associativity(m), 0, m.rows, gens)
+    return _decide("algebra_associativity", *_associativity(m), m.rows, gens)
 
 
 def verify_algebra(a: BraidedBialgebra, gens: list[int] | None = None) -> list[CheckResult]:
@@ -202,11 +209,11 @@ def _bialgebra(a: BraidedBialgebra) -> tuple[list[CheckResult], list[int] | None
     algebra = verify_algebra(a, gens)
     morphisms = [merge_checks(f"morphism_{name}", a.backend.morphism_report(mor))
                  for name, mor in (("m", a.m), ("u", a.u), ("delta", a.delta), ("eps", a.eps))]
-    certified = _certificate(a, gens, ((c.name, c.witness) for c in (algebra[0], morphisms[0])))
+    certified = _certificate(a, gens, (), ((c.name, c.witness) for c in (algebra[0], morphisms[0])))
     return algebra + verify_coalgebra(a) + morphisms + [
-        _decide("bialgebra_compatibility", *_compatibility(a, a.braiding()), 0, a.dim, certified),
+        _decide("bialgebra_compatibility", *_compatibility(a, a.braiding()), a.dim, certified),
         eq_check("unit_comultiplicative", compose(u, a.delta.mat), kron(u, u)),
-        _decide("counit_multiplicative", Formula(m, e), Formula((e, e)), 0, a.dim, certified),
+        _decide("counit_multiplicative", Formula(m, e), Formula((e, e)), a.dim, a.dim, certified),
         eq_check("counit_of_unit", compose(u, e), Matrix.identity(1)),
     ], certified
 
@@ -248,8 +255,8 @@ def verify_antipode(h: HopfAlgebra, *, certified: list[int] | None = None) -> li
     ])
     return [
         axiom,
-        _decide("antipode_anti_multiplicative", Formula(m, s), Formula(c, (s, s), m), 0, h.dim,
-                certified),
+        _decide("antipode_anti_multiplicative", Formula(m, s), Formula(c, (s, s), m), h.dim,
+                h.dim, certified),
         eq_check("antipode_anti_comultiplicative", compose(s, d), Formula(d, c, (s, s))),
     ]
 
@@ -302,12 +309,8 @@ def verify_cosep_section(h: HopfAlgebra, theta: Matrix) -> list[CheckResult]:
     lam_m = compose(m, lam)
     rhs_two_sided = Formula((d, idb), (idb, idb, s), (idb, lam_m))
     delta_theta = pipeline(theta, d)
-    gens = generating_set(m)
-    on_gens = ((name, difference_witness(Matrix.first_difference(
-                    lhs, rhs, _columns_in(gens, h.dim, lhs.cols // h.dim, lhs.cols))))
-               for name, (lhs, rhs) in (("algebra_associativity", _associativity(m)),
-                                        ("bialgebra_compatibility", _compatibility(h, c))))
-    certified = _certificate(h, gens, chain(on_gens, h.backend.morphism_verdicts(h.m)))
+    certified = _certificate(h, generating_set(m), (_associativity(m), _compatibility(h, c)),
+                             h.backend.morphism_verdicts(h.m))
     return [
         eq_check("two_sided_expression", build_cosep_section(h, lam), rhs_two_sided),
         eq_check("left_colinear", delta_theta, Formula((d, idb), (idb, theta))),
@@ -315,7 +318,7 @@ def verify_cosep_section(h: HopfAlgebra, theta: Matrix) -> list[CheckResult]:
         eq_check("section_of_delta", compose(d, theta), idb),
         # the (B(x)B)(x)B module structure, then theta
         _decide("right_linear", Formula((idb, idb, d), (idb, c, idb), (m, m), theta),
-                Formula((theta, idb), m), 2, h.dim, certified),
+                Formula((theta, idb), m), 1, h.dim, certified),
     ]
 
 

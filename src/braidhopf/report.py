@@ -57,11 +57,8 @@ def difference_witness(diff: tuple | None) -> str | None:
 
 def chain_eq_check(name: str, mats: list[Matrix]) -> CheckResult:
     """All matrices in the chain must agree: the first adjacent pair that breaks fails."""
-    for lhs, rhs in zip(mats, mats[1:]):
-        check = eq_check(name, lhs, rhs)
-        if check.failed():
-            return check
-    return CheckResult(name, "pass")
+    diffs = (Matrix.first_difference(lhs, rhs) for lhs, rhs in zip(mats, mats[1:]))
+    return difference_check(name, next((d for d in diffs if d is not None), None))
 
 
 def bool_check(name: str, ok: bool, witness: str = "condition_violated", value: str | None = None) -> CheckResult:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import CatObject, Morphism
-from .hopf import (BraidedBialgebra, Coalgebra, HopfAlgebra, _associativity, _columns_in,
+from .hopf import (BraidedBialgebra, Coalgebra, HopfAlgebra, _associativity, _certificate,
                    verify_bialgebra_map, verify_coalgebra)
 from .linalg import (Formula, Matrix, compose, equalizer, generating_set, kron, map_system,
                      pipeline, solve_affine, solve_matrix)
@@ -239,18 +239,12 @@ class SearchResult:
 def _module_certificate(a: BraidedBialgebra, b: HopfAlgebra, sigma: Morphism) -> list[int] | None:
     """S = generating_set(m_B) when m_B is associative and A is a right
     B-module through sigma, both decided for the last argument in S only
-    (``search_weak_projection`` says why that suffices); None when either
-    fails or S is the whole basis."""
-    nb, mb = b.dim, b.m.mat
-    gens = generating_set(mb)
-    if len(gens) == nb:
-        return None
-    ida = Matrix.identity(a.dim)
+    (``search_weak_projection`` says why that suffices), by ``hopf``'s one
+    certificate; None when either fails or S is the whole basis."""
+    mb, ida = b.m.mat, Matrix.identity(a.dim)
     m_sig = pipeline((ida, sigma.mat), a.m.mat)   # A (x) B -> A
-    module = Formula((m_sig, Matrix.identity(nb)), m_sig), Formula((ida, mb), m_sig)
-    return gens if all(
-        Matrix.first_difference(lhs, rhs, _columns_in(gens, nb, stride, lhs.cols)) is None
-        for (lhs, rhs), stride in ((_associativity(mb), nb * nb), (module, 1))) else None
+    module = Formula((m_sig, Matrix.identity(b.dim)), m_sig), Formula((ida, mb), m_sig), 1
+    return _certificate(b, generating_set(mb), (_associativity(mb), module), ())
 
 
 def search_weak_projection(a: BraidedBialgebra, b: HopfAlgebra,
@@ -281,8 +275,9 @@ def search_weak_projection(a: BraidedBialgebra, b: HopfAlgebra,
       ((a sigma(b)) sigma(b')) sigma(b'') = (a sigma(bb')) sigma(b'') =
       a sigma((bb')b'').
 
-    Both are verdicts of ``Matrix.first_difference``, reported nowhere; when
-    either fails (or S is the whole basis), every b is written.  Since the
+    Both are read at the columns of S, reported nowhere, by ``hopf``'s
+    ``_certificate``, which also reads B's object verdicts; when any fails
+    (or S is the whole basis), every b is written.  Since the
     argument holds for every X, the reduced system has the full one's
     solutions and its homogeneous part the same kernel; the reduced row
     echelon form is unique, so the particular solution, the kernel basis and

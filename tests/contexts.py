@@ -21,15 +21,24 @@ def h4_c2():
     return a, b, sigma, pi
 
 
+def _in_yd_c2(base, grading, g_action):
+    """The 2-dim Hopf algebra base in YD(C2), with the given grading and g
+    acting by g_action."""
+    carrier = CatObject(2, grading=grading, action=(Matrix.identity(2), g_action))
+    return make_bialgebra(YetterDrinfeldBackend(cyclic_group(2)), carrier, base.m.mat,
+                          base.u.mat, base.delta.mat, base.eps.mat, base.s.mat)
+
+
 def yd_exterior_line():
     """The exterior line as a bialgebra in YD(C2): x odd, g acts by -1 on x."""
-    g = cyclic_group(2)
-    backend = YetterDrinfeldBackend(g)
-    neg = Matrix.from_rows([[1, 0], [0, -1]])
-    carrier = CatObject(2, grading=(0, 1), action=(Matrix.identity(2), neg))
-    base = exterior_line(SUPER)
-    return make_bialgebra(backend, carrier, base.m.mat, base.u.mat,
-                          base.delta.mat, base.eps.mat, base.s.mat)
+    return _in_yd_c2(exterior_line(SUPER), (0, 1), Matrix.from_rows([[1, 0], [0, -1]]))
+
+
+def yd_kc2():
+    """kC2 in YD(C2), graded and acted on trivially: its generating set is
+    {g}, not the whole basis, so the certificate reads the carrier's object
+    checks."""
+    return _in_yd_c2(group_algebra(cyclic_group(2)), (0, 0), Matrix.identity(2))
 
 
 def s3_c2():

@@ -13,7 +13,7 @@ from braidhopf.hopf import (associativity_check, build_cosep_section,
                             verify_coalgebra, verify_cosep_section)
 from braidhopf.linalg import Formula, Matrix
 from braidhopf.report import eq_check
-from contexts import yd_exterior_line
+from contexts import yd_exterior_line, yd_kc2
 
 
 def all_pass(checks):
@@ -252,10 +252,37 @@ def test_the_axiom_suite_reads_the_carriers_object_checks_once(monkeypatch):
         read.append(x)
         yield from verdicts(self, x)
 
-    h = yd_exterior_line()
+    h = yd_kc2()
+    assert len(generating_set(h.m.mat)) < h.dim
     monkeypatch.setattr(YetterDrinfeldBackend, "object_verdicts", counted)
     assert all_pass(full_axiom_report(h))
     assert read == [h.carrier]
+
+
+@pytest.mark.parametrize("h", [exterior_line(SUPER), yd_exterior_line()],
+                         ids=["super", "yd"])
+def test_a_generating_set_that_is_the_whole_basis_reads_no_precondition(monkeypatch, h):
+    """S = {1, x}: the certificate could only repeat the full scan, so
+    cosep-section reads no column of its preconditions on S."""
+    selected = []
+    first_difference = Matrix.first_difference
+
+    def recording(x, y, js=None):
+        selected.append(js is not None)
+        return first_difference(x, y, js)
+
+    assert generating_set(h.m.mat) == [0, 1]
+    monkeypatch.setattr(Matrix, "first_difference", recording)
+    checks = verify_cosep_section(h, build_cosep_section(h, h.eps.mat))
+    monkeypatch.undo()
+    assert selected and not any(selected)
+    assert [(c.name, c.status, c.witness) for c in checks] == [
+        ("two_sided_expression", "fail", "(1,1):lhs=1:rhs=0"),
+        ("left_colinear", "fail", "(2,1):lhs=1:rhs=0"),
+        ("right_colinear", "pass", None),
+        ("section_of_delta", "pass", None),
+        ("right_linear", "pass", None),
+    ]
 
 
 def test_exterior_line_passes_in_super():

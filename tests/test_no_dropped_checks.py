@@ -3,10 +3,8 @@
 The corpus battery of scripts/verify_corpus.py runs in-process with every
 CheckResult construction recorded.  A result reaches its command's report
 when it is one of the report's checks, or when merge_checks or prefixed
-turned it into one that does.  One kind of result reaches no report on
-purpose: the inner comparisons of bd4, whose verdict chain_eq_check folds
-into its own result.  The parser decides a parsed object from its verdicts
-and builds no result.
+turned it into one that does.  The parser decides a parsed object from its
+verdicts and builds no result.
 """
 
 import importlib.util
@@ -17,13 +15,10 @@ from braidhopf import report as report_module
 from braidhopf.cli import dispatch
 from braidhopf.hopf import build_cosep_section, full_axiom_report, verify_cosep_section
 from braidhopf.report import CheckResult
-from contexts import yd_exterior_line
+from contexts import yd_exterior_line, yd_kc2
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCRIPT = os.path.join(ROOT, "scripts", "verify_corpus.py")
-
-# (a function on the stack when the result was built, the result's name)
-KNOWN_UNREPORTED = {("chain_eq_check", "bd4")}
 
 
 def corpus_commands():
@@ -34,20 +29,16 @@ def corpus_commands():
 
 
 def record_results(monkeypatch):
-    """(built, feeds): every CheckResult built, with the names of the functions
-    on the stack at the time, and the id of each result merge_checks or
-    prefixed consumed, mapped to the ids of the results it went into."""
-    built: list[tuple[CheckResult, set[str]]] = []
+    """(built, feeds): every CheckResult built, and the id of each result
+    merge_checks or prefixed consumed, mapped to the ids of the results it
+    went into."""
+    built: list[CheckResult] = []
     feeds: dict[int, list[int]] = {}
     init = CheckResult.__init__
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        frame, stack = sys._getframe(1), set()
-        while frame is not None:
-            stack.add(frame.f_code.co_name)
-            frame = frame.f_back
-        built.append((self, stack))
+        built.append(self)
 
     merge, prefixed = report_module.merge_checks, report_module.prefixed
 
@@ -81,11 +72,9 @@ def reached(result_id: int, reported: set[int], feeds: dict[int, list[int]]) -> 
 
 
 def unreported(built, feeds, checks) -> list[str]:
-    """The names of the results built that reach none of checks, known ones aside."""
+    """The names of the results built that reach none of checks."""
     reported = {id(c) for c in checks}
-    return [result.name for result, stack in built
-            if not reached(id(result), reported, feeds)
-            and not any((fn, result.name) in KNOWN_UNREPORTED for fn in stack)]
+    return [result.name for result in built if not reached(id(result), reported, feeds)]
 
 
 def test_every_computed_check_reaches_the_report(monkeypatch):
@@ -105,15 +94,16 @@ def test_every_computed_check_reaches_the_report(monkeypatch):
 
 
 def test_checks_on_a_yetter_drinfeld_hopf_algebra_reach_the_report(monkeypatch):
-    """The generating-set certificate reads the carrier's object checks when
-    it has a group action, and cosep-section reads the morphism checks of m;
-    no corpus command takes either path.  theta need not be a section."""
-    h = yd_exterior_line()
-    theta = build_cosep_section(h, h.eps.mat)
+    """cosep-section reads the morphism checks of m, and on kC2, whose
+    generating set is not its whole basis, the certificate reads the
+    carrier's object checks; no corpus command takes either path.  theta
+    need not be a section."""
     built, feeds = record_results(monkeypatch)
-    for run in (full_axiom_report, lambda alg: verify_cosep_section(alg, theta)):
-        del built[:]
-        feeds.clear()
-        checks = run(h)
-        assert built
-        assert unreported(built, feeds, checks) == []
+    for h in (yd_exterior_line(), yd_kc2()):
+        theta = build_cosep_section(h, h.eps.mat)
+        for run in (full_axiom_report, lambda alg: verify_cosep_section(alg, theta)):
+            del built[:]
+            feeds.clear()
+            checks = run(h)
+            assert built
+            assert unreported(built, feeds, checks) == []
