@@ -117,7 +117,7 @@ class Matrix:
         for i, j, v in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ShapeMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
-            fv = coldicts[j].get(i, 0) + _frac(v)
+            fv = _frac(coldicts[j].get(i, 0) + _frac(v))
             if fv:
                 coldicts[j][i] = fv
             elif i in coldicts[j]:

@@ -19,6 +19,10 @@ Each structure-map line is one matrix entry of a map A^(x in) -> A^(x out),
 with `in` basis names, `->`, `out` basis names and the coefficient; tensors of
 basis vectors are indexed in Kronecker (base-dim) order.  The arities (in, out)
 are mul (2, 1), unit (0, 1), comul (1, 2), counit (1, 0), antipode (1, 1).
+A map line is read once, straight into its matrix column: a repeated entry is
+summed and the sum normalized (an integral one is an int), and a zero sum is
+dropped.  Whether a keyword has a line, not what its entries sum to, decides
+which maps a kind may carry and that a hopf file carries an antipode.
 The header, backend, dim and basis lines appear once each, and so does the
 grade line of a basis name.
 
@@ -103,21 +107,14 @@ _CARRIES = {"object": (), "coalgebra": ("comul", "counit"),
             "bialgebra": ("mul", "unit", "comul", "counit"), "hopf": tuple(_MAPS)}
 
 
-def _kron_index(idx, n: int) -> int:
-    """Position of e_i1 (x) ... (x) e_ik in the Kronecker basis of A^(x k)."""
-    flat = 0
-    for i in idx:
-        flat = flat * n + i
-    return flat
-
-
 def parse_algebra_file(text: str) -> LoadedAlgebra:
     kind = name = None
     backend_spec: list[str] | None = None
     backend_line = None
     dim = None
     basis: dict[str, int] | None = None   # basis name -> its position, in order
-    entries: dict[str, list] = {kw: [] for kw in _MAPS}   # (in indices, out indices, coeff)
+    columns: dict[str, list[dict]] = {}   # keyword -> its matrix's {row: value} columns
+    scalars: dict[str, int | Fraction] = {}   # coefficient token -> its value
     grades: dict[str, tuple[str, int]] = {}
     actions: list = []
     blocks: dict[tuple[str, str], dict] = {}   # ("group"|"bichar", name) -> its lines
@@ -191,13 +188,26 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
             basis = {tok: i for i, tok in enumerate(toks[1:])}
         elif head in _MAPS:
             _, k_in, k_out = _MAPS[head]
-            lhs, rhs = split_arrow(toks[1:], line)
-            if len(lhs) != k_in or len(rhs) != k_out + 1:
+            if "->" not in toks:
+                raise ParseError(line, "expected '->'")
+            if toks.index("->") != k_in + 1 or len(toks) != k_in + k_out + 3:
                 slots = [f"<{c}>" for c in "ijk"[:k_in + k_out]]
                 raise ParseError(line, " ".join(["usage:", head, *slots[:k_in], "->",
                                                  *slots[k_in:], "<coeff>"]))
-            idx = [need_basis(tok, line) for tok in lhs + rhs[:-1]]
-            entries[head].append((idx[:k_in], idx[k_in:], parse_scalar(rhs[-1], line)))
+            flat = 0   # the names' tensor in A^(x in+out): column j, then row i
+            for tok in toks[1:k_in + 1] + toks[k_in + 2:-1]:
+                flat = need_basis(tok, line) + flat * dim
+            v = scalars.get(toks[-1])
+            if v is None:
+                v = scalars[toks[-1]] = parse_scalar(toks[-1], line)
+            if head not in columns:
+                columns[head] = [{} for _ in range(dim ** k_in)]
+            j, i = divmod(flat, dim ** k_out)
+            col = columns[head][j]
+            if i in col:
+                v = _frac(col.pop(i) + v)
+            if v:
+                col[i] = v
         elif head == "grade":
             lhs, rhs = split_arrow(toks[1:], line)
             if len(lhs) != 1 or len(rhs) != 1:
@@ -256,16 +266,15 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
             raise ParseError(None, f"invalid object data: {check}")
 
     for kw in _MAPS:
-        if entries[kw] and kw not in _CARRIES[kind]:
+        if kw in columns and kw not in _CARRIES[kind]:
             raise ParseError(None, f"{kind} files cannot carry {kw} entries")
-    if kind == "hopf" and not entries["antipode"]:
+    if kind == "hopf" and "antipode" not in columns:
         raise ParseError(None, "hopf files need antipode entries")
     mats = {}
     for kw in _CARRIES[kind]:
         field, k_in, k_out = _MAPS[kw]
-        mats[field] = Matrix.from_entries(
-            dim ** k_out, dim ** k_in,
-            ((_kron_index(o, dim), _kron_index(i, dim), v) for i, o, v in entries[kw]))
+        mats[field] = Matrix(dim ** k_out, dim ** k_in,
+                             columns.get(kw) or [{} for _ in range(dim ** k_in)])
     if kind == "object":
         alg = None
     elif kind == "coalgebra":
@@ -354,7 +363,7 @@ def parse_morphism_file(text: str, dom: LoadedAlgebra | tuple, cod: LoadedAlgebr
     for line, toks in _tokenize(text):
         if toks[0] != "map":
             raise ParseError(line, f"unknown keyword {toks[0]!r} in morphism file")
-        if "->" not in toks or len(toks) != 5 or toks[2] != "->":
+        if len(toks) != 5 or toks[2] != "->":
             raise ParseError(line, "usage: map <i> -> <j> <coeff>")
         src, dst, coeff = toks[1], toks[3], parse_scalar(toks[4], line)
         if src not in dom_at:

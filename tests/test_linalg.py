@@ -234,6 +234,13 @@ def test_frac_turns_an_integral_fraction_into_an_int():
     assert _frac(F(1, 2)) == F(1, 2)
 
 
+def test_from_entries_keeps_an_integral_sum_int():
+    got = Matrix.from_entries(1, 1, [(0, 0, F(1, 2))] * 2).entry(0, 0)
+    assert got == 1 and type(got) is int
+    with pytest.raises(TypeError):
+        Matrix.from_entries(1, 1, [(0, 0, F(1, 2)), (0, 0, 0.5)])
+
+
 def test_map_system_rejects_a_right_hand_side_of_the_wrong_shape():
     with pytest.raises(ShapeMismatch, match="left side is 2x2, right side is 2x3"):
         map_system(2, 2, [(lambda x: x, lambda x: Matrix.from_entries(2, 3, ()))])

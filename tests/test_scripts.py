@@ -1,5 +1,6 @@
 """The scripts run to completion and print their success lines."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -32,6 +33,12 @@ def test_verify_corpus_machine_output_does_not_depend_on_the_working_directory(t
                for cwd in (tmp_path, os.path.join(SCRIPTS, ".."))]
     assert outputs[0] == outputs[1]
     assert b"command=check hopf corpus/algebras/c2.alg\n" in outputs[0]
+
+
+def test_verify_corpus_machine_output_is_pinned():
+    # the bytes of every corpus machine report; a change to them is made on purpose
+    digest = hashlib.sha256(run_script("verify_corpus.py", "--machine")).hexdigest()
+    assert digest == "06a4b2b3276eb7f70e04b2af7699a2ab802d78b26496311a5aa8d05975d8c823"
 
 
 def test_bench_record_writes_every_metric_and_the_axiom_suite(tmp_path):

@@ -2,12 +2,14 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidhopf.builders import cyclic_group, group_algebra, sweedler_h4
 from braidhopf.category import VEC, CatObject
 from braidhopf.hopf import full_axiom_report
 from braidhopf.linalg import Matrix
-from braidhopf.textio import (LoadedAlgebra, ParseError, inclusion_by_names,
+from braidhopf.textio import (_MAPS, LoadedAlgebra, ParseError, inclusion_by_names,
                               parse_algebra_file, parse_morphism_file, parse_scalar,
                               render_algebra, render_morphism, tensor_names)
 
@@ -236,6 +238,11 @@ HEAD = "hopf t\nbackend vec\ndim 1\nbasis z\n"
     ("antipode z -> 1", "usage: antipode <i> -> <j> <coeff>"),
     ("dim 1", "duplicate dim line"),
     ("basis z", "duplicate basis line"),
+    # a map line's first error: the arrow, then its place and the token
+    # count, then the names left to right
+    ("mul z z z 1", "expected '->'"),
+    ("mul z -> -> z 1", "usage: mul <i> <j> -> <k> <coeff>"),
+    ("comul z -> z -> 1", "undeclared basis name '->'"),
 ])
 def test_wrong_arity_gives_the_usage_line(line, usage):
     with pytest.raises(ParseError) as err:
@@ -331,6 +338,61 @@ def test_kind_rules_give_their_messages(text, message):
     with pytest.raises(ParseError) as err:
         parse_algebra_file(text)
     assert err.value.line is None and str(err.value) == message
+
+
+def test_antipode_lines_that_cancel_still_count_as_antipode_lines():
+    # the kind rules ask whether a keyword has a line, not whether its entries
+    # sum to non-zero
+    text = HEAD + "antipode z -> z 1\nantipode z -> z -1\n"
+    assert parse_algebra_file(text).algebra.s.mat.nnz == 0
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file(text.replace("hopf t", "bialgebra t"))
+    assert str(err.value) == "bialgebra files cannot carry antipode entries"
+
+
+def test_repeated_halves_sum_to_an_int():
+    text = HEAD + "mul z z -> z 1/2\n" * 2 + "antipode z -> z 1\n"
+    got = parse_algebra_file(text).algebra.m.mat.entry(0, 0)
+    assert got == 1 and type(got) is int
+
+
+COEFFICIENTS = ["0", "1", "-1", "2", "-2", "1/2", "-1/2", "1/3"]
+
+
+@st.composite
+def map_lines(draw):
+    """A basis of 2 or 3 names and, per keyword, (in, out, coefficient) lines
+    over it; few names make repeated positions common."""
+    n = draw(st.integers(2, 3))
+    lines = {}
+    for kw, (_, k_in, k_out) in _MAPS.items():
+        entry = st.tuples(st.lists(st.integers(0, n - 1), min_size=k_in, max_size=k_in),
+                          st.lists(st.integers(0, n - 1), min_size=k_out, max_size=k_out),
+                          st.sampled_from(COEFFICIENTS))
+        lines[kw] = draw(st.lists(entry, min_size=kw == "antipode", max_size=12))
+    return n, lines
+
+
+def kron_index(idx, n):
+    return sum(i * n ** p for p, i in enumerate(reversed(idx)))
+
+
+@given(map_lines())
+@settings(max_examples=100, deadline=None)
+def test_map_lines_parse_to_the_matrices_from_entries_builds(drawn):
+    n, lines = drawn
+    names = "abc"[:n]
+    text = f"hopf t\nbackend vec\ndim {n}\nbasis {' '.join(names)}\n" + "".join(
+        " ".join([kw, *(names[i] for i in ins), "->", *(names[o] for o in outs), c]) + "\n"
+        for kw, entries in lines.items() for ins, outs, c in entries)
+    loaded = parse_algebra_file(text)
+    for kw, (field, k_in, k_out) in _MAPS.items():
+        mat = getattr(loaded.algebra, field).mat
+        assert mat == Matrix.from_entries(
+            n ** k_out, n ** k_in,
+            [(kron_index(outs, n), kron_index(ins, n), Fraction(c)) for ins, outs, c in lines[kw]])
+        assert all(type(v) is int or v.denominator != 1
+                   for col in mat.columns() for v in col.values())
 
 
 CORPUS_DEFINITIONS = sorted(
