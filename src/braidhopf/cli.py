@@ -1,5 +1,11 @@
 """Command line front end: load definition files, run checks, print reports.
 
+A subcommand declares its positionals as its usage line in README's command
+table (``_files``).  It loads its algebra files through ``_algebras``, which
+checks each file's kind and then that all use one backend, before it reads a
+morphism file through ``_morphism``; an omitted sigma or include is the
+inclusion by basis names.
+
 Exit codes: 0 all checks passed.  1 a check failed; a construction that does
 not exist for the input (``ConstructionFailed``) is one failing check named by
 the subcommand: diagram_split, cross_product_built, smash_preconditions or
@@ -35,43 +41,42 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror}")
 
 
-def load_algebra(path: str, kinds=("hopf", "bialgebra")) -> LoadedAlgebra:
-    loaded = parse_algebra_file(_read(path))
-    if loaded.kind not in kinds:
-        raise ValueError(f"{path}: expected a {'/'.join(kinds)} file, got {loaded.kind}")
+_BIALGEBRA = ("hopf", "bialgebra")
+_COALGEBRA = ("hopf", "bialgebra", "coalgebra")
+
+
+def _algebras(*files: tuple[str, tuple[str, ...]]) -> list[LoadedAlgebra]:
+    """Each (path, kinds) parsed in order and checked to be of one of kinds,
+    then all checked to use one backend."""
+    loaded = []
+    for path, kinds in files:
+        alg = parse_algebra_file(_read(path))
+        if alg.kind not in kinds:
+            raise ValueError(f"{path}: expected a {'/'.join(kinds)} file, got {alg.kind}")
+        loaded.append(alg)
+    if any(alg.backend != loaded[0].backend for alg in loaded):
+        raise ValueError("all files in one command must use the same backend")
     return loaded
 
 
-def load_hopf(path: str) -> LoadedAlgebra:
-    return load_algebra(path, kinds=("hopf",))
-
-
-def load_morphism(path: str, dom, cod) -> Morphism:
+def _morphism(path: str | None, dom: LoadedAlgebra, cod: LoadedAlgebra) -> Morphism:
+    """The morphism file at path, or the inclusion of dom into cod by basis names."""
+    if path is None:
+        return inclusion_by_names(dom, cod)
     return parse_morphism_file(_read(path), dom, cod)
 
 
-def _morphism_or_inclusion(path: str | None, dom: LoadedAlgebra, cod: LoadedAlgebra) -> Morphism:
-    """The morphism file at path, or the inclusion of dom into cod by basis names."""
-    return load_morphism(path, dom, cod) if path is not None else inclusion_by_names(dom, cod)
+def _context(args, sigma: str | None, pi: str | None = None):
+    """(A, B, sigma, pi) of a weak projection; pi is None without its file."""
+    a, b = _algebras((args.a, _BIALGEBRA), (args.b, ("hopf",)))
+    return a, b, _morphism(sigma, b, a), None if pi is None else _morphism(pi, a, b)
 
 
-def _require_same_backend(*loaded: LoadedAlgebra) -> None:
-    first = loaded[0].backend
-    for other in loaded[1:]:
-        if other.backend != first:
-            raise ValueError("all files in one command must use the same backend")
-
-
-def _weakproj_args(args) -> tuple[LoadedAlgebra, LoadedAlgebra, Morphism, Morphism | None]:
-    files = [f for f in (args.sigma, args.pi) if f is not None]
-    if args.mode == "search":
-        if len(files) == 2:
-            raise ValueError("weakproj search takes at most a sigma file")
-        return _load_context_files(args.a, args.b, args.sigma)
-    if not files:
-        raise ValueError("this weakproj mode needs a pi morphism file")
-    sigma_path, pi_path = files if len(files) == 2 else (None, files[0])
-    return _load_context_files(args.a, args.b, sigma_path, pi_path)
+def _factorization(args):
+    """The factorization A = B R of the files a, b, r, [sigma] and [include]."""
+    a, b, r = _algebras((args.a, _BIALGEBRA), (args.b, _BIALGEBRA), (args.r, _BIALGEBRA))
+    return make_factorization(a.algebra, b.algebra, r.algebra,
+                              _morphism(args.sigma, b, a), _morphism(args.include, r, a))
 
 
 def _lincomb(column: dict, names) -> str:
@@ -80,111 +85,80 @@ def _lincomb(column: dict, names) -> str:
 
 
 def cmd_check(args) -> list[CheckResult]:
-    return full_axiom_report(load_algebra(args.file, kinds=(args.kind,)).algebra)
+    return full_axiom_report(_algebras((args.file, (args.kind,)))[0].algebra)
 
 
 def cmd_integral(args) -> list[CheckResult]:
-    loaded = load_hopf(args.file)
+    """integral reports the total integral; cosep-section builds the section from it."""
+    [loaded] = _algebras((args.file, ("hopf",)))
     lam = solve_total_integral(loaded.algebra)
     if lam is None:
         return [CheckResult("total_integral", "fail", witness="no_solution")]
-    value = _lincomb({j: lam.entry(0, j) for j in range(lam.cols) if lam.entry(0, j)},
-                     loaded.basis)
-    return [CheckResult("total_integral", "pass", value=value)]
-
-
-def cmd_cosep_section(args) -> list[CheckResult]:
-    loaded = load_hopf(args.file)
-    lam = solve_total_integral(loaded.algebra)
-    if lam is None:
-        return [CheckResult("total_integral", "fail", witness="no_solution")]
+    if args.command == "integral":
+        value = _lincomb(lam.transpose().column(0), loaded.basis)
+        return [CheckResult("total_integral", "pass", value=value)]
     theta = build_cosep_section(loaded.algebra, lam)
-    return ([CheckResult("total_integral", "pass")]
-            + verify_cosep_section(loaded.algebra, theta))
+    return [CheckResult("total_integral", "pass")] + verify_cosep_section(loaded.algebra, theta)
 
 
 def cmd_weakproj(args) -> list[CheckResult]:
-    a, b, sigma, pi = _weakproj_args(args)
-    alg_a, alg_b = a.algebra, b.algebra
+    files = [f for f in (args.sigma, args.pi) if f is not None]
+    if args.mode == "search":
+        if len(files) == 2:
+            raise ValueError("weakproj search takes at most a sigma file")
+        a, b, sigma, _ = _context(args, args.sigma)
+        result = search_weak_projection(a.algebra, b.algebra, sigma)
+        checks = list(result.checks)
+        if result.pi is not None:
+            rows = ";".join(_lincomb(result.pi.mat.column(j), b.basis) for j in range(a.dim))
+            checks.append(CheckResult("candidate_pi", "pass", value=rows))
+        return checks
+    if not files:
+        raise ValueError("this weakproj mode needs a pi morphism file")
+    # a single file is pi, and sigma is the inclusion by basis names
+    sigma_path, pi_path = files if len(files) == 2 else (None, files[0])
+    a, b, sigma, pi = _context(args, sigma_path, pi_path)
     if args.mode == "check":
-        return verify_weak_projection(alg_a, alg_b, sigma, pi)
+        return verify_weak_projection(a.algebra, b.algebra, sigma, pi)
     if args.mode == "bd-suite":
-        return run_bd_suite(alg_a, alg_b, sigma, pi)
-    if args.mode == "diagram":
-        ctx = build_context(alg_a, alg_b, sigma, pi)
-        checks = [CheckResult("diagram_split", "pass", value=f"dim_r={ctx.r_dim}")]
-        return checks + structure_report(ctx)
-    result = search_weak_projection(alg_a, alg_b, sigma)
-    checks = list(result.checks)
-    if result.pi is not None:
-        rows = ";".join(_lincomb(result.pi.mat.column(j), b.basis) for j in range(a.dim))
-        checks.append(CheckResult("candidate_pi", "pass", value=rows))
-    return checks
+        return run_bd_suite(a.algebra, b.algebra, sigma, pi)
+    ctx = build_context(a.algebra, b.algebra, sigma, pi)
+    return [CheckResult("diagram_split", "pass", value=f"dim_r={ctx.r_dim}")] + structure_report(ctx)
 
 
 def cmd_build(args) -> list[CheckResult]:
-    if args.what == "cross":
-        a, b, sigma, pi = _load_context_files(args.a, args.b, args.sigma, args.pi)
-        ctx = build_context(a.algebra, b.algebra, sigma, pi)
-        return cross_product_report(build_cross_product(ctx))
     if args.what == "doublecross":
-        product, derive_checks = derive_actions_general(_factorization_from_files(args))
+        product, derive_checks = derive_actions_general(_factorization(args))
         return derive_checks + prefixed("doublecross_", verify_bialgebra(product))
-    # smash: the cocommutative route through a weak projection context
-    a, b, sigma, pi = _load_context_files(args.a, args.b, args.sigma, args.pi)
-    return bosonization_checks(build_context(a.algebra, b.algebra, sigma, pi))
-
-
-def _load_context_files(a_path, b_path, sigma_path, pi_path=None):
-    a = load_algebra(a_path)
-    b = load_hopf(b_path)
-    _require_same_backend(a, b)
-    sigma = _morphism_or_inclusion(sigma_path, b, a)
-    return a, b, sigma, None if pi_path is None else load_morphism(pi_path, a, b)
-
-
-def _factorization_from_files(args):
-    a = load_algebra(args.a)
-    b = load_algebra(args.b)
-    r = load_algebra(args.r)
-    _require_same_backend(a, b, r)
-    sigma = _morphism_or_inclusion(args.sigma, b, a)
-    include = _morphism_or_inclusion(args.include, r, a)
-    return make_factorization(a.algebra, b.algebra, r.algebra, sigma, include)
+    a, b, sigma, pi = _context(args, args.sigma, args.pi)
+    ctx = build_context(a.algebra, b.algebra, sigma, pi)
+    if args.what == "cross":
+        return cross_product_report(build_cross_product(ctx))
+    return bosonization_checks(ctx)        # smash: the cocommutative route
 
 
 def cmd_matchedpair(args) -> list[CheckResult]:
     if args.mode == "derive":
-        return derive_actions_general(_factorization_from_files(args))[1]
-    r = load_algebra(args.r)
-    b = load_algebra(args.b)
-    _require_same_backend(r, b)
-    br_obj = r.backend.tensor(b.obj, r.obj)
-    br_names = tensor_names(list(b.basis), list(r.basis))
-    tr = load_morphism(args.tr, (br_obj, br_names), r)
-    tl = load_morphism(args.tl, (br_obj, br_names), b)
-    mp = MatchedPair(r.algebra, b.algebra, tr.mat, tl.mat)
-    return check_matched_pair(mp)
+        return derive_actions_general(_factorization(args))[1]
+    r, b = _algebras((args.r, _BIALGEBRA), (args.b, _BIALGEBRA))
+    br = LoadedAlgebra("object", f"{b.name}.{r.name}", r.backend,
+                       tuple(tensor_names(b.basis, r.basis)), r.backend.tensor(b.obj, r.obj), None)
+    tr, tl = _morphism(args.tr, br, r), _morphism(args.tl, br, b)
+    return check_matched_pair(MatchedPair(r.algebra, b.algebra, tr.mat, tl.mat))
 
 
 def cmd_filtration(args) -> list[CheckResult]:
-    a = load_algebra(args.a)
-    b = load_algebra(args.b, kinds=("hopf", "bialgebra", "coalgebra"))
-    _require_same_backend(a, b)
-    sigma = inclusion_by_names(b, a)
-    report = b_adic_filtration(a.algebra, sigma.mat)
-    if report is None:
+    a, b = _algebras((args.a, _BIALGEBRA), (args.b, _COALGEBRA))
+    dims = b_adic_filtration(a.algebra, inclusion_by_names(b, a).mat)
+    if dims is None:
         return [CheckResult("b_subcoalgebra", "fail", witness="delta_leaves_b")]
-    dims = ",".join(str(d) for d in report.dims)
-    return [
-        CheckResult("b_subcoalgebra", "pass"),
-        CheckResult("b_adic_dims", "pass", value=dims),
-        bool_check("exhaustive", report.exhaustive, witness=f"dims={dims}"),
-    ]
+    text = ",".join(str(d) for d in dims)
+    return [CheckResult("b_subcoalgebra", "pass"), CheckResult("b_adic_dims", "pass", value=text),
+            bool_check("exhaustive", dims[-1] == a.dim, witness=f"dims={text}")]
 
 
 def cmd_coradical(args) -> list[CheckResult]:
-    a = load_algebra(args.a, kinds=("hopf", "bialgebra", "coalgebra"))
+    [a] = _algebras((args.a, _COALGEBRA))
     cor = coradical(a.algebra)
     cols = ";".join(_lincomb(cor.column(j), a.basis) for j in range(cor.cols))
     return [CheckResult("coradical_dim", "pass", value=str(cor.cols)),
@@ -192,8 +166,16 @@ def cmd_coradical(args) -> list[CheckResult]:
 
 
 def cmd_magnum(args) -> list[CheckResult]:
-    a, b, sigma, _ = _load_context_files(args.a, args.b, args.sigma)
+    a, b, sigma, _ = _context(args, args.sigma)
     return check_magnum_preconditions(a.algebra, b.algebra, sigma)
+
+
+def _files(parser: argparse.ArgumentParser, usage: str, **helps: str) -> None:
+    """One positional per word of usage, in order; a word in brackets is
+    optional.  helps holds the help of a positional that has one."""
+    for word in usage.split():
+        name = word.strip("[]")
+        parser.add_argument(name, nargs="?" if word != name else None, help=helps.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,71 +188,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", help="verify the axioms of one algebra file")
     p.add_argument("kind", choices=("hopf", "bialgebra"))
-    p.add_argument("file")
+    _files(p, "file")
     p.set_defaults(fn=cmd_check)
 
-    p = subs.add_parser("integral", help="solve for a total integral")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_integral)
-
-    p = subs.add_parser("cosep-section", help="build and verify the coseparability section")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_cosep_section)
+    for name, text in (("integral", "solve for a total integral"),
+                       ("cosep-section", "build and verify the coseparability section")):
+        p = subs.add_parser(name, help=text)
+        _files(p, "file")
+        p.set_defaults(fn=cmd_integral)
 
     p = subs.add_parser("weakproj", help="weak projection checks")
     p.add_argument("mode", choices=("check", "search", "diagram", "bd-suite"))
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("sigma", nargs="?")
-    p.add_argument("pi", nargs="?")
+    _files(p, "a b [sigma] [pi]")
     p.set_defaults(fn=cmd_weakproj, failure="diagram_split")
 
     p = subs.add_parser("build", help="build product bialgebras and verify them")
     sub_build = p.add_subparsers(dest="what", required=True)
     for what, failure in (("cross", "cross_product_built"), ("smash", "smash_preconditions")):
         q = sub_build.add_parser(what)
-        q.add_argument("a")
-        q.add_argument("b")
-        q.add_argument("sigma", nargs="?")
-        q.add_argument("pi")
+        _files(q, "a b [sigma] pi")
         q.set_defaults(fn=cmd_build, failure=failure)
     q = sub_build.add_parser("doublecross")
-    q.add_argument("a")
-    q.add_argument("b")
-    q.add_argument("r")
-    q.add_argument("sigma", nargs="?")
-    q.add_argument("include", nargs="?")
+    _files(q, "a b r [sigma] [include]")
     q.set_defaults(fn=cmd_build, failure="factorization_invertible")
 
     p = subs.add_parser("matchedpair", help="check or derive matched pairs")
     sub_mp = p.add_subparsers(dest="mode", required=True)
     q = sub_mp.add_parser("check")
-    q.add_argument("r")
-    q.add_argument("b")
-    q.add_argument("tr", help="morphism file B(x)R -> R over dotted basis names")
-    q.add_argument("tl", help="morphism file B(x)R -> B over dotted basis names")
+    _files(q, "r b tr tl", tr="morphism file B(x)R -> R over dotted basis names",
+           tl="morphism file B(x)R -> B over dotted basis names")
     q.set_defaults(fn=cmd_matchedpair)
     q = sub_mp.add_parser("derive")
-    q.add_argument("a")
-    q.add_argument("b")
-    q.add_argument("r")
-    q.add_argument("sigma", nargs="?")
-    q.add_argument("include", nargs="?")
+    _files(q, "a b r [sigma] [include]")
     q.set_defaults(fn=cmd_matchedpair, failure="factorization_invertible")
 
     p = subs.add_parser("filtration", help="the iterated wedge filtration against B")
-    p.add_argument("a")
-    p.add_argument("b")
+    _files(p, "a b")
     p.set_defaults(fn=cmd_filtration)
 
     p = subs.add_parser("coradical", help="largest cosemisimple subcoalgebra")
-    p.add_argument("a")
+    _files(p, "a")
     p.set_defaults(fn=cmd_coradical)
 
     p = subs.add_parser("magnum", help="weak projection existence preconditions")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("sigma", nargs="?")
+    _files(p, "a b [sigma]")
     p.set_defaults(fn=cmd_magnum)
 
     return parser
@@ -300,9 +261,7 @@ def dispatch(argv: list[str]) -> tuple[int, Report | None, str | None]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    code, report, error, args = _run(argv)
+    code, report, error, args = _run(sys.argv[1:] if argv is None else argv)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
     if report is not None:

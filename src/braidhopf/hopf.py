@@ -173,14 +173,13 @@ def _certificate(a: BraidedBialgebra, gens: list[int],
     return gens if agree and holds(chain(verdicts, a.backend.object_verdicts(a.carrier))) else None
 
 
-def associativity_check(m: Matrix, gens: list[int] | None = None) -> CheckResult:
+def associativity_check(m: Matrix, gens: list[int]) -> CheckResult:
     """(xy)z = x(yz), decided on the generating set gens of m (module
-    docstring), computed when not given."""
-    gens = generating_set(m) if gens is None else gens
+    docstring)."""
     return _decide("algebra_associativity", *_associativity(m), m.rows, gens)
 
 
-def verify_algebra(a: BraidedBialgebra, gens: list[int] | None = None) -> list[CheckResult]:
+def verify_algebra(a: BraidedBialgebra, gens: list[int]) -> list[CheckResult]:
     m, u = a.m.mat, a.u.mat
     ida = Matrix.identity(a.dim)
     return [

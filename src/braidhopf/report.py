@@ -89,7 +89,7 @@ class Report:
     def overall(self) -> str:
         return "fail" if any(c.failed() for c in self.checks) else "pass"
 
-    def render(self, style: str = "plain") -> str:
+    def render(self, style: str) -> str:
         if style == "machine":
             lines = [f"command={self.command}"]
             for c in self.checks:

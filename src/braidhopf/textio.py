@@ -355,10 +355,10 @@ def _build_object(backend, dim, basis, grades, actions):
     return CatObject(dim, grading=grading, action=action)
 
 
-def parse_morphism_file(text: str, dom: LoadedAlgebra | tuple, cod: LoadedAlgebra | tuple) -> Morphism:
-    """Entries `map <i> -> <j> <coeff>`; unspecified columns are zero."""
-    dom_obj, dom_at = _obj_positions(dom)
-    cod_obj, cod_at = _obj_positions(cod)
+def parse_morphism_file(text: str, dom: LoadedAlgebra, cod: LoadedAlgebra) -> Morphism:
+    """Entries `map <i> -> <j> <coeff>` over the basis names of dom and cod;
+    unspecified columns are zero."""
+    dom_at, cod_at = _positions(dom.basis), _positions(cod.basis)
     entries = []
     for line, toks in _tokenize(text):
         if toks[0] != "map":
@@ -371,18 +371,12 @@ def parse_morphism_file(text: str, dom: LoadedAlgebra | tuple, cod: LoadedAlgebr
         if dst not in cod_at:
             raise ParseError(line, f"unknown codomain basis name {dst!r}")
         entries.append((cod_at[dst], dom_at[src], coeff))
-    return Morphism(dom_obj, cod_obj,
-                    Matrix.from_entries(cod_obj.dim, dom_obj.dim, entries))
+    return Morphism(dom.obj, cod.obj, Matrix.from_entries(cod.dim, dom.dim, entries))
 
 
 def _positions(names) -> dict[str, int]:
     """{name: its first position in names}."""
     return {nm: k for k, nm in reversed(list(enumerate(names)))}
-
-
-def _obj_positions(x):
-    obj, names = (x.obj, x.basis) if isinstance(x, LoadedAlgebra) else x
-    return obj, _positions(names)
 
 
 def tensor_names(a: list[str], b: list[str]) -> list[str]:

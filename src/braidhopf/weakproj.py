@@ -139,8 +139,6 @@ def run_bd_suite(a: BraidedBialgebra, b: HopfAlgebra,
 
 def _subobject(ambient: CatObject, emb: Matrix) -> CatObject:
     """Object structure on a subspace; gradings must restrict column-wise."""
-    if ambient.grading is None and ambient.action is None:
-        return CatObject(emb.cols)
     grading = None
     if ambient.grading is not None:
         grading = []

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import json
@@ -203,15 +204,77 @@ def test_super_grade_is_a_parity_group_element(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 6: unknown group element '2'\n"
 
 
-@pytest.mark.parametrize("command", ["filtration", "magnum"])
+# the argv after the command of each command that reads two or more
+# definition files: A, B of another backend, then R or morphism files; no
+# morphism file exists, so the backend check must come before any is read
+TWO_BACKENDS = {
+    **{f"weakproj {mode}": ["A", "B", "missing.map"]
+       for mode in ("check", "search", "diagram", "bd-suite")},
+    "build cross": ["A", "B", "missing.map"],
+    "build smash": ["A", "B", "missing.map"],
+    "build doublecross": ["A", "B", "A", "missing.map", "missing.map"],
+    "matchedpair check": ["A", "B", "missing.map", "missing.map"],
+    "matchedpair derive": ["A", "B", "A", "missing.map", "missing.map"],
+    "filtration": ["A", "B"],
+    "magnum": ["A", "B", "missing.map"],
+}
+
+
+@pytest.mark.parametrize("command", TWO_BACKENDS, ids=lambda c: c.replace(" ", "-"))
 def test_files_of_two_backends_are_bad_input(tmp_path, capsys, command):
     with open(corpus("algebras", "c2_in_h4.alg"), encoding="utf-8") as fh:
         text = fh.read()
     sub = tmp_path / "c2_in_h4_super.alg"
     sub.write_text(text.replace("backend vec", "backend super"), encoding="utf-8")
-    assert main([command, corpus("algebras", "h4.alg"), str(sub)]) == 2
+    files = {"A": corpus("algebras", "h4.alg"), "B": str(sub),
+             "missing.map": str(tmp_path / "missing.map")}
+    assert main(command.split() + [files[f] for f in TWO_BACKENDS[command]]) == 2
     assert (capsys.readouterr().err
             == "error: all files in one command must use the same backend\n")
+
+
+@pytest.mark.parametrize("argv, position, kinds", [
+    (["check", "bialgebra", "ut2.alg"], 2, "bialgebra"),
+    (["magnum", "h4.alg", "ut2.alg"], 2, "hopf"),
+    (["build", "cross", "h4.alg", "ut2.alg", "pi.map"], 3, "hopf"),
+    (["filtration", "ut2.alg", "c2_in_h4.alg"], 1, "hopf/bialgebra"),
+], ids=["check", "magnum-b", "build-cross-b", "filtration-a"])
+def test_a_file_of_the_wrong_kind_names_the_allowed_kinds(argv, position, kinds):
+    argv = [corpus("algebras", f) if f.endswith(".alg") else f for f in argv]
+    assert run(argv) == (2, None, f"{argv[position]}: expected a {kinds} file, got coalgebra")
+
+
+def test_each_parser_has_its_usage_line():
+    """The 15 parsers and their positionals, as README's command table gives
+    them; argparse's line wrapping is not pinned."""
+    def usages(parser, path):
+        yield path, " ".join(parser.format_usage().split())
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    yield from usages(sub, f"{path} {name}")
+
+    assert dict(usages(cli.build_parser(), "braidhopf")) == {
+        "braidhopf": "usage: braidhopf [-h] [--report {plain,machine}] {check,integral,"
+                     "cosep-section,weakproj,build,matchedpair,filtration,coradical,magnum} ...",
+        "braidhopf check": "usage: braidhopf check [-h] {hopf,bialgebra} file",
+        "braidhopf integral": "usage: braidhopf integral [-h] file",
+        "braidhopf cosep-section": "usage: braidhopf cosep-section [-h] file",
+        "braidhopf weakproj": "usage: braidhopf weakproj [-h] {check,search,diagram,bd-suite} "
+                              "a b [sigma] [pi]",
+        "braidhopf build": "usage: braidhopf build [-h] {cross,smash,doublecross} ...",
+        "braidhopf build cross": "usage: braidhopf build cross [-h] a b [sigma] pi",
+        "braidhopf build smash": "usage: braidhopf build smash [-h] a b [sigma] pi",
+        "braidhopf build doublecross": "usage: braidhopf build doublecross [-h] "
+                                       "a b r [sigma] [include]",
+        "braidhopf matchedpair": "usage: braidhopf matchedpair [-h] {check,derive} ...",
+        "braidhopf matchedpair check": "usage: braidhopf matchedpair check [-h] r b tr tl",
+        "braidhopf matchedpair derive": "usage: braidhopf matchedpair derive [-h] "
+                                        "a b r [sigma] [include]",
+        "braidhopf filtration": "usage: braidhopf filtration [-h] a b",
+        "braidhopf coradical": "usage: braidhopf coradical [-h] a",
+        "braidhopf magnum": "usage: braidhopf magnum [-h] a b [sigma]",
+    }
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

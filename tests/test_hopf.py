@@ -58,7 +58,7 @@ def test_sweedler_passes_everything(h4):
 def test_corrupted_multiplication_breaks_associativity(h4):
     bad = make_bialgebra(VEC, h4.carrier, corrupt(h4.m.mat, 0, 5, 1),
                          h4.u.mat, h4.delta.mat, h4.eps.mat, h4.s.mat)
-    names = failing_names(verify_algebra(bad))
+    names = failing_names(verify_algebra(bad, generating_set(bad.m.mat)))
     assert "algebra_associativity" in names
 
 
@@ -80,7 +80,7 @@ def test_the_unit_alone_does_not_certify_associativity():
                     Formula((unit, ida, ida), (ida, m), m)).status == "pass"
     # ... but the words in {1} do not span, so the certificate takes a and b too
     assert generating_set(m) == [0, 1, 2]
-    check = associativity_check(m)
+    check = associativity_check(m, generating_set(m))
     assert check.status == "fail"
     assert check == full_associativity_scan(m)
     assert check.witness == "(1,14):lhs=0:rhs=1"     # (a a) b = 0, a (a b) = a
@@ -193,7 +193,7 @@ def test_a_reduced_failure_reads_no_full_column_twice_or_past_it(monkeypatch):
     monkeypatch.setattr(hopf, "Formula", Counting)
     # first failure (g g) g^2 = 2g, g (g g^2) = g at column (1, 1, 2) = 14,
     # inside the slice of the generator g; the columns of 1 before it pass
-    check = associativity_check(SKEWED)
+    check = associativity_check(SKEWED, generating_set(SKEWED))
     monkeypatch.undo()
     assert check == full_associativity_scan(SKEWED)
     assert check.witness == "(1,14):lhs=2:rhs=1"
@@ -297,7 +297,7 @@ def test_exterior_line_fails_bialgebra_in_vec():
     # the obstruction is 2 x(x)x on input x(x)x
     assert bad.witness == "(3,3):lhs=0:rhs=2"
     # the algebra and coalgebra halves are still fine
-    assert all_pass(verify_algebra(alg) + verify_coalgebra(alg))
+    assert all_pass(verify_algebra(alg, generating_set(alg.m.mat)) + verify_coalgebra(alg))
 
 
 def test_antipode_report_on_group_algebra(ks3):

@@ -1,7 +1,8 @@
 """Every function, class and method of the package has a caller, every
 field of a package dataclass has a reader, every parameter of a package
 function is read in its body, every parameter default is overridden by
-some call, and every name a package module imports is read in it.
+some call and used by another, and every name a package module imports is
+read in it.
 
 A definition counts as used when its name occurs in the code of src/,
 scripts/ or perfbench/ more often than it is defined there; a field counts as
@@ -145,17 +146,29 @@ def passes(call, parameter, position):
     return position is not None and len(call.args) > position
 
 
-def test_every_defaulted_parameter_is_passed():
+def default_uses():
+    """(function.parameter, [whether each call of the function passes it]) for
+    each defaulted parameter outside ALLOWED; a call is of the function when
+    the name it calls, bare or as an attribute, is the function's."""
     calls = [node for source in python_sources(SEARCHED)
              for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
 
     def called_name(call):
         f = call.func
         return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
-    never_passed = [f"{fn}.{p}" for fn, p, position in defaulted_parameters()
-                    if fn not in ALLOWED
-                    and not any(called_name(c) == fn and passes(c, p, position) for c in calls)]
-    assert never_passed == []
+    for fn, p, position in defaulted_parameters():
+        if fn not in ALLOWED:
+            yield f"{fn}.{p}", [passes(c, p, position) for c in calls if called_name(c) == fn]
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert [name for name, passed in default_uses() if not any(passed)] == []
+
+
+def test_every_defaulted_parameter_is_omitted_by_some_call():
+    """A default that every call overrides is never used; the parameter
+    should be required."""
+    assert [name for name, passed in default_uses() if all(passed)] == []
 
 
 def imports_never_read():

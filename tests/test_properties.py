@@ -97,9 +97,8 @@ def test_b_adic_on_subgroup_algebras_stabilizes_immediately(d, q):
     g = cyclic_group(n)
     alg = group_algebra(g)
     emb = Matrix.from_entries(n, d, ((i * q, i, 1) for i in range(d)))
-    report = b_adic_filtration(alg, emb)
-    assert report.dims == (d, d)
-    assert report.exhaustive == (d == n)
+    # so it exhausts kG only when H = G
+    assert b_adic_filtration(alg, emb) == (d, d)
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4))
@@ -119,7 +118,7 @@ def assert_reduced_equals_full(m):
     """The generating-set verdict is the n^3 scan's, witness bytes included."""
     ida = Matrix.identity(m.rows)
     full = eq_check("algebra_associativity", Formula((m, ida), m), Formula((ida, m), m))
-    assert associativity_check(m) == full
+    assert associativity_check(m, generating_set(m)) == full
     return full
 
 

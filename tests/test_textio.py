@@ -189,7 +189,8 @@ def test_morphism_file_names_the_unknown_basis_name_and_its_line(text, message):
 
 def test_a_repeated_basis_name_resolves_to_its_first_position():
     a = parse_algebra_file(H4_TEXT)
-    mor = parse_morphism_file("map u -> x 1\n", (CatObject(2), ("u", "u")), a)
+    u = LoadedAlgebra("object", "u", VEC, ("u", "u"), CatObject(2), None)
+    mor = parse_morphism_file("map u -> x 1\n", u, a)
     assert mor.mat == Matrix.from_entries(4, 2, [(2, 0, 1)])
 
 
