@@ -2,7 +2,7 @@
 """Record the benchmark's numbers for one change in ``BENCH_<pr>.json``.
 
     python3 scripts/bench_record.py 24
-    python3 scripts/bench_record.py 24 --runs 3 --seconds 5 --suite kS4 --out /tmp
+    python3 scripts/bench_record.py 24 --runs 3 --seconds 5 --suite kS4 --cold-repeats 5 --out /tmp
 
 For each workload of ``BENCHMARK.json`` it makes --runs untraced runs of
 ``perfbench/run.py`` on seed 1, --seconds each, one after another in fresh
@@ -15,6 +15,15 @@ count, verdict, peak resident set size (``ru_maxrss``) and, as ``wall_s``,
 the fastest of those runs: one raw run of the kS5 suite varies from 0.12
 to 0.19 s with the processor's speed, and the minimum varies least.
 
+``cold_start`` times what one fresh process pays: ``python -c pass``, ``python
+-c "import braidhopf.cli"`` and ``python -m braidhopf --report machine check
+hopf corpus/algebras/c2.alg``, each a child of this interpreter.  The three
+run one at a time, in turn, --cold-repeats (15) rounds; the entry keeps the
+best and the median wall time of each.  An import compiles the source unless
+``__pycache__`` holds bytecode for this interpreter, so the entry also
+records whether every package module had it before the first round and
+after the last (``PYTHONDONTWRITEBYTECODE`` keeps a child from writing it).
+
 The file, written to --out (the repository root by default), is JSON with
 sorted keys.  ``src_sha256`` and ``src_lines`` identify the source that was
 measured; ``commit`` is the HEAD it was measured at.  Nothing is written,
@@ -23,6 +32,7 @@ and the exit status is 1, when a run reports an output that differs from
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -37,6 +47,11 @@ RUN = os.path.join(ROOT, "perfbench", "run.py")
 SEED = 1
 SUITE_RUNS = 5
 SUITE = re.compile(r"kS([345])|kC([1-9][0-9]*)")
+# name -> the arguments of the interpreter that one cold_start child runs
+COLD_START = {"python_pass": ["-c", "pass"],
+              "import_cli": ["-c", "import braidhopf.cli"],
+              "check_hopf_c2": ["-m", "braidhopf", "--report", "machine", "check", "hopf",
+                                "corpus/algebras/c2.alg"]}
 
 
 def suite_name(name: str) -> str:
@@ -78,6 +93,31 @@ def axiom_suite(name: str) -> dict:
             "overall": report.overall, "wall_s": min(walls), "peak_rss_mb": peak_mb}
 
 
+def bytecode_cached() -> bool:
+    """Whether __pycache__ holds bytecode of every package module for this interpreter."""
+    package = os.path.join(ROOT, "src", "braidhopf")
+    return all(os.path.exists(importlib.util.cache_from_source(os.path.join(package, f)))
+               for f in os.listdir(package) if f.endswith(".py"))
+
+
+def cold_start(repeats: int) -> dict:
+    """Best and median wall time of each COLD_START child over repeats
+    rounds, the children run one at a time and in turn."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    cached_before = bytecode_cached()
+    walls = {name: [] for name in COLD_START}
+    for _ in range(repeats):
+        for name, args in COLD_START.items():
+            start = time.perf_counter()
+            subprocess.run([sys.executable, *args], cwd=ROOT, env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+            walls[name].append(time.perf_counter() - start)
+    entry = {name: {"best_s": min(w), "median_s": statistics.median(w)}
+             for name, w in walls.items()}
+    return {**entry, "repeats": repeats, "bytecode_cached_before": cached_before,
+            "bytecode_cached_after": bytecode_cached()}
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--axiom-suite":
         print(json.dumps(axiom_suite(argv[1])))
@@ -88,6 +128,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seconds", type=float, default=25, help="length of each run")
     parser.add_argument("--suite", type=suite_name, default="kS5",
                         help="the group algebra whose axiom suite is timed")
+    parser.add_argument("--cold-repeats", type=int, default=15,
+                        help="rounds of the cold_start children")
     parser.add_argument("--out", default=ROOT, help="directory the file is written to")
     args = parser.parse_args(argv)
 
@@ -110,6 +152,7 @@ def main(argv: list[str]) -> int:
     done = subprocess.run([sys.executable, os.path.abspath(__file__), "--axiom-suite",
                            args.suite], capture_output=True, text=True, check=True)
     suite = json.loads(done.stdout)
+    cold = cold_start(args.cold_repeats)
     if wrong or suite["overall"] != "pass":
         print(f"not written: wrong outputs in {sorted(set(wrong))}, "
               f"axiom suite {suite['overall']}", file=sys.stderr)
@@ -122,7 +165,7 @@ def main(argv: list[str]) -> int:
               "nproc": int(env["nproc"]), "end_to_end": end_to_end,
               "per_layer": {"families": {name: m["value"]
                                          for name, m in traced["metrics"].items()}},
-              "axiom_suite": suite}
+              "axiom_suite": suite, "cold_start": cold}
     path = os.path.join(args.out, f"BENCH_{args.pr}.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -25,12 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
-from .linalg import Formula, Matrix, ShapeMismatch, kron
-from .report import CheckResult, bool_check, difference_witness, eq_check
+from .linalg import Matrix, ShapeMismatch, kron
+from .report import CheckResult, bool_check, difference_witness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FiniteGroup:
+    """A finite group by its Cayley table; frozen, so PARITY can be a field default."""
+
     name: str
     elements: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]   # table[i][j] = index of elements[i] * elements[j]
@@ -104,15 +106,19 @@ class FiniteGroup:
         return self.mul(self.mul(h, g), self.inverses[h])
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class CatObject:
+    """A basis of dim vectors, with their grades and the group's action."""
+
     dim: int
     grading: tuple[int, ...] | None = None
     action: tuple[Matrix, ...] | None = None   # one matrix per group element
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class Morphism:
+    """A matrix from dom to cod, checked to fit their dimensions."""
+
     dom: CatObject
     cod: CatObject
     mat: Matrix
@@ -156,8 +162,10 @@ class Backend:
         return []
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class VecBackend(Backend):
+    """Plain vector spaces; the braiding is the flip."""
+
     kind = "vec"
 
     def unit(self) -> CatObject:
@@ -181,7 +189,7 @@ def _witness(ok: bool) -> str | None:
     return None if ok else "condition_violated"
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class _GradedBackend(Backend):
     """Objects graded by a finite group: the tensor product multiplies grades
     and a morphism must preserve them.  Subclasses define the braiding."""
@@ -220,8 +228,10 @@ class _GradedBackend(Backend):
 PARITY = FiniteGroup.from_table("parity", ["0", "1"], [[0, 1], [1, 0]])
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class SuperVecBackend(_GradedBackend):
+    """Parity-graded spaces; the flip of two odd vectors carries a sign."""
+
     group: FiniteGroup = field(default=PARITY, init=False)
 
     kind = "super"
@@ -231,7 +241,7 @@ class SuperVecBackend(_GradedBackend):
         return _flip(x, y, lambda i, j: -1 if gx[i] and gy[j] else 1)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class SignGradedBackend(_GradedBackend):
     """Grading over an arbitrary finite group with a +-1 bicharacter."""
 
@@ -268,7 +278,7 @@ def _require_action(x: CatObject) -> tuple[Matrix, ...]:
     return x.action
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class YetterDrinfeldBackend(_GradedBackend):
     """G-graded G-representations with h . V_g inside V_{h g h^-1}."""
 
@@ -321,28 +331,3 @@ class YetterDrinfeldBackend(_GradedBackend):
 
 VEC = VecBackend()
 SUPER = SuperVecBackend()
-
-
-def verify_braiding_axioms(backend: Backend, x: CatObject, y: CatObject, z: CatObject,
-                           sample_morphisms: list[tuple[Morphism, Morphism]] = ()) -> list[CheckResult]:
-    """Hexagons on (x, y, z), invertibility, and naturality on given pairs."""
-    xy = backend.tensor(x, y)
-    yz = backend.tensor(y, z)
-    c_xy_z = backend.braiding_mat(xy, z)
-    c_x_yz = backend.braiding_mat(x, yz)
-    c_xz = backend.braiding_mat(x, z)
-    c_yz = backend.braiding_mat(y, z)
-    c_xy = backend.braiding_mat(x, y)
-    idx = Matrix.identity(x.dim)
-    idy = Matrix.identity(y.dim)
-    idz = Matrix.identity(z.dim)
-    checks = [
-        eq_check("hexagon_first", c_xy_z, Formula((idx, c_yz), (c_xz, idy))),
-        eq_check("hexagon_second", c_x_yz, Formula((c_xy, idz), (idy, c_xz))),
-        bool_check("braiding_invertible", c_xy.inverse() is not None, witness="singular"),
-    ]
-    for k, (f, g) in enumerate(sample_morphisms):
-        lhs = Formula((f.mat, g.mat), backend.braiding_mat(f.cod, g.cod))
-        rhs = Formula(backend.braiding_mat(f.dom, g.dom), (g.mat, f.mat))
-        checks.append(eq_check(f"naturality_{k}", lhs, rhs))
-    return checks

@@ -4,7 +4,9 @@ A subcommand declares its positionals as its usage line in README's command
 table (``_files``).  It loads its algebra files through ``_algebras``, which
 checks each file's kind and then that all use one backend, before it reads a
 morphism file through ``_morphism``; an omitted sigma or include is the
-inclusion by basis names.
+inclusion by basis names.  ``weakproj``, ``products`` and ``filtration``
+are imported by the commands that use them, so a command loads only the
+modules it runs.
 
 Exit codes: 0 all checks passed.  1 a check failed; a construction that does
 not exist for the input (``ConstructionFailed``) is one failing check named by
@@ -19,18 +21,12 @@ import argparse
 import sys
 
 from .category import Morphism
-from .filtration import b_adic_filtration, check_magnum_preconditions, coradical
 from .hopf import (build_cosep_section, full_axiom_report, solve_total_integral,
                    verify_bialgebra, verify_cosep_section)
-from .products import (MatchedPair, bosonization_checks, build_cross_product,
-                       check_matched_pair, cross_product_report, derive_actions_general,
-                       make_factorization)
 from .report import (CheckResult, ConstructionFailed, Report, bool_check, make_report,
                      prefixed)
 from .textio import (LoadedAlgebra, inclusion_by_names, parse_algebra_file,
                      parse_morphism_file, tensor_names)
-from .weakproj import (build_context, run_bd_suite, search_weak_projection,
-                       structure_report, verify_weak_projection)
 
 
 def _read(path: str) -> str:
@@ -74,6 +70,7 @@ def _context(args, sigma: str | None, pi: str | None = None):
 
 def _factorization(args):
     """The factorization A = B R of the files a, b, r, [sigma] and [include]."""
+    from .products import make_factorization
     a, b, r = _algebras((args.a, _BIALGEBRA), (args.b, _BIALGEBRA), (args.r, _BIALGEBRA))
     return make_factorization(a.algebra, b.algebra, r.algebra,
                               _morphism(args.sigma, b, a), _morphism(args.include, r, a))
@@ -102,6 +99,8 @@ def cmd_integral(args) -> list[CheckResult]:
 
 
 def cmd_weakproj(args) -> list[CheckResult]:
+    from .weakproj import (build_context, run_bd_suite, search_weak_projection,
+                           structure_report, verify_weak_projection)
     files = [f for f in (args.sigma, args.pi) if f is not None]
     if args.mode == "search":
         if len(files) == 2:
@@ -127,6 +126,9 @@ def cmd_weakproj(args) -> list[CheckResult]:
 
 
 def cmd_build(args) -> list[CheckResult]:
+    from .products import (bosonization_checks, build_cross_product, cross_product_report,
+                           derive_actions_general)
+    from .weakproj import build_context
     if args.what == "doublecross":
         product, derive_checks = derive_actions_general(_factorization(args))
         return derive_checks + prefixed("doublecross_", verify_bialgebra(product))
@@ -138,6 +140,7 @@ def cmd_build(args) -> list[CheckResult]:
 
 
 def cmd_matchedpair(args) -> list[CheckResult]:
+    from .products import MatchedPair, check_matched_pair, derive_actions_general
     if args.mode == "derive":
         return derive_actions_general(_factorization(args))[1]
     r, b = _algebras((args.r, _BIALGEBRA), (args.b, _BIALGEBRA))
@@ -148,6 +151,7 @@ def cmd_matchedpair(args) -> list[CheckResult]:
 
 
 def cmd_filtration(args) -> list[CheckResult]:
+    from .filtration import b_adic_filtration
     a, b = _algebras((args.a, _BIALGEBRA), (args.b, _COALGEBRA))
     dims = b_adic_filtration(a.algebra, inclusion_by_names(b, a).mat)
     if dims is None:
@@ -158,6 +162,7 @@ def cmd_filtration(args) -> list[CheckResult]:
 
 
 def cmd_coradical(args) -> list[CheckResult]:
+    from .filtration import coradical
     [a] = _algebras((args.a, _COALGEBRA))
     cor = coradical(a.algebra)
     cols = ";".join(_lincomb(cor.column(j), a.basis) for j in range(cor.cols))
@@ -166,6 +171,7 @@ def cmd_coradical(args) -> list[CheckResult]:
 
 
 def cmd_magnum(args) -> list[CheckResult]:
+    from .filtration import check_magnum_preconditions
     a, b, sigma, _ = _context(args, args.sigma)
     return check_magnum_preconditions(a.algebra, b.algebra, sigma)
 

@@ -72,18 +72,25 @@ def coradical(a: Coalgebra) -> Matrix:
     """Annihilator of the Jacobson radical of the dual algebra.
 
     The radical is the kernel of the trace form x, y -> tr(L_{x y}) of the
-    dual algebra, which is exact over the rationals.
+    dual algebra, which is exact over the rationals.  Both sums read only
+    Delta's stored entries.
     """
     if a.backend.kind != "vec":
         raise ValueError("coradical is computed in the Vec backend only")
     n = a.dim
-    d = a.delta.mat
+    columns = list(a.delta.mat.columns())
     # dual multiplication constants: e^i e^j = sum_k Delta[(i,j), k] e^k, so
     # left multiplication by e^i has trace sum_j Delta[(i,j), j]
-    traces = [sum((d.entry(i * n + j, j) for j in range(n)), 0) for i in range(n)]
-    tform = [[sum((d.entry(i * n + j, k) * traces[k] for k in range(n)), 0)
-              for j in range(n)] for i in range(n)]
-    rad = kernel_basis(Matrix.from_rows(tform).transpose())
+    traces = [0] * n
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            if r % n == j:
+                traces[r // n] += v
+    # the transposed form: entry (j, i) is sum_k Delta[(i,j), k] traces[k]
+    tform = Matrix.from_entries(n, n, ((r % n, r // n, v * traces[k])
+                                       for k, col in enumerate(columns) if traces[k]
+                                       for r, v in col.items()))
+    rad = kernel_basis(tform)
     if not rad:
         return full_subobject(a.carrier)
     ann = kernel_basis(Matrix.from_rows([list(v) for v in rad]))

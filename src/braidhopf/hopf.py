@@ -81,7 +81,7 @@ from .linalg import (Formula, Matrix, compose, generating_set, kron, map_system,
 from .report import CheckResult, difference_check, eq_check, merge_checks
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class Coalgebra:
     """Bare coalgebra data, enough for coradical and wedge computations."""
     backend: Backend
@@ -94,8 +94,10 @@ class Coalgebra:
         return self.carrier.dim
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class BraidedBialgebra(Coalgebra):
+    """A coalgebra with a product m and unit u."""
+
     m: Morphism          # A (x) A -> A
     u: Morphism          # 1 -> A
 
@@ -103,8 +105,10 @@ class BraidedBialgebra(Coalgebra):
         return self.backend.braiding_mat(self.carrier, self.carrier)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class HopfAlgebra(BraidedBialgebra):
+    """A bialgebra with an antipode s."""
+
     s: Morphism          # A -> A
 
 

@@ -19,23 +19,29 @@ from .report import CheckResult, ConstructionFailed, bool_check, eq_check, merge
 from .weakproj import WeakProjectionContext
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class MatchedPair:
+    """Two bialgebras and their mutual actions."""
+
     r: BraidedBialgebra
     b: BraidedBialgebra
     act_r: Matrix        # B (x) R -> R, the left action of B on R
     act_b: Matrix        # B (x) R -> B, the right action of R on B
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class CrossProductData:
+    """The cross product R # B and its isomorphism with A."""
+
     product: BraidedBialgebra
     iso_fwd: Matrix      # m_A (i (x) sigma) : R (x) B -> A
     iso_bwd: Matrix      # (p (x) pi) Delta_A : A -> R (x) B
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class FactorizationContext:
+    """A factorization A = B R, with the map psi that swaps the factors."""
+
     a: BraidedBialgebra
     b: BraidedBialgebra
     r: BraidedBialgebra

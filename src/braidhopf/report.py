@@ -12,8 +12,10 @@ class ConstructionFailed(RuntimeError):
     it as one failing check (exit 1), where a ValueError is bad input (exit 2)."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class CheckResult:
+    """One named verdict of a report."""
+
     name: str
     status: str                    # "pass" | "fail" | "skipped"
     witness: str | None = None     # present whenever status == "fail"
@@ -80,8 +82,10 @@ def merge_checks(name: str, checks: list[CheckResult]) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class Report:
+    """A command's checks, in order, and their two renderings."""
+
     command: str
     checks: tuple[CheckResult, ...]
 

@@ -70,8 +70,10 @@ class ParseError(ValueError):
             super().__init__(f"line {line}: {message}")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class LoadedAlgebra:
+    """A parsed definition file."""
+
     kind: str                        # hopf | bialgebra | coalgebra | object
     name: str
     backend: Backend

@@ -21,7 +21,7 @@ from .report import (CheckResult, ConstructionFailed, bool_check, chain_eq_check
                      eq_check, merge_checks, prefixed)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class StructureMaps:
     """The eight maps derived from a weak projection context.
 
@@ -38,8 +38,10 @@ class StructureMaps:
     act_b: Matrix
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class WeakProjectionContext:
+    """A weak projection (sigma, pi) of A onto B, with its diagram R."""
+
     a: BraidedBialgebra
     b: HopfAlgebra
     sigma: Morphism
@@ -228,8 +230,10 @@ def structure_report(ctx: WeakProjectionContext) -> list[CheckResult]:
     return checks + prefixed("r_", verify_coalgebra(r_coalgebra(ctx)))
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class SearchResult:
+    """The first candidate pi that passes, or None, and the search's checks."""
+
     pi: Morphism | None
     checks: tuple[CheckResult, ...]
 

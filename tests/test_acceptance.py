@@ -10,11 +10,12 @@ import re
 import pytest
 
 from contexts import group_table_pair, h4_c2, s3_c2, s3_c3
+from test_category import verify_braiding_axioms
 from braidhopf.builders import (conjugation_yd_object, cyclic_group,
                                 exterior_line, group_algebra, s3_group,
                                 subgroup_closure, sweedler_h4, symmetric_group)
 from braidhopf.category import (CatObject, Morphism, SignGradedBackend, SUPER,
-                                VEC, YetterDrinfeldBackend, holds, verify_braiding_axioms)
+                                VEC, YetterDrinfeldBackend, holds)
 from braidhopf.filtration import (b_adic_filtration, check_magnum_preconditions,
                                   coradical, subspace_contains)
 from braidhopf.hopf import (build_cosep_section, full_axiom_report,

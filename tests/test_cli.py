@@ -4,6 +4,8 @@ import importlib
 import json
 import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -544,3 +546,15 @@ def test_explicit_sigma_file_matches_the_name_inclusion():
         code_file, explicit, _ = run(prefix + [a, b, sigma])
         assert code_file == code
         assert explicit.checks == implicit.checks, prefix
+
+
+def test_importing_cli_loads_no_module_that_only_some_commands_use():
+    """A child interpreter imports cli: doing it here would mean dropping the
+    loaded modules, and the tests after it would see classes built twice."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = "import sys, braidhopf.cli; print(*sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True, env={**os.environ, "PYTHONPATH": src})
+    loaded = set(done.stdout.split())
+    assert "braidhopf.cli" in loaded
+    assert loaded & {"braidhopf.products", "braidhopf.weakproj", "braidhopf.filtration"} == set()

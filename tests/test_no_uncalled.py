@@ -19,8 +19,6 @@ from collections import Counter
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 PACKAGE = os.path.join(ROOT, "src", "braidhopf")
 SEARCHED = ("src", "scripts", "perfbench")
-# checked by the tests only; the braiding axioms are not part of any command
-ALLOWED = {"verify_braiding_axioms"}
 
 
 def python_sources(dirs):
@@ -63,7 +61,7 @@ def test_every_definition_is_referenced_beyond_its_definitions():
     mentions = list(code_names(SEARCHED))
     uses = Counter(name for _, name in mentions)
     definitions = Counter(name for kind, name in mentions if kind in DEFS)
-    uncalled = [name for name in sorted(set(package_definitions()) - ALLOWED)
+    uncalled = [name for name in sorted(set(package_definitions()))
                 if uses[name] <= definitions[name]]
     assert uncalled == []
 
@@ -148,8 +146,8 @@ def passes(call, parameter, position):
 
 def default_uses():
     """(function.parameter, [whether each call of the function passes it]) for
-    each defaulted parameter outside ALLOWED; a call is of the function when
-    the name it calls, bare or as an attribute, is the function's."""
+    each defaulted parameter; a call is of the function when the name it
+    calls, bare or as an attribute, is the function's."""
     calls = [node for source in python_sources(SEARCHED)
              for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
 
@@ -157,8 +155,7 @@ def default_uses():
         f = call.func
         return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
     for fn, p, position in defaulted_parameters():
-        if fn not in ALLOWED:
-            yield f"{fn}.{p}", [passes(c, p, position) for c in calls if called_name(c) == fn]
+        yield f"{fn}.{p}", [passes(c, p, position) for c in calls if called_name(c) == fn]
 
 
 def test_every_defaulted_parameter_is_passed():

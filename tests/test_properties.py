@@ -1,21 +1,23 @@
 """Property tests for the structural invariants that hold on whole families."""
 
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_category import verify_braiding_axioms
 from braidhopf.builders import (conjugation_yd_object, cyclic_group, exterior_line,
                                 group_algebra, s3_group, sweedler_h4, symmetric_group)
-from braidhopf.category import (CatObject, SUPER, VEC, YetterDrinfeldBackend, holds,
-                                verify_braiding_axioms)
+from braidhopf.category import CatObject, Morphism, SUPER, VEC, YetterDrinfeldBackend, holds
 from braidhopf.filtration import b_adic_filtration, coradical
-from braidhopf.hopf import (associativity_check, build_cosep_section, full_axiom_report,
-                            generating_set, is_cocommutative, make_bialgebra,
+from braidhopf.hopf import (Coalgebra, associativity_check, build_cosep_section,
+                            full_axiom_report, generating_set, is_cocommutative, make_bialgebra,
                             solve_total_integral, verify_cosep_section)
-from braidhopf.linalg import Formula, Matrix, kron
+from braidhopf.linalg import Formula, Matrix, kernel_basis, kron
 from braidhopf.report import eq_check
+from braidhopf.textio import parse_algebra_file
 
 
 def all_pass(checks):
@@ -329,3 +331,61 @@ def test_identities_decided_on_the_generating_set_equal_the_full_scan(case):
     right_linear = eq_check("right_linear", Formula((ida, ida, d), (ida, c, ida), (m, m), theta),
                             Formula((theta, ida), m))
     assert verify_cosep_section(h, theta)[-1] == right_linear
+
+
+# -- coradical: the trace form from Delta's stored entries is the dense one ------
+
+def dense_coradical(a):
+    """The coradical with the trace form read entry by entry: n^3 reads of Delta."""
+    n, d = a.dim, a.delta.mat
+    traces = [sum((d.entry(i * n + j, j) for j in range(n)), 0) for i in range(n)]
+    tform = [[sum((d.entry(i * n + j, k) * traces[k] for k in range(n)), 0)
+              for j in range(n)] for i in range(n)]
+    rad = kernel_basis(Matrix.from_rows(tform).transpose())
+    if not rad:
+        return Matrix.identity(n)
+    return Matrix.from_cols(n, kernel_basis(Matrix.from_rows([list(v) for v in rad])))
+
+
+with open(os.path.join(os.path.dirname(__file__), "..", "corpus", "algebras", "ut2.alg"),
+          encoding="utf-8") as fh:
+    UT2_COALGEBRA = parse_algebra_file(fh.read()).algebra
+# cosemisimple ones, and two with a radical: h4 and ut2 (coradical dim 2 each)
+COALGEBRAS = [group_algebra(cyclic_group(1)), group_algebra(cyclic_group(3)),
+              group_algebra(s3_group()), sweedler_h4(), UT2_COALGEBRA]
+
+
+@st.composite
+def coalgebras_in_new_bases(draw):
+    """(a, the coalgebra a is a change of basis of)."""
+    c = draw(st.sampled_from(COALGEBRAS))
+    n = c.dim
+    p = draw(st.just(Matrix.identity(n)) | st.builds(Matrix.from_rows, st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+    p_inv = p.inverse()
+    assume(p_inv is not None)
+    # Delta'(x) = (P^-1 (x) P^-1) Delta(P x): the same coalgebra in the basis P e_1, ..., P e_n
+    delta = kron(p_inv, p_inv) * (c.delta.mat * p)
+    a = Coalgebra(VEC, c.carrier, Morphism(c.carrier, c.delta.cod, delta),
+                  Morphism(c.carrier, c.eps.cod, c.eps.mat * p))
+    return a, c
+
+
+def random_comultiplications():
+    """Vec coalgebra data whose Delta is dual to a random product and whose
+    counit is zero: the trace form is defined for any Delta, and on one that
+    is not coassociative it need not be symmetric."""
+    def data(m):
+        obj = CatObject(m.rows)
+        return Coalgebra(VEC, obj, Morphism(obj, VEC.tensor(obj, obj), m.transpose()),
+                         Morphism(obj, VEC.unit(), Matrix.from_entries(1, m.rows, ())))
+    return random_products().map(data)
+
+
+@given(coalgebras_in_new_bases() | random_comultiplications().map(lambda a: (a, a)))
+@settings(max_examples=200, deadline=None)
+def test_coradical_equals_the_dense_trace_form_computation(case):
+    a, c = case
+    cor = coradical(a)
+    assert cor == dense_coradical(a)
+    assert cor.cols == coradical(c).cols

@@ -45,14 +45,15 @@ def test_bench_record_writes_every_metric_and_the_axiom_suite(tmp_path):
     with open(os.path.join(SCRIPTS, "..", "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     out = run_script("bench_record.py", "7", "--runs", "1", "--seconds", "1",
-                     "--suite", "kS3", "--out", str(tmp_path)).decode()
+                     "--suite", "kS3", "--cold-repeats", "2", "--out", str(tmp_path)).decode()
     path = tmp_path / "BENCH_7.json"
     assert out.endswith(f"wrote {path}\n")
     text = path.read_text(encoding="utf-8")
     record = json.loads(text)
     assert text == json.dumps(record, indent=2, sort_keys=True) + "\n"
-    assert sorted(record) == ["axiom_suite", "commit", "end_to_end", "nproc", "per_layer", "pr",
-                              "python", "runs", "seconds", "seed", "src_lines", "src_sha256"]
+    assert sorted(record) == ["axiom_suite", "cold_start", "commit", "end_to_end", "nproc",
+                              "per_layer", "pr", "python", "runs", "seconds", "seed", "src_lines",
+                              "src_sha256"]
     assert (record["pr"], record["seed"], record["runs"], record["seconds"]) == (7, 1, 1, 1)
     assert sorted(record["end_to_end"]) == sorted(w["name"] for w in bench["workloads"])
     for metrics in record["end_to_end"].values():
@@ -63,3 +64,11 @@ def test_bench_record_writes_every_metric_and_the_axiom_suite(tmp_path):
     assert sorted(suite) == ["algebra", "checks", "dim", "overall", "peak_rss_mb", "wall_s"]
     assert (suite["algebra"], suite["dim"], suite["checks"], suite["overall"]) == ("kS3", 6, 17,
                                                                                    "pass")
+    cold = record["cold_start"]
+    assert sorted(cold) == ["bytecode_cached_after", "bytecode_cached_before", "check_hopf_c2",
+                            "import_cli", "python_pass", "repeats"]
+    assert cold["repeats"] == 2
+    assert {type(cold[k]) for k in ("bytecode_cached_after", "bytecode_cached_before")} == {bool}
+    for name in ("python_pass", "import_cli", "check_hopf_c2"):
+        assert sorted(cold[name]) == ["best_s", "median_s"]
+        assert 0 < cold[name]["best_s"] <= cold[name]["median_s"]
