@@ -2,7 +2,7 @@
 """Record the benchmark's numbers for one change in ``BENCH_<pr>.json``.
 
     python3 scripts/bench_record.py 24
-    python3 scripts/bench_record.py 24 --runs 3 --seconds 5 --suite kS4 --cold-repeats 5 --out /tmp
+    python3 scripts/bench_record.py 24 --runs 3 --seconds 5 --suite kS4 --out /tmp
 
 For each workload of ``BENCHMARK.json`` it makes --runs untraced runs of
 ``perfbench/run.py`` on seed 1, --seconds each, one after another in fresh
@@ -18,11 +18,12 @@ to 0.19 s with the processor's speed, and the minimum varies least.
 ``cold_start`` times what one fresh process pays: ``python -c pass``, ``python
 -c "import braidhopf.cli"`` and ``python -m braidhopf --report machine check
 hopf corpus/algebras/c2.alg``, each a child of this interpreter.  The three
-run one at a time, in turn, --cold-repeats (15) rounds; the entry keeps the
-best and the median wall time of each.  An import compiles the source unless
-``__pycache__`` holds bytecode for this interpreter, so the entry also
-records whether every package module had it before the first round and
-after the last (``PYTHONDONTWRITEBYTECODE`` keeps a child from writing it).
+run one at a time, in turn, three rounds per --runs (15 by default); the
+entry keeps the best and the median wall time of each.  An import compiles
+the source unless ``__pycache__`` holds bytecode for this interpreter, so the
+entry also records whether every package module had it before the first
+round and after the last (``PYTHONDONTWRITEBYTECODE`` keeps a child from
+writing it).
 
 The file, written to --out (the repository root by default), is JSON with
 sorted keys.  ``src_sha256`` and ``src_lines`` identify the source that was
@@ -128,8 +129,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seconds", type=float, default=25, help="length of each run")
     parser.add_argument("--suite", type=suite_name, default="kS5",
                         help="the group algebra whose axiom suite is timed")
-    parser.add_argument("--cold-repeats", type=int, default=15,
-                        help="rounds of the cold_start children")
     parser.add_argument("--out", default=ROOT, help="directory the file is written to")
     args = parser.parse_args(argv)
 
@@ -152,7 +151,7 @@ def main(argv: list[str]) -> int:
     done = subprocess.run([sys.executable, os.path.abspath(__file__), "--axiom-suite",
                            args.suite], capture_output=True, text=True, check=True)
     suite = json.loads(done.stdout)
-    cold = cold_start(args.cold_repeats)
+    cold = cold_start(3 * args.runs)
     if wrong or suite["overall"] != "pass":
         print(f"not written: wrong outputs in {sorted(set(wrong))}, "
               f"axiom suite {suite['overall']}", file=sys.stderr)

@@ -45,7 +45,7 @@ def test_bench_record_writes_every_metric_and_the_axiom_suite(tmp_path):
     with open(os.path.join(SCRIPTS, "..", "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     out = run_script("bench_record.py", "7", "--runs", "1", "--seconds", "1",
-                     "--suite", "kS3", "--cold-repeats", "2", "--out", str(tmp_path)).decode()
+                     "--suite", "kS3", "--out", str(tmp_path)).decode()
     path = tmp_path / "BENCH_7.json"
     assert out.endswith(f"wrote {path}\n")
     text = path.read_text(encoding="utf-8")
@@ -67,7 +67,7 @@ def test_bench_record_writes_every_metric_and_the_axiom_suite(tmp_path):
     cold = record["cold_start"]
     assert sorted(cold) == ["bytecode_cached_after", "bytecode_cached_before", "check_hopf_c2",
                             "import_cli", "python_pass", "repeats"]
-    assert cold["repeats"] == 2
+    assert cold["repeats"] == 3
     assert {type(cold[k]) for k in ("bytecode_cached_after", "bytecode_cached_before")} == {bool}
     for name in ("python_pass", "import_cli", "check_hopf_c2"):
         assert sorted(cold[name]) == ["best_s", "median_s"]
