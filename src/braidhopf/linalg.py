@@ -67,10 +67,10 @@ class ShapeMismatch(ValueError):
 
 
 def _frac(x) -> int | Fraction:
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
         return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 

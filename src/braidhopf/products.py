@@ -1,5 +1,11 @@
 """Cross products, matched pairs, double cross products and smash products.
 
+Each product lives on R (x) B and multiplies through an exchange map
+psi : B (x) R -> R (x) B, m = (m_R (x) m_B)(R (x) psi (x) B) (Majid 1995).
+psi is evaluated once, on dim(B) dim(R) columns (``_through_psi``).  By the
+interchange law, and as the arithmetic is exact, m equals entry for entry
+the formula that expands psi inside each of its dim(R)^2 dim(B)^2 columns.
+
 The long multiplication formula of the cross product is transcription
 risky, so it is built twice: once literally and once by conjugating A's
 structure through the proven isomorphism, and the two results must agree
@@ -60,6 +66,11 @@ def delta_on_br(b: BraidedBialgebra, r: BraidedBialgebra) -> Matrix:
     return pipeline((b.delta.mat, r.delta.mat), (idb, c_br, idr))
 
 
+def _through_psi(rdim: int, bdim: int, psi: Matrix, *stages) -> Matrix:
+    """R (x) B (x) R (x) B -> ...: psi on the middle B (x) R, then stages."""
+    return pipeline((Matrix.identity(rdim), psi, Matrix.identity(bdim)), *stages)
+
+
 def make_factorization(a: BraidedBialgebra, b: BraidedBialgebra, r: BraidedBialgebra,
                        sigma: Morphism, include: Morphism) -> FactorizationContext:
     phi = pipeline((include.mat, sigma.mat), a.m.mat)
@@ -83,10 +94,9 @@ def build_cross_product(ctx: WeakProjectionContext) -> CrossProductData:
     c_rb = backend.braiding_mat(r_obj, b.carrier)
     c_rr = backend.braiding_mat(r_obj, r_obj)
 
-    m_lit = pipeline(
-        (idr, b.delta.mat, mp.comul, idb),
-        (idr, idb, c_br, idr, idb),
-        (idr, mp.act_left, mp.act_b, idb),
+    psi = pipeline((b.delta.mat, mp.comul), (idb, c_br, idr), (mp.act_left, mp.act_b))
+    m_lit = _through_psi(
+        rdim, bdim, psi,
         (mp.comul, mp.comul, idb, idb),
         (idr, mp.coact_left, idr, idr, idb, idb),
         (idr, idb, c_rr, idr, idb, idb),
@@ -183,15 +193,8 @@ def _on_rb(r: BraidedBialgebra, b: BraidedBialgebra, m: Matrix) -> BraidedBialge
 
 
 def _double_cross_mul(mp: MatchedPair) -> Matrix:
-    r, b = mp.r, mp.b
-    idr, idb = Matrix.identity(r.dim), Matrix.identity(b.dim)
-    c_br = r.backend.braiding_mat(b.carrier, r.carrier)
-    return pipeline(
-        (idr, b.delta.mat, r.delta.mat, idb),
-        (idr, idb, c_br, idr, idb),
-        (idr, mp.act_r, mp.act_b, idb),
-        (r.m.mat, b.m.mat),
-    )
+    psi = pipeline(delta_on_br(mp.b, mp.r), (mp.act_r, mp.act_b))
+    return _through_psi(mp.r.dim, mp.b.dim, psi, (mp.r.m.mat, mp.b.m.mat))
 
 
 def build_double_cross(mp: MatchedPair) -> BraidedBialgebra:
@@ -199,16 +202,11 @@ def build_double_cross(mp: MatchedPair) -> BraidedBialgebra:
 
 
 def build_smash(r: BraidedBialgebra, b: BraidedBialgebra, act_r: Matrix) -> BraidedBialgebra:
-    """The double cross product with trivial right action, written directly."""
+    """The double cross product with trivial right action, its psi written directly."""
     idr, idb = Matrix.identity(r.dim), Matrix.identity(b.dim)
     c_br = r.backend.braiding_mat(b.carrier, r.carrier)
-    m = pipeline(
-        (idr, b.delta.mat, idr, idb),
-        (idr, idb, c_br, idb),
-        (idr, act_r, idb, idb),
-        (r.m.mat, b.m.mat),
-    )
-    return _on_rb(r, b, m)
+    psi = pipeline((b.delta.mat, idr), (idb, c_br), (act_r, idb))
+    return _on_rb(r, b, _through_psi(r.dim, b.dim, psi, (r.m.mat, b.m.mat)))
 
 
 def actions_from_psi(fc: FactorizationContext) -> MatchedPair:

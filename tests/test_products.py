@@ -1,9 +1,9 @@
 import pytest
 
-from contexts import c4_c2, group_table_pair, h4_c2, s3_c2, s3_c3, trivial
-from braidhopf.builders import (cyclic_group, group_algebra, s3_group,
-                                subgroup_closure, symmetric_group)
-from braidhopf.category import Morphism
+from contexts import c4_c2, group_table_pair, h4_c2, s3_c2, s3_c3, trivial, yd_kc2
+from braidhopf.builders import (cyclic_group, exterior_line, group_algebra, s3_group,
+                                subgroup_closure, sweedler_h4, symmetric_group)
+from braidhopf.category import SUPER, Morphism
 from braidhopf.hopf import verify_bialgebra
 from braidhopf import products
 from braidhopf.linalg import Matrix, compose, kron, pipeline
@@ -361,3 +361,94 @@ def test_smash_with_trivial_action_is_tensor_product():
     idr, idb = Matrix.identity(2), Matrix.identity(3)
     flip = r.backend.braiding_mat(b.carrier, r.carrier)
     assert smash.m.mat == pipeline((idr, flip, idb), (r.m.mat, b.m.mat))
+
+
+# -- psi against the literal formulas ------------------------------------------------
+# products multiplies through psi : B (x) R -> R (x) B, evaluated once.  These are
+# the formulas that expand psi inside every column, kept as the independent
+# reference.
+
+def literal_double_cross_mul(mp):
+    r, b = mp.r, mp.b
+    idr, idb = Matrix.identity(r.dim), Matrix.identity(b.dim)
+    c_br = r.backend.braiding_mat(b.carrier, r.carrier)
+    return pipeline(
+        (idr, b.delta.mat, r.delta.mat, idb),
+        (idr, idb, c_br, idr, idb),
+        (idr, mp.act_r, mp.act_b, idb),
+        (r.m.mat, b.m.mat),
+    )
+
+
+def literal_smash_mul(r, b, act_r):
+    idr, idb = Matrix.identity(r.dim), Matrix.identity(b.dim)
+    c_br = r.backend.braiding_mat(b.carrier, r.carrier)
+    return pipeline(
+        (idr, b.delta.mat, idr, idb),
+        (idr, idb, c_br, idb),
+        (idr, act_r, idb, idb),
+        (r.m.mat, b.m.mat),
+    )
+
+
+def literal_cross_mul(ctx):
+    b, mp = ctx.b, ctx.maps
+    idr, idb = Matrix.identity(ctx.r_dim), Matrix.identity(b.dim)
+    c_br = ctx.a.backend.braiding_mat(b.carrier, ctx.r_obj)
+    c_rr = ctx.a.backend.braiding_mat(ctx.r_obj, ctx.r_obj)
+    return pipeline(
+        (idr, b.delta.mat, mp.comul, idb),
+        (idr, idb, c_br, idr, idb),
+        (idr, mp.act_left, mp.act_b, idb),
+        (mp.comul, mp.comul, idb, idb),
+        (idr, mp.coact_left, idr, idr, idb, idb),
+        (idr, idb, c_rr, idr, idb, idb),
+        (idr, mp.act_left, idr, idr, b.m.mat),
+        (mp.mul, mp.cocycle, idb),
+        (idr, b.m.mat),
+    )
+
+
+def tensor_pair(r, b):
+    """The matched pair with both actions trivial: R (x) B as a tensor product."""
+    return MatchedPair(r, b, kron(b.eps.mat, Matrix.identity(r.dim)),
+                       kron(Matrix.identity(b.dim), r.eps.mat))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tensor_pair(sweedler_h4(), sweedler_h4()),
+    lambda: tensor_pair(sweedler_h4(), group_algebra(s3_group())),
+    lambda: group_table_pair(s3_group(), ["e", "c", "c2"], ["e", "t"]),
+    lambda: group_table_pair(*_s4_over_d4_c3()),
+    lambda: tensor_pair(exterior_line(SUPER), exterior_line(SUPER)),
+], ids=["h4_h4", "h4_ks3", "s3_table", "s4_table", "ext_super_ext_super"])
+def test_products_through_psi_equal_their_literal_formulas(make):
+    pair = make()
+    assert build_double_cross(pair).m.mat == literal_double_cross_mul(pair)
+    assert products._double_cross_mul(pair) == literal_double_cross_mul(pair)
+    smash = build_smash(pair.r, pair.b, pair.act_r)
+    assert smash.m.mat == literal_smash_mul(pair.r, pair.b, pair.act_r)
+
+
+def test_the_signed_braiding_reaches_psi():
+    # x (x) x in ext_super (x) ext_super: the odd x of B passes the odd x of R
+    pair = tensor_pair(exterior_line(SUPER), exterior_line(SUPER))
+    m = build_double_cross(pair).m.mat
+    x1, one_x = 1 * 2 + 0, 0 * 2 + 1          # x (x) 1 and 1 (x) x in R (x) B
+    assert m.entry(3, one_x * 4 + x1) == -1   # (1 (x) x)(x (x) 1) = -x (x) x
+    assert m.entry(3, x1 * 4 + one_x) == 1
+
+
+@pytest.mark.parametrize("make", [h4_c2, s3_c2, c4_c2, lambda: trivial(yd_kc2())],
+                         ids=["h4_c2", "s3_c2", "c4_c2", "yd_kc2"])
+def test_cross_product_through_psi_equals_the_nine_stage_formula(make):
+    ctx = build_context(*make())
+    assert build_cross_product(ctx).product.m.mat == literal_cross_mul(ctx)
+
+
+def test_smash_and_double_cross_differ_when_the_right_action_is_not_trivial():
+    # smash_equals_double_cross_mul compares two formulas; S3 over C3, where
+    # act_b is not trivial, shows they are not one
+    pair = derive_actions_cocomm(build_context(*s3_c3()))
+    assert pair.act_b != kron(Matrix.identity(pair.b.dim), pair.r.eps.mat)
+    assert build_smash(pair.r, pair.b, pair.act_r).m.mat != products._double_cross_mul(pair)
