@@ -83,7 +83,6 @@ def group_algebra(group: FiniteGroup) -> HopfAlgebra:
 
 def sweedler_h4() -> HopfAlgebra:
     """The 4-dimensional algebra on {1, g, x, gx}: g^2 = 1, x^2 = 0, xg = -gx."""
-    names = ["one", "g", "x", "gx"]
     ONE, G, X, GX = range(4)
     prod = {
         (ONE, ONE): [(ONE, 1)], (ONE, G): [(G, 1)], (ONE, X): [(X, 1)], (ONE, GX): [(GX, 1)],

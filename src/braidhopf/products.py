@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import Morphism
-from .hopf import (BraidedBialgebra, is_cocommutative, make_bialgebra,
+from .hopf import (BraidedBialgebra, Coalgebra, is_cocommutative, make_bialgebra,
                    verify_bialgebra, verify_bialgebra_map)
 from .linalg import Formula, Matrix, compose, kron, pipeline
 from .report import CheckResult, ConstructionFailed, bool_check, eq_check, merge_checks, prefixed
-from .weakproj import WeakProjectionContext
+from .weakproj import WeakProjectionContext, r_coalgebra
 
 
 @dataclass(eq=False, repr=False)
@@ -57,7 +57,7 @@ class FactorizationContext:
     psi: Matrix          # phi_factor^-1 m_A (sigma (x) i) : B (x) R -> R (x) B
 
 
-def delta_on_br(b: BraidedBialgebra, r: BraidedBialgebra) -> Matrix:
+def delta_on_br(b: Coalgebra, r: Coalgebra) -> Matrix:
     """Coalgebra structure on B (x) R: (B (x) c_{B,R} (x) R)(Delta_B (x) Delta_R).
 
     With the arguments swapped it is the one on R (x) B."""
@@ -90,11 +90,10 @@ def build_cross_product(ctx: WeakProjectionContext) -> CrossProductData:
     idr, idb = Matrix.identity(rdim), Matrix.identity(bdim)
     backend = a.backend
     r_obj = ctx.r_obj
-    c_br = backend.braiding_mat(b.carrier, r_obj)
     c_rb = backend.braiding_mat(r_obj, b.carrier)
     c_rr = backend.braiding_mat(r_obj, r_obj)
 
-    psi = pipeline((b.delta.mat, mp.comul), (idb, c_br, idr), (mp.act_left, mp.act_b))
+    psi = pipeline(delta_on_br(b, r_coalgebra(ctx)), (mp.act_left, mp.act_b))
     m_lit = _through_psi(
         rdim, bdim, psi,
         (mp.comul, mp.comul, idb, idb),
@@ -154,7 +153,6 @@ def check_matched_pair(mp: MatchedPair) -> list[CheckResult]:
     d_br = delta_on_br(b, r)
     eps_br = kron(b.eps.mat, r.eps.mat)
     c_rb = r.backend.braiding_mat(r.carrier, b.carrier)
-    c_br = r.backend.braiding_mat(b.carrier, r.carrier)
 
     item1 = merge_checks("mp1_left_module_coalgebra", [
         eq_check("action_associative", Formula((b.m.mat, idr), tr), Formula((idb, tr), tr)),

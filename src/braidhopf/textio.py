@@ -190,18 +190,17 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
             basis = {tok: i for i, tok in enumerate(toks[1:])}
         elif head in _MAPS:
             _, k_in, k_out = _MAPS[head]
-            if "->" not in toks:
-                raise ParseError(line, "expected '->'")
-            if toks.index("->") != k_in + 1 or len(toks) != k_in + k_out + 3:
+            lhs, rhs = split_arrow(toks[1:], line)
+            if len(lhs) != k_in or len(rhs) != k_out + 1:
                 slots = [f"<{c}>" for c in "ijk"[:k_in + k_out]]
                 raise ParseError(line, " ".join(["usage:", head, *slots[:k_in], "->",
                                                  *slots[k_in:], "<coeff>"]))
             flat = 0   # the names' tensor in A^(x in+out): column j, then row i
-            for tok in toks[1:k_in + 1] + toks[k_in + 2:-1]:
+            for tok in lhs + rhs[:-1]:
                 flat = need_basis(tok, line) + flat * dim
-            v = scalars.get(toks[-1])
+            v = scalars.get(rhs[-1])
             if v is None:
-                v = scalars[toks[-1]] = parse_scalar(toks[-1], line)
+                v = scalars[rhs[-1]] = parse_scalar(rhs[-1], line)
             if head not in columns:
                 columns[head] = [{} for _ in range(dim ** k_in)]
             j, i = divmod(flat, dim ** k_out)

@@ -11,6 +11,7 @@ is made of.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .category import CatObject, Morphism
 from .hopf import (BraidedBialgebra, Coalgebra, HopfAlgebra, _associativity, _certificate,
@@ -46,7 +47,6 @@ class WeakProjectionContext:
     b: HopfAlgebra
     sigma: Morphism
     pi: Morphism
-    pi2: Matrix          # m_A (A (x) sigma S_B pi) Delta_A
     r_obj: CatObject
     include: Matrix      # i : R -> A
     project: Matrix      # p : A -> R
@@ -166,8 +166,9 @@ def compute_diagram(a: BraidedBialgebra, b: HopfAlgebra,
                     pi: Morphism, p2: Matrix) -> tuple[CatObject, Matrix, Matrix]:
     """(R, i, p): the coinvariant equalizer splitting the idempotent Pi2 = p2.
 
-    Raises ConstructionFailed when Pi2 does not split as i*p through an
-    object R; some upstream axiom must then be violated.
+    Decides structure_report's split_ip (p solves i*p = Pi2 exactly) and
+    split_pi (p*i = Id_R, so rank Pi2 = dim R), raising ConstructionFailed
+    when either fails; some upstream axiom must then be violated.
     """
     ida = Matrix.identity(a.dim)
     f = pipeline(a.delta.mat, (ida, pi.mat))
@@ -178,8 +179,6 @@ def compute_diagram(a: BraidedBialgebra, b: HopfAlgebra,
         raise ConstructionFailed("image of Pi2 is not contained in the coinvariants")
     if project * include != Matrix.identity(include.cols):
         raise ConstructionFailed("p*i is not the identity on R")
-    if p2.rank() != include.cols:
-        raise ConstructionFailed("column span of i exceeds the image of Pi2")
     r_obj = _subobject(a.carrier, include)
     return r_obj, include, project
 
@@ -205,7 +204,7 @@ def build_context(a: BraidedBialgebra, b: HopfAlgebra,
     _, _, p2 = projection_operators(a, b, sigma, pi)
     r_obj, include, project = compute_diagram(a, b, pi, p2)
     maps = derive_structure_maps(a, sigma, pi, include, project)
-    return WeakProjectionContext(a, b, sigma, pi, p2, r_obj, include, project, maps)
+    return WeakProjectionContext(a, b, sigma, pi, r_obj, include, project, maps)
 
 
 def r_coalgebra(ctx: WeakProjectionContext) -> Coalgebra:
@@ -217,11 +216,14 @@ def r_coalgebra(ctx: WeakProjectionContext) -> Coalgebra:
 
 
 def structure_report(ctx: WeakProjectionContext) -> list[CheckResult]:
-    """Splitting facts for (R, i, p) plus the coalgebra axioms of R."""
-    i, p, p2 = ctx.include, ctx.project, ctx.pi2
+    """Splitting facts for (R, i, p) plus the coalgebra axioms of R.
+
+    split_ip (i*p = Pi2) and split_pi (p*i = Id_R) are decided by
+    compute_diagram, whose ConstructionFailed is reported as diagram_split."""
+    i = ctx.include
     checks = [
-        eq_check("split_ip", i * p, p2),
-        eq_check("split_pi", p * i, Matrix.identity(ctx.r_dim)),
+        CheckResult("split_ip", "pass"),
+        CheckResult("split_pi", "pass"),
         bool_check("dim_product",
                    ctx.r_dim * ctx.b.dim == ctx.a.dim,
                    witness=f"dimR={ctx.r_dim}:dimB={ctx.b.dim}:dimA={ctx.a.dim}"),
@@ -258,9 +260,9 @@ def search_weak_projection(a: BraidedBialgebra, b: HopfAlgebra,
     pi_affine_conditions; linalg.map_system evaluates each once, on a pi of
     linear forms in its dim(B) x dim(A) row-major entries, for one exact
     system.  The particular solution is tried first, then the particular plus
-    each homogeneous basis vector; the first candidate passing the full
-    verification is returned.  The search is a documented heuristic, not a
-    decision procedure.
+    each homogeneous basis vector, each built only when it is tried; the
+    first candidate passing the full verification is returned.  The search is
+    a documented heuristic, not a decision procedure.
 
     Right B-linearity, pi(a sigma(b)) = pi(a) b, is written only for b in
     S = generating_set(m_B) when a certificate holds (Light's test, as in
@@ -294,19 +296,12 @@ def search_weak_projection(a: BraidedBialgebra, b: HopfAlgebra,
                              witness=f"rank={na * nb - len(hom)}:unknowns={na * nb}"),)
         return SearchResult(None, checks)
 
-    candidates = [particular]
-    for h in hom:
-        candidates.append(tuple(x + y for x, y in zip(particular, h)))
-    for cand in candidates:
+    solvable = bool_check("linear_system_solvable", True, value=f"family_dim={len(hom)}")
+    for cand in chain([particular], (tuple(x + y for x, y in zip(particular, h)) for h in hom)):
         pi = Morphism(a.carrier, b.carrier,
                       Matrix.from_rows([cand[r * na:(r + 1) * na] for r in range(nb)]))
         verif = verify_weak_projection(a, b, sigma, pi)
         if all(c.status == "pass" for c in verif):
-            checks = (bool_check("linear_system_solvable", True,
-                                 value=f"family_dim={len(hom)}"),
-                      bool_check("candidate_verified", True))
-            return SearchResult(pi, checks + tuple(verif))
-    checks = (bool_check("linear_system_solvable", True, value=f"family_dim={len(hom)}"),
-              bool_check("candidate_verified", False,
-                         witness=f"tried={len(candidates)}"))
-    return SearchResult(None, checks)
+            return SearchResult(pi, (solvable, bool_check("candidate_verified", True), *verif))
+    failed = bool_check("candidate_verified", False, witness=f"tried={1 + len(hom)}")
+    return SearchResult(None, (solvable, failed))

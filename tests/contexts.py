@@ -1,13 +1,14 @@
 """Canonical weak projection contexts, a bialgebra in a Yetter-Drinfeld
-category, and the group-table oracle of matched pairs, shared across the
-test modules."""
+category, the group-table oracle of matched pairs, and the definition files
+of a context, shared across the test modules."""
 
 from braidhopf.builders import (cyclic_group, exterior_line, group_algebra, s3_group,
                                 subgroup_closure, sweedler_h4)
-from braidhopf.category import SUPER, CatObject, Morphism, YetterDrinfeldBackend
+from braidhopf.category import SUPER, VEC, CatObject, Morphism, YetterDrinfeldBackend
 from braidhopf.hopf import make_bialgebra
 from braidhopf.linalg import Matrix
 from braidhopf.products import MatchedPair
+from braidhopf.textio import LoadedAlgebra, render_algebra, render_morphism
 
 
 def h4_c2():
@@ -118,3 +119,18 @@ def group_table_pair(group, r_names, b_names):
     return MatchedPair(group_algebra(r_sub), group_algebra(b_sub),
                        Matrix.from_entries(nr, nb * nr, act_r_entries),
                        Matrix.from_entries(nb, nb * nr, act_b_entries))
+
+
+def write_context(directory, a, b, pi):
+    """Render A and B, each a (name, basis names, Hopf algebra in Vec), as
+    hopf files into directory, and pi: A -> B as a morphism file; the three
+    paths.  The CLI's sigma is then the inclusion by basis names."""
+    paths = []
+    for name, basis, alg in (a, b):
+        path = directory / f"{name}.alg"
+        path.write_text(render_algebra(LoadedAlgebra("hopf", name, VEC, tuple(basis),
+                                                     alg.carrier, alg)))
+        paths.append(str(path))
+    path = directory / "pi.map"
+    path.write_text(render_morphism(pi.mat, list(a[1]), list(b[1])))
+    return paths + [str(path)]

@@ -181,7 +181,7 @@ def test_criterion_5_diagram():
             a, b, sigma, pi = make()
             ctx = build_context(a, b, sigma, pi)
             assert ctx.r_dim == expected_dim
-            assert ctx.include * ctx.project == ctx.pi2
+            assert ctx.include * ctx.project == projection_operators(a, b, sigma, pi)[2]
             assert ctx.project * ctx.include == Matrix.identity(expected_dim)
             assert ctx.r_dim * b.dim == a.dim
             assert all_pass(structure_report(ctx))

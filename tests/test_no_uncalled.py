@@ -1,8 +1,8 @@
 """Every function, class and method of the package has a caller, every
 field of a package dataclass has a reader, every parameter of a package
-function is read in its body, every parameter default is overridden by
-some call and used by another, and every name a package module imports is
-read in it.
+function is read in its body, every local name a package function stores
+is read in it, every parameter default is overridden by some call and used
+by another, and every name a package module imports is read in it.
 
 A definition counts as used when its name occurs in the code of src/,
 scripts/ or perfbench/ more often than it is defined there; a field counts as
@@ -107,6 +107,29 @@ def parameters_never_read():
 
 def test_every_function_parameter_is_read():
     assert list(parameters_never_read()) == []
+
+
+def locals_never_read():
+    """``module.function: name`` for each name a package function stores and
+    never loads; ``_`` is exempt.  The function's nested functions, lambdas and
+    comprehensions count as part of it."""
+    for f in sorted(os.listdir(PACKAGE)):
+        if not f.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, f), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = [n for n in ast.walk(node) if isinstance(n, ast.Name)]
+            loaded = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            stored = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+            yield from (f"{f[:-3]}.{node.name}: {name}"
+                        for name in sorted(stored - loaded - {"_"}))
+
+
+def test_every_local_is_read():
+    assert list(locals_never_read()) == []
 
 
 def defaulted_parameters():

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contexts import h4_c2, s3_c2, s3_c3, trivial
+from contexts import h4_c2, s3_c2, s3_c3, trivial, write_context
 from braidhopf.builders import (conjugation_yd_object, cyclic_group, group_algebra,
                                 s3_group, sweedler_h4)
 from braidhopf.category import CatObject, Morphism
 from braidhopf.hopf import associativity_check, verify_coalgebra
 from braidhopf import linalg, weakproj
+from braidhopf.cli import dispatch
 from braidhopf.linalg import (Matrix, compose, generating_set, map_system, pipeline,
                               solve_affine)
-from braidhopf.report import ConstructionFailed
+from braidhopf.report import ConstructionFailed, bool_check
 from braidhopf.weakproj import (build_context, compute_diagram,
                                 pi_affine_conditions, projection_operators, run_bd_suite,
                                 search_weak_projection, structure_report,
@@ -139,6 +140,34 @@ def test_split_failure_on_broken_pi():
         diagram(a, b, sigma, bad_pi)
 
 
+def at_unit(k):
+    """The endomorphism of kC2 that scales the unit e by k and fixes g."""
+    return Matrix.from_entries(2, 2, [(0, 0, k), (1, 1, 1)])
+
+
+@pytest.mark.parametrize("k", [2, -1, 0])
+@pytest.mark.parametrize("moved", ["antipode", "sigma"])
+def test_split_failure_when_p_i_is_not_the_identity(moved, k):
+    a, b, sigma, pi = h4_c2()
+    if moved == "antipode":
+        b = replace_map(b, "s", b.s.mat * at_unit(k))
+    else:
+        sigma = Morphism(sigma.dom, sigma.cod, sigma.mat * at_unit(k))
+    with pytest.raises(ConstructionFailed, match=r"^p\*i is not the identity on R$"):
+        diagram(a, b, sigma, pi)
+
+
+def test_the_cli_reports_p_i_not_the_identity_as_a_failed_split(tmp_path):
+    a, b, _, pi = h4_c2()
+    b = replace_map(b, "s", b.s.mat * at_unit(2))
+    files = write_context(tmp_path, ("h4", ("one", "g", "x", "gx"), a),
+                          ("c2_in_h4", ("one", "g"), b), pi)
+    code, report, error = dispatch(["weakproj", "diagram", *files])
+    assert (code, error) == (1, None)
+    assert report.render("machine").splitlines()[1:] == [
+        "check=diagram_split status=fail witness=p*i_is_not_the_identity_on_R", "overall=fail"]
+
+
 @pytest.mark.parametrize("ambient, emb, message", [
     # v_0 + v_1 mixes the even and the odd degree
     (CatObject(2, grading=(0, 1)), Matrix.from_cols(2, [(1, 1)]), "not homogeneous"),
@@ -218,6 +247,45 @@ def test_search_finds_verified_pi_s3():
     assert result.pi is not None
     assert by_name(result.checks)["linear_system_solvable"].value == "family_dim=2"
     assert all_pass(verify_weak_projection(a, b, sigma, result.pi))
+
+
+class CountingKernel(list):
+    """A kernel basis that counts the vectors iteration draws from it."""
+    drawn = 0
+
+    def __iter__(self):
+        for h in super().__iter__():
+            self.drawn += 1
+            yield h
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, None])
+def test_the_search_builds_each_candidate_when_it_tries_it(monkeypatch, k):
+    # s3_c2's family is 2-dimensional, so there are three candidates; the k-th
+    # passes a stand-in verification (None: none does)
+    kernels, tried = [], []
+    solve = weakproj.solve_affine
+
+    def counted(*args):
+        particular, hom = solve(*args)
+        kernels.append(CountingKernel(hom))
+        return particular, kernels[-1]
+
+    def verify(a, b, sigma, pi):
+        tried.append(pi)
+        return [bool_check("stand_in", len(tried) == k)]
+
+    monkeypatch.setattr(weakproj, "solve_affine", counted)
+    monkeypatch.setattr(weakproj, "verify_weak_projection", verify)
+    result = search_weak_projection(*s3_c2()[:3])
+    [kernel] = kernels
+    assert len(kernel) == 2
+    if k is None:
+        assert (len(tried), kernel.drawn) == (3, 2)
+        assert by_name(result.checks)["candidate_verified"].witness == "tried=3"
+    else:
+        assert (len(tried), kernel.drawn) == (k, k - 1)
+        assert result.pi is tried[-1]
 
 
 def test_search_reports_unsolvable_system(monkeypatch):
