@@ -48,10 +48,11 @@ for values that are read more than once.
 
 ``map_system`` builds every system whose unknown is a map X: each identity
 the map must satisfy is a pair (lhs, rhs) of tensor formulas affine in X,
-written as it is checked.  Each pair is evaluated once, on an X of linear
-forms in the unknowns (``_Lin``): the entries of d = lhs - rhs are then the
-rows of the system and their negated constants the right-hand side
-(forward-mode evaluation of d's Jacobian).  ``_eliminate`` solves it.
+written as it is checked.  Each side is evaluated once, on an X of linear
+forms in the unknowns (``_Lin``), and scattered with its sign: the entries
+of d = lhs - rhs, never formed, are the rows of the system and their negated
+constants the right-hand side.  Forms are never mutated, so a form times 1
+or plus 0 is that form.  ``_eliminate`` solves it.
 """
 
 from __future__ import annotations
@@ -404,10 +405,12 @@ def solve_affine(a: Matrix, b: Sequence) -> tuple[tuple | None, list[tuple]]:
 
 class _Lin(dict):
     """An affine form in the unknowns of ``map_system``: {unknown: coeff}, the
-    constant at key -1, empty meaning zero.  Only affine arithmetic is
-    defined, so ``_Lin * _Lin`` raises TypeError."""
+    constant at key -1, empty meaning zero; never mutated, so x * 1 and x + 0
+    are x.  Only affine arithmetic is defined: ``_Lin * _Lin`` raises TypeError."""
 
     def __add__(self, other):
+        if not other:
+            return self
         out = _Lin(self)
         for k, v in (other.items() if isinstance(other, _Lin) else ((-1, other),)):
             out[k] = out.get(k, 0) + v
@@ -423,7 +426,7 @@ class _Lin(dict):
     def __mul__(self, s):
         if not isinstance(s, (int, Fraction)):
             return NotImplemented
-        return _Lin({k: v * s for k, v in self.items()} if s else {})
+        return self if s == 1 else _Lin({k: v * s for k, v in self.items()} if s else {})
 
     __rmul__ = __mul__
 
@@ -446,14 +449,14 @@ def map_system(rows: int, cols: int, conditions) -> tuple[Matrix, list]:
         if (lx.rows, lx.cols) != (rx.rows, rx.cols):
             raise ShapeMismatch(f"left side is {lx.rows}x{lx.cols}, "
                                 f"right side is {rx.rows}x{rx.cols}")
-        d = lx - rx
-        for j, col in enumerate(d._cols):
-            for i, form in col.items():
-                e = n_eq + i * d.cols + j
-                form = form if isinstance(form, _Lin) else {-1: form}
-                target[e] = -form.get(-1, 0)
-                entries.extend((e, k, v) for k, v in form.items() if k >= 0)
-        n_eq += d.rows * d.cols
+        for sign, side in ((1, lx), (-1, rx)):
+            for j, col in enumerate(side._cols):
+                for i, form in col.items():
+                    e = n_eq + i * side.cols + j
+                    form = form if isinstance(form, _Lin) else {-1: form}
+                    target[e] = target.get(e, 0) - sign * form.get(-1, 0)
+                    entries.extend((e, k, sign * v) for k, v in form.items() if k >= 0)
+        n_eq += lx.rows * lx.cols
     return (Matrix.from_entries(n_eq, rows * cols, entries),
             [target.get(e, 0) for e in range(n_eq)])
 

@@ -19,10 +19,11 @@ Each structure-map line is one matrix entry of a map A^(x in) -> A^(x out),
 with `in` basis names, `->`, `out` basis names and the coefficient; tensors of
 basis vectors are indexed in Kronecker (base-dim) order.  The arities (in, out)
 are mul (2, 1), unit (0, 1), comul (1, 2), counit (1, 0), antipode (1, 1).
-A map line is read once, straight into its matrix column: a repeated entry is
-summed and the sum normalized (an integral one is an int), and a zero sum is
-dropped.  Whether a keyword has a line, not what its entries sum to, decides
-which maps a kind may carry and that a hopf file carries an antipode.
+A well-formed map line takes direct lookups straight into its matrix column;
+only a malformed one reaches the checks that name its first fault.  A
+repeated entry is summed and normalized (an integral sum is an int), a zero
+sum dropped.  Whether a keyword has a line, not what its entries sum to,
+decides which maps a kind may carry and that a hopf file carries an antipode.
 The header, backend, dim and basis lines appear once each, and so does the
 grade line of a basis name.
 
@@ -138,7 +139,34 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
 
     for line, toks in _tokenize(text):
         head = toks[0]
-        if head in _CARRIES:
+        if (spec := _MAPS.get(head)) is not None:
+            _, k_in, k_out = spec
+            flat = 0   # the names' tensor in A^(x in+out): column j, then row i
+            try:       # a well-formed line: k_in names, '->', k_out names, coefficient
+                if basis is None or len(toks) != k_in + k_out + 3 or toks[k_in + 1] != "->":
+                    raise KeyError
+                for tok in toks[1:k_in + 1] + toks[k_in + 2:-1]:
+                    flat = basis[tok] + flat * dim
+            except KeyError:   # a malformed one: these checks name its first fault
+                lhs, rhs = split_arrow(toks[1:], line)
+                if len(lhs) != k_in or len(rhs) != k_out + 1:
+                    slots = [f"<{c}>" for c in "ijk"[:k_in + k_out]]
+                    raise ParseError(line, " ".join(["usage:", head, *slots[:k_in], "->",
+                                                     *slots[k_in:], "<coeff>"]))
+                for tok in lhs + rhs[:-1]:
+                    need_basis(tok, line)
+            v = scalars.get(toks[-1])
+            if v is None:
+                v = scalars[toks[-1]] = parse_scalar(toks[-1], line)
+            if head not in columns:
+                columns[head] = [{} for _ in range(dim ** k_in)]
+            j, i = divmod(flat, dim ** k_out)
+            col = columns[head][j]
+            if i in col:
+                v = _frac(col.pop(i) + v)
+            if v:
+                col[i] = v
+        elif head in _CARRIES:
             if kind is not None:
                 raise ParseError(line, "duplicate header (one definition per file)")
             if len(toks) != 2:
@@ -188,27 +216,6 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
                 if "." in tok or tok == "->":
                     raise ParseError(line, f"basis name {tok!r} contains '.' or is '->'")
             basis = {tok: i for i, tok in enumerate(toks[1:])}
-        elif head in _MAPS:
-            _, k_in, k_out = _MAPS[head]
-            lhs, rhs = split_arrow(toks[1:], line)
-            if len(lhs) != k_in or len(rhs) != k_out + 1:
-                slots = [f"<{c}>" for c in "ijk"[:k_in + k_out]]
-                raise ParseError(line, " ".join(["usage:", head, *slots[:k_in], "->",
-                                                 *slots[k_in:], "<coeff>"]))
-            flat = 0   # the names' tensor in A^(x in+out): column j, then row i
-            for tok in lhs + rhs[:-1]:
-                flat = need_basis(tok, line) + flat * dim
-            v = scalars.get(rhs[-1])
-            if v is None:
-                v = scalars[rhs[-1]] = parse_scalar(rhs[-1], line)
-            if head not in columns:
-                columns[head] = [{} for _ in range(dim ** k_in)]
-            j, i = divmod(flat, dim ** k_out)
-            col = columns[head][j]
-            if i in col:
-                v = _frac(col.pop(i) + v)
-            if v:
-                col[i] = v
         elif head == "grade":
             lhs, rhs = split_arrow(toks[1:], line)
             if len(lhs) != 1 or len(rhs) != 1:

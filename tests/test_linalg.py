@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from braidhopf import hopf, linalg, weakproj
 from braidhopf.builders import cyclic_group, group_algebra, s3_group, sweedler_h4
-from braidhopf.linalg import (Formula, Matrix, ShapeMismatch, _frac, compose, equalizer,
-                              hstack, kernel_basis, kron, map_system, pipeline, solve_affine,
-                              solve_matrix)
+from braidhopf.linalg import (Formula, Matrix, ShapeMismatch, _frac, _Lin, compose,
+                              equalizer, hstack, kernel_basis, kron, map_system, pipeline,
+                              solve_affine, solve_matrix)
 from braidhopf.report import CheckResult, eq_check
 from braidhopf.weakproj import pi_affine_conditions
 from contexts import h4_c2, s3_c2, s3_c3
@@ -154,32 +154,39 @@ def reshape(vec, rows, cols):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_map_system_columns_are_the_conditions_on_basis_maps(data):
-    """For X of shape r x c, three conditions (lhs, rhs): L X R = T1 and
-    (X (x) K) N = T2 with constant right sides, and the affine L X R + C =
-    L2 X R2.  The targets are drawn at random or made to hold at some X0."""
+    """For X of shape r x c, four conditions (lhs, rhs): L X R = T1,
+    (X (x) K) N = T2 and X + Q X P = T4 with constant right sides, and the
+    affine L X R + C = L2 X R2.  X + Q X P reads X twice, so one form of X
+    feeds two outputs of its left side.  The targets are drawn at random or
+    made to hold at some X0."""
     r, c, s, t, kr, kc = (data.draw(st.integers(1, 3)) for _ in range(6))
     left, right = data.draw(int_matrices(s, r)), data.draw(int_matrices(c, t))
     left2, right2 = data.draw(int_matrices(s, r)), data.draw(int_matrices(c, t))
     k, n = data.draw(int_matrices(kr, kc)), data.draw(int_matrices(2, r * kr))
+    q, p = data.draw(int_matrices(r, r)), data.draw(int_matrices(c, c))
     f1 = lambda x: compose(right, x, left)
     f2 = lambda x: pipeline((x, k), n)
     f3 = lambda x: compose(right2, x, left2)
+    f4 = lambda x: x + compose(p, x, q)
     x0 = data.draw(int_matrices(r, c)) if data.draw(st.booleans()) else None
     if x0 is None:
         t1, t2 = data.draw(int_matrices(s, t)), data.draw(int_matrices(2, c * kc))
-        const = data.draw(int_matrices(s, t))
+        const, t4 = data.draw(int_matrices(s, t)), data.draw(int_matrices(r, c))
     else:
-        t1, t2, const = f1(x0), f2(x0), f3(x0) - f1(x0)
-    conditions = [(f1, lambda x: t1), (f2, lambda x: t2), (lambda x: f1(x) + const, f3)]
+        t1, t2, const, t4 = f1(x0), f2(x0), f3(x0) - f1(x0), f4(x0)
+    conditions = [(f1, lambda x: t1), (f2, lambda x: t2), (lambda x: f1(x) + const, f3),
+                  (f4, lambda x: t4)]
     system, rhs = map_system(r, c, conditions)
 
-    assert (system.rows, system.cols) == (2 * s * t + 2 * c * kc, r * c)
+    assert (system, rhs) == map_system_by_basis_maps(r, c, conditions)
+    assert (system.rows, system.cols) == (2 * s * t + 2 * c * kc + r * c, r * c)
     # the right-hand side is -d(0) with d = lhs - rhs
-    assert rhs == row_major(t1) + row_major(t2) + row_major(-const)
+    assert rhs == row_major(t1) + row_major(t2) + row_major(-const) + row_major(t4)
     for col in range(r * c):
         e_k = Matrix.from_entries(r, c, [(col // c, col % c, 1)])
         # column k is d(E_k) - d(0): the constants drop out
-        expected = row_major(f1(e_k)) + row_major(f2(e_k)) + row_major(f1(e_k) - f3(e_k))
+        expected = (row_major(f1(e_k)) + row_major(f2(e_k)) + row_major(f1(e_k) - f3(e_k))
+                    + row_major(f4(e_k)))
         assert [system.entry(i, col) for i in range(system.rows)] == expected
 
     part, basis = solve_affine(system, rhs)
@@ -261,6 +268,31 @@ def test_map_system_evaluates_each_side_once():
 def test_map_system_rejects_a_condition_that_is_not_affine():
     with pytest.raises(TypeError):
         map_system(2, 2, [(lambda x: x * x, lambda x: Matrix.identity(2))])
+
+
+forms = st.dictionaries(st.integers(-1, 3), scalars.filter(bool), max_size=4).map(_Lin)
+
+
+def test_a_form_times_one_or_plus_zero_is_the_form_itself():
+    x = _Lin({0: 2, 3: F(1, 2), -1: -1})
+    assert x * 1 is x and 1 * x is x
+    assert x + 0 is x and 0 + x is x
+
+
+@given(forms, forms, scalars)
+@settings(max_examples=60)
+def test_no_form_arithmetic_changes_an_operand(x, y, s):
+    """Forms are shared once x * 1 and x + 0 return x, so every operation
+    must leave its operands' items, and their order, as they were."""
+    before = list(x.items()), list(y.items())
+    total, negated, scaled = x + y + s, -x, x * s
+    assert [y + x + s, s + x + y, s * x] == [total, total, scaled]
+    assert (list(x.items()), list(y.items())) == before
+    summed = {k: x.get(k, 0) + y.get(k, 0) + (s if k == -1 else 0)
+              for k in x.keys() | y.keys() | {-1}}
+    assert total == {k: v for k, v in summed.items() if v}
+    assert negated == {k: -v for k, v in x.items()}
+    assert scaled == ({k: v * s for k, v in x.items()} if s else {})
 
 
 def map_system_by_basis_maps(rows, cols, conditions):

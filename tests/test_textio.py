@@ -80,7 +80,28 @@ def test_unknown_basis_name_reports_line():
      "line 5: undeclared basis name 'w'"),
     ("hopf t\nbackend vec\ndim 1\nmul z z -> z 1\nbasis z\n",
      "line 4: basis must be declared before entries"),
-], ids=["comul", "grade", "before_basis"])
+    ("hopf t\nbackend vec\ndim 1\nunit -> z 1\nbasis z\n",
+     "line 4: basis must be declared before entries"),
+    ("hopf t\nbackend vec\ndim 1\ncomul z -> z z 1\nbasis z\n",
+     "line 4: basis must be declared before entries"),
+    ("hopf t\nbackend vec\ndim 1\ncounit z -> 1\nbasis z\n",
+     "line 4: basis must be declared before entries"),
+    ("hopf t\nbackend vec\ndim 1\nantipode z -> z 1\nbasis z\n",
+     "line 4: basis must be declared before entries"),
+    ("hopf t\nbackend vec\ndim 1\nmul w w -> z z 1/0\nbasis z\n",
+     "line 4: usage: mul <i> <j> -> <k> <coeff>"),
+    ("hopf t\nbackend vec\ndim 1\nunit -> z z 1/0\nbasis z\n",
+     "line 4: usage: unit -> <i> <coeff>"),
+    ("hopf t\nbackend vec\ndim 1\ncomul w -> z z z 1/0\nbasis z\n",
+     "line 4: usage: comul <i> -> <j> <k> <coeff>"),
+    ("hopf t\nbackend vec\ndim 1\ncounit w -> z 1/0\nbasis z\n",
+     "line 4: usage: counit <i> -> <coeff>"),
+    ("hopf t\nbackend vec\ndim 1\nantipode w -> z z 1/0\nbasis z\n",
+     "line 4: usage: antipode <i> -> <j> <coeff>"),
+], ids=["comul", "grade", "before_basis", "before_basis_unit", "before_basis_comul",
+        "before_basis_counit", "before_basis_antipode", "before_basis_mul_usage_first",
+        "before_basis_unit_usage_first", "before_basis_comul_usage_first",
+        "before_basis_counit_usage_first", "before_basis_antipode_usage_first"])
 def test_a_basis_name_outside_the_basis_line_names_its_line(text, message):
     with pytest.raises(ParseError) as err:
         parse_algebra_file(text)
@@ -231,6 +252,75 @@ CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 HEAD = "hopf t\nbackend vec\ndim 1\nbasis z\n"
 
 
+# Malformed map lines, one of each kind for each keyword: no arrow, the arrow
+# one place early or late, a token too many or too few, '->' or an undeclared
+# name in each name slot, and a bad coefficient, alone or after an undeclared
+# name.  A well-formed line is read by direct lookups; each of these must
+# still get the message of its first fault in the order the checks run.
+MALFORMED_MAP_LINES = [
+    ("mul z -> z z 1", "usage: mul <i> <j> -> <k> <coeff>"),
+    ("mul z z z -> 1", "usage: mul <i> <j> -> <k> <coeff>"),
+    ("mul z z -> z z 1", "usage: mul <i> <j> -> <k> <coeff>"),
+    ("mul z z z -> z 1", "usage: mul <i> <j> -> <k> <coeff>"),
+    ("mul z z -> z", "usage: mul <i> <j> -> <k> <coeff>"),
+    ("mul z z -> 1", "usage: mul <i> <j> -> <k> <coeff>"),
+    ("mul -> z -> z 1", "usage: mul <i> <j> -> <k> <coeff>"),
+    ("mul z z -> -> 1", "undeclared basis name '->'"),
+    ("mul w z -> z 1", "undeclared basis name 'w'"),
+    ("mul z w -> z 1", "undeclared basis name 'w'"),
+    ("mul z z -> w 1", "undeclared basis name 'w'"),
+    ("mul z z -> z 1/0", "bad coefficient '1/0'"),
+    ("mul z z -> z one", "bad coefficient 'one'"),
+    ("unit z 1", "expected '->'"),
+    ("unit z -> 1", "usage: unit -> <i> <coeff>"),
+    ("unit -> z z 1", "usage: unit -> <i> <coeff>"),
+    ("unit -> z", "usage: unit -> <i> <coeff>"),
+    ("unit -> 1", "usage: unit -> <i> <coeff>"),
+    ("unit -> -> 1", "undeclared basis name '->'"),
+    ("unit -> w 1", "undeclared basis name 'w'"),
+    ("unit -> z 1/0", "bad coefficient '1/0'"),
+    ("unit -> z one", "bad coefficient 'one'"),
+    ("comul z z z 1", "expected '->'"),
+    ("comul -> z z z 1", "usage: comul <i> -> <j> <k> <coeff>"),
+    ("comul z z -> z 1", "usage: comul <i> -> <j> <k> <coeff>"),
+    ("comul z -> z z z 1", "usage: comul <i> -> <j> <k> <coeff>"),
+    ("comul z z -> z z 1", "usage: comul <i> -> <j> <k> <coeff>"),
+    ("comul z -> z z", "usage: comul <i> -> <j> <k> <coeff>"),
+    ("comul -> -> z z 1", "usage: comul <i> -> <j> <k> <coeff>"),
+    ("comul z -> -> z 1", "undeclared basis name '->'"),
+    ("comul w -> z z 1", "undeclared basis name 'w'"),
+    ("comul z -> w z 1", "undeclared basis name 'w'"),
+    ("comul z -> z w 1", "undeclared basis name 'w'"),
+    ("comul z -> z z 1/0", "bad coefficient '1/0'"),
+    ("comul z -> z z one", "bad coefficient 'one'"),
+    ("counit z 1", "expected '->'"),
+    ("counit -> z 1", "usage: counit <i> -> <coeff>"),
+    ("counit z 1 ->", "usage: counit <i> -> <coeff>"),
+    ("counit z z -> 1", "usage: counit <i> -> <coeff>"),
+    ("counit z ->", "usage: counit <i> -> <coeff>"),
+    ("counit -> -> 1", "usage: counit <i> -> <coeff>"),
+    ("counit w -> 1", "undeclared basis name 'w'"),
+    ("counit z -> 1/0", "bad coefficient '1/0'"),
+    ("counit z -> one", "bad coefficient 'one'"),
+    ("antipode z z 1", "expected '->'"),
+    ("antipode -> z z 1", "usage: antipode <i> -> <j> <coeff>"),
+    ("antipode z z -> 1", "usage: antipode <i> -> <j> <coeff>"),
+    ("antipode z -> z z 1", "usage: antipode <i> -> <j> <coeff>"),
+    ("antipode z z -> z 1", "usage: antipode <i> -> <j> <coeff>"),
+    ("antipode z -> z", "usage: antipode <i> -> <j> <coeff>"),
+    ("antipode -> -> z 1", "usage: antipode <i> -> <j> <coeff>"),
+    ("antipode z -> -> 1", "undeclared basis name '->'"),
+    ("antipode w -> z 1", "undeclared basis name 'w'"),
+    ("antipode z -> w 1", "undeclared basis name 'w'"),
+    ("antipode z -> z 1/0", "bad coefficient '1/0'"),
+    ("antipode z -> z one", "bad coefficient 'one'"),
+    ("mul w w -> z 1/0", "undeclared basis name 'w'"),
+    ("comul w -> z z 1/0", "undeclared basis name 'w'"),
+    ("counit w -> 1/0", "undeclared basis name 'w'"),
+    ("antipode w -> z 1/0", "undeclared basis name 'w'"),
+]
+
+
 @pytest.mark.parametrize("line, usage", [
     ("mul z -> z 1", "usage: mul <i> <j> -> <k> <coeff>"),
     ("unit z -> z 1", "usage: unit -> <i> <coeff>"),
@@ -244,6 +334,7 @@ HEAD = "hopf t\nbackend vec\ndim 1\nbasis z\n"
     ("mul z z z 1", "expected '->'"),
     ("mul z -> -> z 1", "usage: mul <i> <j> -> <k> <coeff>"),
     ("comul z -> z -> 1", "undeclared basis name '->'"),
+    *MALFORMED_MAP_LINES,
 ])
 def test_wrong_arity_gives_the_usage_line(line, usage):
     with pytest.raises(ParseError) as err:
