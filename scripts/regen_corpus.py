@@ -13,8 +13,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from braidhopf.builders import (conjugation_yd_object, cyclic_group,
                                 exterior_line, group_algebra, s3_group,
                                 subgroup_closure, sweedler_h4, symmetric_group)
-from braidhopf.category import CatObject, Morphism, SUPER, VEC, YetterDrinfeldBackend
-from braidhopf.hopf import Coalgebra, make_bialgebra
+from braidhopf.category import CatObject, SUPER, VEC, YetterDrinfeldBackend
+from braidhopf.hopf import make_bialgebra, make_coalgebra
 from braidhopf.linalg import Matrix
 from braidhopf.products import actions_from_psi, make_factorization
 from braidhopf.textio import (LoadedAlgebra, inclusion_by_names, render_algebra,
@@ -71,9 +71,7 @@ def main() -> None:
     carrier = CatObject(3)
     delta = Matrix.from_entries(9, 3, [(0, 0, 1), (1, 1, 1), (5, 1, 1), (8, 2, 1)])
     eps = Matrix.from_rows([[1, 0, 1]])
-    ut2 = Coalgebra(VEC, carrier,
-                    Morphism(carrier, VEC.tensor(carrier, carrier), delta),
-                    Morphism(carrier, VEC.unit(), eps))
+    ut2 = make_coalgebra(VEC, carrier, delta, eps)
     write("algebras/ut2.alg", render_algebra(loaded("coalgebra", "ut2", VEC, basis, carrier, ut2)))
 
     # the S4 = D4 * C3 exact factorization: ambient group algebra plus the

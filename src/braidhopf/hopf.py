@@ -1,7 +1,8 @@
 """Structure-constant (co)algebras, bialgebras and Hopf algebras.
 
 ``Coalgebra`` is the base record, extended by ``BraidedBialgebra`` (m, u)
-and ``HopfAlgebra`` (s).  Axiom status is always computed, never assumed:
+and ``HopfAlgebra`` (s); ``make_coalgebra`` and ``make_bialgebra`` build
+them from matrices.  Axiom status is always computed, never assumed:
 every verifier returns a list of CheckResults, one exact matrix identity
 each, and never aborts on the first failure.
 
@@ -112,14 +113,18 @@ class HopfAlgebra(BraidedBialgebra):
     s: Morphism          # A -> A
 
 
+def make_coalgebra(backend: Backend, carrier: CatObject, delta: Matrix, eps: Matrix) -> Coalgebra:
+    """The coalgebra A with Delta: A -> A (x) A and eps: A -> 1, A the carrier."""
+    return Coalgebra(backend, carrier, Morphism(carrier, backend.tensor(carrier, carrier), delta),
+                     Morphism(carrier, backend.unit(), eps))
+
+
 def make_bialgebra(backend: Backend, carrier: CatObject,
                    m: Matrix, u: Matrix, delta: Matrix, eps: Matrix,
                    s: Matrix | None = None):
-    unit = backend.unit()
-    sq = backend.tensor(carrier, carrier)
-    args = (backend, carrier,
-            Morphism(carrier, sq, delta), Morphism(carrier, unit, eps),
-            Morphism(sq, carrier, m), Morphism(unit, carrier, u))
+    co = make_coalgebra(backend, carrier, delta, eps)
+    args = (backend, carrier, co.delta, co.eps,
+            Morphism(co.delta.cod, carrier, m), Morphism(co.eps.cod, carrier, u))
     if s is None:
         return BraidedBialgebra(*args)
     return HopfAlgebra(*args, Morphism(carrier, carrier, s))

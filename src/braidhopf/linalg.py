@@ -580,20 +580,21 @@ class Formula:
     each row scaled by the factor's output stride, only where it needs it.
     Nothing holds the columns but ``materialize``.
 
-    While a column has one entry it is carried as idx and val.  A plain
-    stage reads its stored column idx; a tuple stage adds its runs' offsets
-    and each factor's one entry, its row * out_stride, multiplying the
-    values in the order the dict path does, current value * stage value
-    (``map_system`` sends its linear forms through here).  An empty column
-    ends the evaluation with {}.  Where the column read has two or more
-    entries, that stage applies ``_apply_plain`` or ``_apply_compiled`` to
-    {idx: val}, val as it was before the stage; the dict goes on through the
-    later stages until a result has one entry and becomes a pair again.
-    Both paths read the same stored factor columns, so there is one
-    evaluator and no second pass over the factors.
+    While a column has one entry it is carried as idx and val; column j
+    starts as j and 1, so there is no first-stage case.  A plain stage reads
+    its stored column idx; a tuple stage adds its runs' offsets and each
+    factor's one entry, its row * out_stride, multiplying the values in the
+    order the dict path does, current value * stage value (``map_system``
+    sends its linear forms through here).  An empty column ends the
+    evaluation with {}.  Where the column read has two or more entries, that
+    stage applies ``_apply_plain`` or ``_apply_compiled`` to {idx: val}, val
+    as it was before the stage; the dict goes on through the later stages
+    until a result has one entry and becomes a pair again.  Both paths read
+    the same stored factor columns, so there is one evaluator and no second
+    pass over the factors, and every column yielded is a fresh dict.
     """
 
-    __slots__ = ("rows", "cols", "_start", "_steps")
+    __slots__ = ("rows", "cols", "_steps")
 
     def __init__(self, *stages):
         if not stages:
@@ -605,12 +606,10 @@ class Formula:
                 raise ShapeMismatch(f"stage expects domain {cin}, got {cur}")
             cur = cout
         self.rows, self.cols = cur, dom
-        # a plain first stage maps basis vector j to its stored column j
-        self._start = stages[0]._cols if isinstance(stages[0], Matrix) else None
-        # (runs, cols, apply, arg) per later stage; runs None marks a plain stage
+        # (runs, cols, apply, arg) per stage; runs None marks a plain stage
         # and cols its stored columns, else cols are _compile_factors' factors
         self._steps = []
-        for st in stages[self._start is not None:]:
+        for st in stages:
             if isinstance(st, Matrix):
                 self._steps.append((None, st._cols, _apply_plain, st))
             else:
@@ -618,15 +617,10 @@ class Formula:
                 self._steps.append((*compiled, _apply_compiled, compiled))
 
     def _evaluate(self, js: Iterable[int]) -> Iterator[dict]:
-        start, steps = self._start, self._steps
+        steps = self._steps
         for j in js:
+            idx, val = j, 1             # basis vector j
             vec = None                  # None: the column is the one entry idx: val
-            if start is None:
-                idx, val = j, 1
-            elif len(start[j]) == 1:
-                (idx, val), = start[j].items()
-            else:
-                vec = start[j]
             for runs, cols, apply, arg in steps:
                 if vec is None:
                     if runs is None:    # a plain stage: cols are its stored columns
@@ -671,8 +665,7 @@ class Formula:
 
     def columns(self, js: Iterable[int] | None = None) -> Iterator[dict]:
         """Each column in order, or those numbered js, evaluated as it is
-        read; a column may be a stored column of the first stage, so it is
-        not to be mutated."""
+        read; each is a fresh dict that belongs to the caller."""
         return self._evaluate(range(self.cols) if js is None else js)
 
     @property

@@ -55,7 +55,7 @@ from itertools import product
 
 from .category import (Backend, CatObject, FiniteGroup, Morphism,
                        SignGradedBackend, SUPER, VEC, YetterDrinfeldBackend)
-from .hopf import Coalgebra, make_bialgebra
+from .hopf import make_bialgebra, make_coalgebra
 from .linalg import Matrix, _frac
 
 COUNT = re.compile("[0-9]+")                  # dim; a bichar entry is -?COUNT
@@ -286,51 +286,46 @@ def parse_algebra_file(text: str) -> LoadedAlgebra:
     if kind == "object":
         alg = None
     elif kind == "coalgebra":
-        alg = Coalgebra(backend, obj,
-                        Morphism(obj, backend.tensor(obj, obj), mats["delta"]),
-                        Morphism(obj, backend.unit(), mats["eps"]))
+        alg = make_coalgebra(backend, obj, **mats)
     else:
         alg = make_bialgebra(backend, obj, **mats)
     return LoadedAlgebra(kind, name, backend, tuple(basis), obj, alg)
+
+
+# backend kind -> its usage after "backend": the words a backend line carries there
+_BACKENDS = {"vec": "vec", "super": "super", "graded": "graded <group> <bichar>",
+             "yd": "yd <group>"}
 
 
 def _build_backend(spec, line, groups, blocks):
     if spec is None:
         raise ParseError(None, "missing backend line")
     kind = spec[0] if spec else ""
+    usage = _BACKENDS.get(kind)
+    if usage is None:
+        raise ParseError(line, f"unknown backend {kind!r}")
+    if len(spec) != len(usage.split()):
+        raise ParseError(line, f"usage: backend {usage}")
     if kind == "vec":
-        if len(spec) != 1:
-            raise ParseError(line, "usage: backend vec")
         return VEC
     if kind == "super":
-        if len(spec) != 1:
-            raise ParseError(line, "usage: backend super")
         return SUPER
-    if kind == "graded":
-        if len(spec) != 3:
-            raise ParseError(line, "usage: backend graded <group> <bichar>")
-        gname, bname = spec[1], spec[2]
-        if gname not in groups:
-            raise ParseError(line, f"unknown group {gname!r}")
-        if ("bichar", bname) not in blocks:
-            raise ParseError(line, f"unknown bichar {bname!r}")
-        rows = []
-        for tline, row in blocks["bichar", bname]["table"]:
-            if not all(COUNT.fullmatch(v.removeprefix("-")) for v in row):
-                raise ParseError(tline, "bichar entries must be 1 or -1")
-            rows.append([int(v) for v in row])
-        try:
-            return SignGradedBackend.make(groups[gname], rows)
-        except ValueError as exc:
-            raise ParseError(line, str(exc))
+    group = groups.get(spec[1])
+    if group is None:
+        raise ParseError(line, f"unknown group {spec[1]!r}")
     if kind == "yd":
-        if len(spec) != 2:
-            raise ParseError(line, "usage: backend yd <group>")
-        gname = spec[1]
-        if gname not in groups:
-            raise ParseError(line, f"unknown group {gname!r}")
-        return YetterDrinfeldBackend(groups[gname])
-    raise ParseError(line, f"unknown backend {kind!r}")
+        return YetterDrinfeldBackend(group)
+    if ("bichar", spec[2]) not in blocks:
+        raise ParseError(line, f"unknown bichar {spec[2]!r}")
+    rows = []
+    for tline, row in blocks["bichar", spec[2]]["table"]:
+        if not all(COUNT.fullmatch(v.removeprefix("-")) for v in row):
+            raise ParseError(tline, "bichar entries must be 1 or -1")
+        rows.append([int(v) for v in row])
+    try:
+        return SignGradedBackend.make(group, rows)
+    except ValueError as exc:
+        raise ParseError(line, str(exc))
 
 
 def _element(group: FiniteGroup, tok: str, line: int | None) -> int:

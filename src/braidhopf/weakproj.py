@@ -15,7 +15,7 @@ from itertools import chain
 
 from .category import CatObject, Morphism
 from .hopf import (BraidedBialgebra, Coalgebra, HopfAlgebra, _associativity, _certificate,
-                   verify_bialgebra_map, verify_coalgebra)
+                   make_coalgebra, verify_bialgebra_map, verify_coalgebra)
 from .linalg import (Formula, Matrix, compose, equalizer, generating_set, kron, map_system,
                      pipeline, solve_affine, solve_matrix)
 from .report import (CheckResult, ConstructionFailed, bool_check, chain_eq_check,
@@ -208,11 +208,7 @@ def build_context(a: BraidedBialgebra, b: HopfAlgebra,
 
 
 def r_coalgebra(ctx: WeakProjectionContext) -> Coalgebra:
-    unit_obj = ctx.a.backend.unit()
-    rr = ctx.a.backend.tensor(ctx.r_obj, ctx.r_obj)
-    return Coalgebra(ctx.a.backend, ctx.r_obj,
-                     Morphism(ctx.r_obj, rr, ctx.maps.comul),
-                     Morphism(ctx.r_obj, unit_obj, ctx.maps.counit))
+    return make_coalgebra(ctx.a.backend, ctx.r_obj, ctx.maps.comul, ctx.maps.counit)
 
 
 def structure_report(ctx: WeakProjectionContext) -> list[CheckResult]:

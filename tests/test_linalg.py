@@ -718,6 +718,19 @@ def test_formula_column_reads_j_as_the_materialized_matrix_does():
                 f.column(j)
 
 
+def test_a_formulas_columns_belong_to_the_caller():
+    # column 0 has two entries, column 1 one; mutating what a formula yields
+    # must reach neither its stages' stored columns nor a later read
+    m, n = mat([[1, 2], [3, 0]]), mat([[1, 1], [0, 1]])
+    for f in (Formula(m), Formula(m, n)):
+        stored, expected = [m.column(j) for j in range(2)], f.materialize()
+        for col in f.columns():
+            col.clear()
+            col[5] = 7
+        assert [m.column(j) for j in range(2)] == stored
+        assert list(f.columns()) == list(expected.columns())
+
+
 def test_eq_check_stops_at_the_first_differing_column(monkeypatch):
     evaluated = []
     evaluate = Formula._evaluate

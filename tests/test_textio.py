@@ -393,6 +393,33 @@ def test_a_basis_name_with_a_dot_or_named_arrow_is_a_parse_error(name):
     assert str(err.value) == f"line 4: basis name {name!r} contains '.' or is '->'"
 
 
+@pytest.mark.parametrize("backend, blocks, message", [
+    (None, "", "missing backend line"),
+    ("", "", "line 2: unknown backend ''"),
+    ("foo", "", "line 2: unknown backend 'foo'"),
+    ("vec x", "", "line 2: usage: backend vec"),
+    ("super x", "", "line 2: usage: backend super"),
+    ("graded c2", GROUP_C2, "line 2: usage: backend graded <group> <bichar>"),
+    ("yd", GROUP_C2, "line 2: usage: backend yd <group>"),
+    ("yd c2 chi", GROUP_C2 + BICHAR_CHI, "line 2: usage: backend yd <group>"),
+    ("graded c3 chi", GROUP_C2 + BICHAR_CHI, "line 2: unknown group 'c3'"),
+    ("yd c3", GROUP_C2, "line 2: unknown group 'c3'"),
+    ("graded c2 psi", GROUP_C2 + BICHAR_CHI, "line 2: unknown bichar 'psi'"),
+    # the arity is checked before the group, and the group before the bichar
+    ("graded c3", GROUP_C2, "line 2: usage: backend graded <group> <bichar>"),
+    ("graded c3 psi", GROUP_C2 + BICHAR_CHI, "line 2: unknown group 'c3'"),
+    # a group block's fault comes before the backend line's
+    ("foo", "group c2\nelements e g\ntable e g\n",
+     "line 3: group c2 needs one table row per element"),
+], ids=["missing", "empty", "foo", "vec", "super", "graded", "yd", "yd_long", "graded_group",
+        "yd_group", "bichar", "arity_first", "group_first", "block_first"])
+def test_a_bad_backend_line_gives_its_message(backend, blocks, message):
+    head = "object v\n" if backend is None else f"object v\nbackend {backend}\n"
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file(head + blocks + "dim 1\nbasis v\n")
+    assert str(err.value) == message
+
+
 with open(os.path.join(CORPUS, "algebras", "c2.alg"), encoding="utf-8") as fh:
     C2_TEXT = fh.read()
 
