@@ -8,30 +8,34 @@ equal ``Fraction`` compare, hash and print alike, so every comparison in the
 package is exact; there is no tolerance anywhere.  Matrices have dense
 semantics (a rows x cols grid) but store one ``{row: value}`` dict per
 column, which keeps the large Kronecker composites arising from tensor
-formulas cheap.
+formulas cheap.  ``Matrix.from_entries`` is the one constructor that
+normalizes a value by ``_frac``, sums and stores it; ``from_rows`` and
+``from_cols`` check their shapes and hand it their values.
 
 Row reduction has one routine: an echelon, a ``{leading column: row with
 leading entry 1}`` dict, that a vector is reduced by (``_reduce``) or
-extended with (``_extend``).  ``_eliminate`` grows one from a matrix's rows
-for rank, inverse, kernels, equalizers and every solve; ``generating_set``
-grows one from products, for span membership.  ``_eliminate``'s pivot
-rule: rows taken fewest entries first, each reduced against the pivot rows
-so far, then back-substituted; outputs are the unique reduced row echelon
-form.  Which row carries a pivot changes no result, because that form is
-unique, so identical inputs always produce identical bases and solutions.
-A missing answer (``inverse``, ``solve_matrix``, ``solve_affine``'s
-particular solution) is ``None``, never an exception; ``ShapeMismatch``
-means operands whose shapes do not fit.
+extended with (``_extend``).  ``_eliminate`` grows one from the rows of
+[a | b], back-substitutes it and reads off both the solution of a x = b
+and the kernel of a; rank, inverse, kernels, equalizers and every solve
+each take the part they need.  ``generating_set`` grows one from products,
+for span membership.  ``_eliminate``'s pivot rule: rows taken fewest
+entries first, each reduced against the pivot rows so far, then
+back-substituted; outputs are the unique reduced row echelon form.  Which
+row carries a pivot changes no result, because that form is unique, so
+identical inputs always produce identical bases and solutions.  A missing
+answer (``inverse``, ``solve_matrix``, ``solve_affine``'s particular
+solution) is ``None``, never an exception; ``ShapeMismatch`` means
+operands whose shapes do not fit.
 
-``Formula`` is the one evaluator of tensor formulas; ``kron`` and
-``compose`` keep loops of their own so that the tests can check ``Formula``
-against them.  A formula is a list of stages, each a matrix or a tuple of
-matrices meaning their Kronecker product, applied to one basis column at a
-time.  A tuple stage is laid out once: adjacent identity factors merge into
-one run of index digits passed through, and each other factor keeps its
-stored columns; a factor column is read, its rows scaled by the factor's
-output stride, only when a column being evaluated needs it.  So the product
-is never materialized, and building a formula reads no factor column.
+``Formula`` is the one evaluator of tensor formulas; ``kron`` keeps a loop
+of its own so that the tests can check ``Formula`` against it.  A formula
+is a list of stages, each a matrix or a tuple of matrices meaning their
+Kronecker product, applied to one basis column at a time.  A tuple stage
+is laid out once: adjacent identity factors merge into one run of index
+digits passed through, and each other factor keeps its stored columns; a
+factor column is read, its rows scaled by the factor's output stride, only
+when a column being evaluated needs it.  So the product is never
+materialized, and building a formula reads no factor column.
 A column with one entry travels between stages as an (index, value) pair,
 not a dict: that is every column of a monomial map (a group algebra's
 product, a flip), so such formulas build no dict until the column is
@@ -91,29 +95,23 @@ class Matrix:
 
     @staticmethod
     def from_rows(entries: Sequence[Sequence]) -> "Matrix":
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        coldicts: list[dict] = [dict() for _ in range(cols)]
-        for i, row in enumerate(entries):
-            if len(row) != cols:
-                raise ShapeMismatch("ragged rows")
-            for j, v in enumerate(row):
-                fv = _frac(v)
-                if fv:
-                    coldicts[j][i] = fv
-        return Matrix(rows, cols, coldicts)
+        cols = len(entries[0]) if entries else 0
+        if any(len(row) != cols for row in entries):
+            raise ShapeMismatch("ragged rows")
+        return Matrix.from_entries(len(entries), cols, ((i, j, v) for i, row in enumerate(entries)
+                                                        for j, v in enumerate(row)))
 
     @staticmethod
     def from_cols(rows: int, columns: Sequence[Sequence]) -> "Matrix":
-        coldicts = []
-        for col in columns:
-            if len(col) != rows:
-                raise ShapeMismatch("column of wrong length")
-            coldicts.append({i: _frac(v) for i, v in enumerate(col) if v})
-        return Matrix(rows, len(coldicts), coldicts)
+        if any(len(col) != rows for col in columns):
+            raise ShapeMismatch("column of wrong length")
+        return Matrix.from_entries(rows, len(columns), ((i, j, v) for j, col in enumerate(columns)
+                                                        for i, v in enumerate(col)))
 
     @staticmethod
     def from_entries(rows: int, cols: int, entries: Iterable[tuple[int, int, object]]) -> "Matrix":
+        """The rows x cols matrix of the (i, j, value) entries: each value is
+        normalized by ``_frac``, a repeated (i, j) summed, a zero dropped."""
         coldicts: list[dict] = [dict() for _ in range(cols)]
         for i, j, v in entries:
             if not (0 <= i < rows and 0 <= j < cols):
@@ -218,25 +216,23 @@ class Matrix:
         return Matrix(self.cols, self.rows, cols)
 
     def rank(self) -> int:
-        return len(_eliminate(self)[1])
+        return self.cols - len(_eliminate(self)[1])
 
     def inverse(self) -> "Matrix | None":
         """The two-sided inverse, or None when there is none (not square, or singular)."""
         if self.rows != self.cols:
             return None
-        n = self.rows
-        red, pivots = _eliminate(self, Matrix.identity(n))
-        return _particular(red, pivots, n, n) if len(pivots) == n else None
+        x, kernel = _eliminate(self, Matrix.identity(self.rows))
+        return None if kernel else x
 
 
 def hstack(*mats: Matrix) -> Matrix:
+    """[m1 | m2 | ...]; it shares the operands' stored columns, which no
+    Matrix mutates."""
     rows = mats[0].rows
-    cols = []
-    for m in mats:
-        if m.rows != rows:
-            raise ShapeMismatch("hstack row mismatch")
-        cols.extend(dict(c) for c in m._cols)
-    return Matrix(rows, sum(m.cols for m in mats), cols)
+    if any(m.rows != rows for m in mats):
+        raise ShapeMismatch("hstack row mismatch")
+    return Matrix(rows, sum(m.cols for m in mats), [c for m in mats for c in m._cols])
 
 
 # -- reduction and solving --------------------------------------------------
@@ -328,22 +324,24 @@ def generating_set(m: Matrix) -> list[int]:
     return sorted(gens)
 
 
-def _eliminate(a: Matrix, b: Matrix | None = None) -> tuple[list[dict], list[int]]:
-    """Gauss-Jordan reduction of [a | b], pivoting only in a's columns.
+def _eliminate(a: Matrix, b: Matrix | None = None) -> tuple[Matrix | None, list[tuple]]:
+    """(x, kernel) of a x = b, by Gauss-Jordan reduction of [a | b] that
+    pivots only in a's columns.
 
-    Returns the reduced rows as {col: value} dicts (b's columns after a's)
-    and a's pivot columns in ascending order.  Row r carries pivot r; the
-    rows past the pivots are zero in a's columns, and one of them is
-    nonzero exactly when a x = b has no solution.
+    x is the a.cols x b.cols solution with every free coordinate zero, None
+    when a reduced row leads in b's columns (a x = b has no solution), and
+    a.cols x 0 when there is no b.  kernel is the null space of a, one
+    vector per free column, ascending.  Both are read off the pivot rows in
+    one loop: row p, with leading column p, gives x its row p and each free
+    column's vector its coordinate p.
 
     The rows of [a | b] extend one echelon (``_extend``), fewest entries
-    first, ties in index order; a row that then leads in b's columns is one
-    of the rows past the pivots.  The pivot rows are then back-substituted,
+    first, ties in index order.  The pivot rows are then back-substituted,
     highest pivot first.  The order matters for speed only: a sparse pivot
     row adds few entries to the rows it reduces, and taking the rows in
     index order made the six dim-24 S4 commands 1.7 times slower.
     """
-    na = a.cols
+    na, nb = a.cols, 0 if b is None else b.cols
     rows: list[dict] = [{} for _ in range(a.rows)]
     for j, col in enumerate((a if b is None else hstack(a, b))._cols):
         for i, v in col.items():
@@ -357,35 +355,21 @@ def _eliminate(a: Matrix, b: Matrix | None = None) -> tuple[list[dict], list[int
         row = echelon[p]
         for c in [j for j in row if p < j < na and j in echelon]:
             _subtract(row, row[c], echelon[c])
-    return [echelon[c] for c in sorted(echelon)], pivots
-
-
-def _kernel(red: list[dict], pivots: list[int], n: int) -> list[tuple]:
-    """Null space of the first n columns of a reduced system, one vector per free column."""
-    pivset = set(pivots)
-    vecs = {f: [int(j == f) for j in range(n)] for f in range(n) if f not in pivset}
-    for row, pc in zip(red, pivots):
-        for j, x in row.items():
-            if j < n and j != pc:
-                vecs[j][pc] = -x
-    return [tuple(v) for v in vecs.values()]
-
-
-def _particular(red: list[dict], pivots: list[int], n: int, k: int) -> Matrix | None:
-    """The n x k solution read off a reduced [a | b] (free coordinates zero), or None."""
-    if any(red[len(pivots):]):
-        return None
-    cols: list[dict] = [{} for _ in range(k)]
-    for row, pc in zip(red, pivots):
-        for j, x in row.items():
-            if j >= n:
-                cols[j - n][pc] = x
-    return Matrix(n, k, cols)
+    x: list[dict] = [{} for _ in range(nb)]
+    kernel = {f: [int(j == f) for j in range(na)] for f in range(na) if f not in echelon}
+    for p in pivots:
+        for j, v in echelon[p].items():
+            if j >= na:
+                x[j - na][p] = v
+            elif j != p:
+                kernel[j][p] = -v
+    return (Matrix(na, nb, x) if len(pivots) == len(echelon) else None,
+            [tuple(v) for v in kernel.values()])
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:
     """Basis of the right null space, one vector per free column, ascending."""
-    return _kernel(*_eliminate(m), m.cols)
+    return _eliminate(m)[1]
 
 
 def solve_affine(a: Matrix, b: Sequence) -> tuple[tuple | None, list[tuple]]:
@@ -397,10 +381,8 @@ def solve_affine(a: Matrix, b: Sequence) -> tuple[tuple | None, list[tuple]]:
     """
     if len(b) != a.rows:
         raise ShapeMismatch("right hand side of wrong length")
-    red, pivots = _eliminate(a, Matrix.from_cols(a.rows, [b]))
-    x = _particular(red, pivots, a.cols, 1)
-    particular = None if x is None else tuple(x.entry(i, 0) for i in range(a.cols))
-    return particular, _kernel(red, pivots, a.cols)
+    x, kernel = _eliminate(a, Matrix.from_cols(a.rows, [b]))
+    return (None if x is None else tuple(x.entry(i, 0) for i in range(a.cols))), kernel
 
 
 class _Lin(dict):
@@ -465,7 +447,7 @@ def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
     """Particular solution X of a*X = b (free coordinates zero), or None."""
     if a.rows != b.rows:
         raise ShapeMismatch("solve_matrix row mismatch")
-    return _particular(*_eliminate(a, b), a.cols, b.cols)
+    return _eliminate(a, b)[0]
 
 
 def equalizer(f: Matrix, g: Matrix) -> Matrix:
@@ -480,8 +462,8 @@ def equalizer(f: Matrix, g: Matrix) -> Matrix:
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with block ordering (i*rows_b + k, j*cols_b + l).
 
-    Its own loop, not ``Formula((a, b)).materialize()``: with ``compose`` it
-    is the tests' independent reference for ``Formula``."""
+    Its own loop, not ``Formula((a, b)).materialize()``: it is the tests'
+    independent reference for ``Formula``."""
     cols: list[dict] = []
     for ja in range(a.cols):
         ca = a._cols[ja]

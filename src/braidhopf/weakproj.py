@@ -58,13 +58,13 @@ class WeakProjectionContext:
 
 
 def projection_operators(a: BraidedBialgebra, b: HopfAlgebra,
-                         sigma: Morphism, pi: Morphism) -> tuple[Matrix, Matrix, Matrix]:
-    """(Phi, Pi1, Pi2) by direct composition."""
+                         sigma: Morphism, pi: Morphism) -> tuple[Matrix, Matrix]:
+    """(Phi, Pi2): Phi = sigma S_B pi and Pi2 = m_A (id (x) Phi) Delta_A, the
+    one place Pi2's formula is written.  Pi1 = sigma pi is one composite,
+    taken where it is read (``run_bd_suite``)."""
     phi = compose(pi.mat, b.s.mat, sigma.mat)
-    pi1 = compose(pi.mat, sigma.mat)
-    ida = Matrix.identity(a.dim)
-    pi2 = pipeline(a.delta.mat, (ida, phi), a.m.mat)
-    return phi, pi1, pi2
+    pi2 = pipeline(a.delta.mat, (Matrix.identity(a.dim), phi), a.m.mat)
+    return phi, pi2
 
 
 def pi_affine_conditions(a: BraidedBialgebra, b: HopfAlgebra, sigma: Morphism,
@@ -107,12 +107,13 @@ def run_bd_suite(a: BraidedBialgebra, b: HopfAlgebra,
     sides; the ordering that the surrounding splitting argument needs is
     the counted check, the printed alternative is reported informationally.
     """
-    phi, p1, p2 = projection_operators(a, b, sigma, pi)
+    phi, p2 = projection_operators(a, b, sigma, pi)
     m, u, d, e = a.m.mat, a.u.mat, a.delta.mat, a.eps.mat
     ub, eb = b.u.mat, b.eps.mat
     ida = Matrix.identity(a.dim)
     c = a.braiding()
     sm, pm = sigma.mat, pi.mat
+    p1 = compose(pm, sm)
 
     bd13_mid = pipeline((p2, p1), m, d, (p2, p1))
     checks = [
@@ -201,7 +202,7 @@ def derive_structure_maps(a: BraidedBialgebra, sigma: Morphism, pi: Morphism,
 
 def build_context(a: BraidedBialgebra, b: HopfAlgebra,
                   sigma: Morphism, pi: Morphism) -> WeakProjectionContext:
-    _, _, p2 = projection_operators(a, b, sigma, pi)
+    _, p2 = projection_operators(a, b, sigma, pi)
     r_obj, include, project = compute_diagram(a, b, pi, p2)
     maps = derive_structure_maps(a, sigma, pi, include, project)
     return WeakProjectionContext(a, b, sigma, pi, r_obj, include, project, maps)

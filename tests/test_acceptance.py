@@ -181,7 +181,7 @@ def test_criterion_5_diagram():
             a, b, sigma, pi = make()
             ctx = build_context(a, b, sigma, pi)
             assert ctx.r_dim == expected_dim
-            assert ctx.include * ctx.project == projection_operators(a, b, sigma, pi)[2]
+            assert ctx.include * ctx.project == projection_operators(a, b, sigma, pi)[1]
             assert ctx.project * ctx.include == Matrix.identity(expected_dim)
             assert ctx.r_dim * b.dim == a.dim
             assert all_pass(structure_report(ctx))
@@ -370,7 +370,7 @@ def test_criterion_11_mutation_sensitivity():
         with pytest.raises(ConstructionFailed,
                            match="^image of Pi2 is not contained in the coinvariants$"):
             compute_diagram(a, b, bad_pi,
-                            projection_operators(a, b, sigma, bad_pi)[2])
+                            projection_operators(a, b, sigma, bad_pi)[1])
         hits += 1
 
         # 8: corrupted cocycle makes the cross product transcription loud

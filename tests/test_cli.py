@@ -406,6 +406,65 @@ def test_numbers_are_ascii_digits(tmp_path, capsys, spelling, message):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+GROUP_C2 = "group c2\nelements e g\ntable e g\ntable g e\n"
+VEC_OBJECT = "object v\nbackend vec\ndim 1\nbasis v\n"
+YD_OBJECT = "object v\nbackend yd c2\n" + GROUP_C2 + "dim 1\nbasis v\n"
+GRADED_OBJECT = "object v\nbackend graded c2 chi\n" + GROUP_C2 + "bichar chi\n{}dim 1\nbasis v\n"
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    # header and blocks
+    ("alg", "object v\nobject w\n", "line 2: duplicate header (one definition per file)"),
+    ("alg", "hopf\n", "line 1: usage: hopf <name>"),
+    ("alg", "object v\ngroup\n", "line 2: usage: group <name>"),
+    ("alg", "object v\nelements e g\n", "line 2: 'elements' outside a group block"),
+    ("alg", "object v\ntable e g\n", "line 2: 'table' outside a group or bichar block"),
+    # declarations
+    ("alg", "object v\nbackend vec\nbackend vec\n", "line 3: duplicate backend line"),
+    ("alg", "object v\nfield real\n", "line 2: only 'field rational' is supported"),
+    ("alg", "object v\nbasis v\n", "line 2: dim must precede basis"),
+    ("alg", "object v\ndim 2\nbasis v\n", "line 3: expected 2 basis names, got 1"),
+    ("alg", "object v\ndim 2\nbasis v v\n", "line 3: duplicate basis names"),
+    # grade, action and keyword lines
+    ("alg", VEC_OBJECT + "grade v -> e g\n", "line 5: usage: grade <i> -> <degree>"),
+    ("alg", VEC_OBJECT + "action e v -> v\n", "line 5: usage: action <g> <i> -> <j> <coeff>"),
+    ("alg", "object v\nfoo v\n", "line 2: unknown keyword 'foo'"),
+    ("alg", VEC_OBJECT + "action e v -> v 1\n", "line 5: action entries need the yd backend"),
+    # missing parts
+    ("alg", "backend vec\ndim 1\nbasis v\n",
+     "missing header line (hopf/bialgebra/coalgebra/object)"),
+    ("alg", "object v\nbackend vec\n", "missing dim or basis declaration"),
+    ("alg", YD_OBJECT.replace("elements e g\n", ""), "line 3: group c2 has no elements line"),
+    # object and group data
+    ("alg", YD_OBJECT + "action e v -> v 2\n", "invalid object data: action_identity"),
+    ("alg", YD_OBJECT.replace("elements e g\ntable e g\ntable g e",
+                              "elements e e\ntable e e\ntable e e"),
+     "line 3: group c2: duplicate element names"),
+    ("alg", YD_OBJECT.replace("table e g\ntable g e", "table g g\ntable g g"),
+     "line 3: group c2: no identity element"),
+    # bicharacters
+    ("alg", GRADED_OBJECT.format("table 1 1\n"),
+     "line 2: bicharacter must have one row per element"),
+    ("alg", GRADED_OBJECT.format("table 1 2\ntable 1 1\n"),
+     "line 2: bicharacter must be an n x n table of +-1"),
+    ("alg", GRADED_OBJECT.format("table 1 1\ntable -1 -1\n"),
+     "line 2: bicharacter not multiplicative on the right"),
+    # morphism files
+    ("map", "foo one -> one 1\n", "line 1: unknown keyword 'foo' in morphism file"),
+    ("map", "map one one 1\n", "line 1: usage: map <i> -> <j> <coeff>"),
+])
+def test_each_bad_input_gives_its_message_and_line(tmp_path, capsys, kind, text, message):
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text, encoding="utf-8")
+    if kind == "alg":
+        argv = ["check", "hopf", str(path)]
+    else:
+        argv = ["weakproj", "diagram", corpus("algebras", "h4.alg"),
+                corpus("algebras", "c2_in_h4.alg"), str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_coradical_of_ut2():
     code, report, _ = run(["coradical", corpus("algebras", "ut2.alg")])
     assert code == 0

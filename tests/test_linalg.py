@@ -765,6 +765,17 @@ def from_sympy(column):
     return tuple(F(int(x.p), int(x.q)) for x in column)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_matches_sympy(data):
+    # Matrix.__mul__, compose and Formula all run _apply_plain; sympy does not
+    rows, mid, cols = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b = data.draw(matrices(rows, mid)), data.draw(matrices(mid, cols))
+    product = to_sympy(a) * to_sympy(b)
+    assert to_sympy(a * b) == product
+    assert to_sympy(Formula(b, a).materialize()) == product
+
+
 @given(systems())
 @settings(max_examples=60, deadline=None)
 def test_rank_matches_sympy(m):
@@ -832,3 +843,26 @@ def test_row_order_changes_no_result(square, k, consistent, data):
     assert (pinv is None) == (inv is None)
     if inv is not None:
         assert pinv * permute_rows(Matrix.identity(a.rows), perm) == inv
+
+
+# -- no solve changes its operands -------------------------------------------
+# hstack shares its operands' stored columns, so a solve that wrote to the
+# rows it reduces would write to a, b or g.
+
+def stored(m):
+    return [dict(col) for col in m.columns()]
+
+
+@given(st.booleans(), st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_no_solve_changes_its_operands(square, k, data):
+    a = data.draw(systems(square=square))
+    b, g = data.draw(matrices(a.rows, k)), data.draw(matrices(a.rows, a.cols))
+    before = [stored(m) for m in (a, b, g)]
+    a.rank()
+    a.inverse()
+    kernel_basis(a)
+    solve_matrix(a, b)
+    solve_affine(a, [b.entry(i, 0) for i in range(b.rows)])
+    equalizer(a, g)
+    assert [stored(m) for m in (a, b, g)] == before

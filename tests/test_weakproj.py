@@ -55,14 +55,14 @@ def test_degenerate_pi_is_rejected():
 def test_trivial_context_operators():
     a = group_algebra(cyclic_group(3))
     _, _, sigma, pi = trivial(a)
-    phi, p1, p2 = projection_operators(a, a, sigma, pi)
-    assert p1 == Matrix.identity(3)
+    _, p2 = projection_operators(a, a, sigma, pi)
+    assert compose(pi.mat, sigma.mat) == Matrix.identity(3)     # Pi1
     assert p2 == a.u.mat * a.eps.mat
 
 
 def test_h4_pi2_frozen():
     a, b, sigma, pi = h4_c2()
-    _, _, p2 = projection_operators(a, b, sigma, pi)
+    _, p2 = projection_operators(a, b, sigma, pi)
     # 1 -> 1, g -> 1, x -> x, gx -> -x
     expected = Matrix.from_entries(4, 4, [(0, 0, 1), (0, 1, 1), (2, 2, 1), (2, 3, -1)])
     assert p2 == expected
@@ -71,7 +71,7 @@ def test_h4_pi2_frozen():
 
 def test_s3_pi2_rank():
     a, b, sigma, pi = s3_c2()
-    _, _, p2 = projection_operators(a, b, sigma, pi)
+    _, p2 = projection_operators(a, b, sigma, pi)
     assert p2.rank() == 3
 
 
@@ -100,7 +100,7 @@ def test_bd_suite_catches_corrupted_sigma():
 # -- the diagram -------------------------------------------------------------------
 
 def diagram(a, b, sigma, pi):
-    return compute_diagram(a, b, pi, projection_operators(a, b, sigma, pi)[2])
+    return compute_diagram(a, b, pi, projection_operators(a, b, sigma, pi)[1])
 
 
 def test_h4_diagram():
