@@ -30,17 +30,20 @@ operands whose shapes do not fit.
 ``Formula`` is the one evaluator of tensor formulas; ``kron`` keeps a loop
 of its own so that the tests can check ``Formula`` against it.  A formula
 is a list of stages, each a matrix or a tuple of matrices meaning their
-Kronecker product, applied to one basis column at a time.  A tuple stage
-is laid out once: adjacent identity factors merge into one run of index
-digits passed through, and each other factor keeps its stored columns; a
-factor column is read, its rows scaled by the factor's output stride, only
-when a column being evaluated needs it.  So the product is never
-materialized, and building a formula reads no factor column.
-A column with one entry travels between stages as an (index, value) pair,
+Kronecker product, applied to one basis column at a time.  Each stage is
+laid out once as steps: a plain stage is one step, and a tuple stage one
+padded step I (x) f (x) I_lo per factor f that is not an identity, where
+lo is the product of the rows of the factors to its right; the steps apply
+rightmost first, and an identity factor survives only as a stride.  A
+step splits an index into the digits left of f, f's digit and the low
+part, and reads f's stored column at that digit only when a column being
+evaluated needs it.  So the product is never materialized, and building a
+formula reads no factor column.
+A column with one entry travels between steps as an (index, value) pair,
 not a dict: that is every column of a monomial map (a group algebra's
 product, a flip), so such formulas build no dict until the column is
-yielded.  Only a stage that reads a column of two or more entries turns the
-pair into a dict, and a stage result of one entry turns back into a pair.
+yielded.  Only a step that reads a column of two or more entries turns the
+pair into a dict, and a step result of one entry turns back into a pair.
 Checks stream: ``Matrix.first_difference`` (and through it
 ``report.eq_check``) reads a Formula column by column, holds one column of
 each side and stops at the first column that differs.  Its optional column
@@ -62,7 +65,7 @@ or plus 0 is that form.  ``_eliminate`` solves it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby, tee
+from itertools import tee
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -496,58 +499,25 @@ def _apply_plain(mat: Matrix, vec: dict) -> dict:
     return out
 
 
-def _is_identity(f: Matrix) -> bool:
-    return f.rows == f.cols and all(len(c) == 1 and c.get(j) == 1 for j, c in enumerate(f._cols))
-
-
-def _compile_factors(factors: Sequence[Matrix]) -> tuple[list, list]:
-    """(runs, factors) applying the Kronecker product of factors to a vector.
-
-    A factor's digit of input index idx is ``idx // in_stride % size``.  A run
-    of adjacent identities, (in_stride, size, out_stride), adds its digit
-    times out_stride to the output index; any other factor is (in_stride,
-    size, out_stride, cols) with cols its stored columns: column digit is
-    read, each row scaled by out_stride, only when a column needs it, so
-    building this reads no column of such a factor.
-    """
-    runs, others = [], []
-    in_stride = out_stride = 1
-    for is_identity, group in groupby(reversed(factors), _is_identity):
-        if is_identity:
-            size = prod(f.cols for f in group)
-            runs.append((in_stride, size, out_stride))
-            in_stride *= size
-            out_stride *= size
-            continue
-        for f in group:
-            others.append((in_stride, f.cols, out_stride, f._cols))
-            in_stride *= f.cols
-            out_stride *= f.rows
-    return runs, others
-
-
-def _apply_compiled(compiled: tuple[list, list], vec: dict) -> dict:
-    runs, others = compiled
+def _apply_padded(lo: int, f: Matrix, vec: dict) -> dict:
+    """vec under I (x) f (x) I_lo: entry (hi * f.cols + d) * lo + low reads
+    f's column d, and its row r goes to (hi * f.rows + r) * lo + low."""
     out: dict = {}
-    for idx, val in vec.items():
-        base = 0
-        for in_stride, size, out_stride in runs:
-            base += idx // in_stride % size * out_stride
-        terms = {base: val}
-        for in_stride, size, out_stride, cols in others:
-            col = cols[idx // in_stride % size].items()
-            terms = {o + r * out_stride: w * v for o, w in terms.items() for r, v in col}
-        if not out:
-            # the output indices of one entry are distinct and its values nonzero
-            out = terms
-            continue
-        for k, v in terms.items():
-            nv = out.get(k, 0) + v
+    for idx, v in vec.items():
+        q, low = divmod(idx, lo)
+        hi, d = divmod(q, f.cols)
+        for r, w in f._cols[d].items():
+            k = (hi * f.rows + r) * lo + low
+            nv = out.get(k, 0) + v * w
             if nv:
                 out[k] = nv
-            else:
+            elif k in out:
                 del out[k]
     return out
+
+
+def _is_identity(f: Matrix) -> bool:
+    return f.rows == f.cols and all(len(c) == 1 and c.get(j) == 1 for j, c in enumerate(f._cols))
 
 
 class Formula:
@@ -555,25 +525,26 @@ class Formula:
 
     Stages are applied in the given order (the first acts first); each is a
     Matrix or a tuple of Matrices meaning their Kronecker product.  Every
-    stage shape is checked before any column is read.  Then each tuple stage
-    is laid out once (``_compile_factors``), identity runs merged, so the
-    product is never materialized; building reads no factor column.  A
-    column is evaluated only when it is read, and it reads a factor column,
-    each row scaled by the factor's output stride, only where it needs it.
-    Nothing holds the columns but ``materialize``.
+    stage shape is checked before any column is read.  Then each stage is
+    laid out once as steps: a plain stage is one step, and a tuple stage one
+    padded step I (x) f (x) I_lo per factor f that is not an identity, lo
+    the product of the rows of the factors to its right; the steps apply
+    rightmost first.  An identity factor is only a stride, the product is
+    never materialized, and building reads no factor column.  A column is
+    evaluated only when it is read, and it reads only the factor columns its
+    digits name.  Nothing holds the columns but ``materialize``.
 
     While a column has one entry it is carried as idx and val; column j
-    starts as j and 1, so there is no first-stage case.  A plain stage reads
-    its stored column idx; a tuple stage adds its runs' offsets and each
-    factor's one entry, its row * out_stride, multiplying the values in the
-    order the dict path does, current value * stage value (``map_system``
-    sends its linear forms through here).  An empty column ends the
-    evaluation with {}.  Where the column read has two or more entries, that
-    stage applies ``_apply_plain`` or ``_apply_compiled`` to {idx: val}, val
-    as it was before the stage; the dict goes on through the later stages
-    until a result has one entry and becomes a pair again.  Both paths read
-    the same stored factor columns, so there is one evaluator and no second
-    pass over the factors, and every column yielded is a fresh dict.
+    starts as j and 1, so there is no first-stage case.  A plain step reads
+    its stored column idx; a padded step splits idx into (hi, d, low), reads
+    f's column d and, where it has one entry r, moves to (hi * f.rows + r) *
+    lo + low.  Values multiply as current value * step value on both paths
+    (``map_system`` sends its linear forms through here).  An empty column
+    ends the evaluation with {}.  Where the column read has two or more
+    entries, that step applies ``_apply_plain`` or ``_apply_padded`` to
+    {idx: val}; the dict goes on through the later steps until a result has
+    one entry and becomes a pair again.  Both paths read the same stored
+    factor columns, and every column yielded is a fresh dict.
     """
 
     __slots__ = ("rows", "cols", "_steps")
@@ -588,50 +559,56 @@ class Formula:
                 raise ShapeMismatch(f"stage expects domain {cin}, got {cur}")
             cur = cout
         self.rows, self.cols = cur, dom
-        # (runs, cols, apply, arg) per stage; runs None marks a plain stage
-        # and cols its stored columns, else cols are _compile_factors' factors
+        # (lo, f.cols, f.rows, stored columns, f) per step; lo None marks a plain stage
         self._steps = []
         for st in stages:
             if isinstance(st, Matrix):
-                self._steps.append((None, st._cols, _apply_plain, st))
-            else:
-                compiled = _compile_factors(st)
-                self._steps.append((*compiled, _apply_compiled, compiled))
+                self._steps.append((None, st.cols, st.rows, st._cols, st))
+                continue
+            lo = 1
+            for f in reversed(st):
+                if not _is_identity(f):
+                    self._steps.append((lo, f.cols, f.rows, f._cols, f))
+                lo *= f.rows
 
     def _evaluate(self, js: Iterable[int]) -> Iterator[dict]:
-        steps = self._steps
+        steps, n = self._steps, self.cols
         for j in js:
+            if not 0 <= j < n:
+                j = range(n)[j]         # as Matrix.columns reads j: -1 is the last column
             idx, val = j, 1             # basis vector j
             vec = None                  # None: the column is the one entry idx: val
-            for runs, cols, apply, arg in steps:
+            for lo, size, rows, cols, f in steps:
                 if vec is None:
-                    if runs is None:    # a plain stage: cols are its stored columns
+                    if lo is None:
                         col = cols[idx]
                         if len(col) == 1:
-                            (idx, v), = col.items()
-                            val = val * v
+                            idx, = col
+                            val = val * col[idx]
+                            continue
+                    elif lo == 1:
+                        hi, d = divmod(idx, size)
+                        col = cols[d]
+                        if len(col) == 1:
+                            r, = col
+                            idx, val = hi * rows + r, val * col[r]
                             continue
                     else:
-                        out, out_val = 0, val
-                        for in_stride, size, out_stride in runs:
-                            out += idx // in_stride % size * out_stride
-                        for in_stride, size, out_stride, stored in cols:
-                            col = stored[idx // in_stride % size]
-                            if len(col) != 1:
-                                break
-                            (r, v), = col.items()
-                            out += r * out_stride
-                            out_val = out_val * v
-                        else:
-                            idx, val = out, out_val
+                        q, low = divmod(idx, lo)
+                        hi, d = divmod(q, size)
+                        col = cols[d]
+                        if len(col) == 1:
+                            r, = col
+                            idx, val = (hi * rows + r) * lo + low, val * col[r]
                             continue
                     if not col:         # the column is zero from here on
                         break
-                    # a column of two or more entries: this stage takes the dict path
+                    # a column of two or more entries: this step takes the dict path
                     vec = {idx: val}
-                vec = apply(arg, vec)
+                vec = _apply_plain(f, vec) if lo is None else _apply_padded(lo, f, vec)
                 if len(vec) == 1:
-                    (idx, val), = vec.items()
+                    idx, = vec
+                    val = vec[idx]
                     vec = None
                 elif not vec:
                     break
@@ -643,11 +620,12 @@ class Formula:
     def column(self, j: int) -> dict:
         """Column j, evaluated on its own; j is read as ``Matrix.column``
         reads it, so j outside the columns raises IndexError."""
-        return next(self._evaluate((range(self.cols)[j],)))
+        return next(self._evaluate((j,)))
 
     def columns(self, js: Iterable[int] | None = None) -> Iterator[dict]:
         """Each column in order, or those numbered js, evaluated as it is
-        read; each is a fresh dict that belongs to the caller."""
+        read; each is a fresh dict that belongs to the caller.  A number in js
+        is read as ``Matrix.columns`` reads it."""
         return self._evaluate(range(self.cols) if js is None else js)
 
     @property

@@ -5,7 +5,7 @@ from braidhopf.builders import (conjugation_yd_object, cyclic_group, s3_group,
 from braidhopf.category import (CatObject, FiniteGroup, Morphism, SignGradedBackend, SUPER,
                                 SuperVecBackend, VEC, VecBackend, YetterDrinfeldBackend,
                                 holds)
-from braidhopf.linalg import Formula, Matrix
+from braidhopf.linalg import Formula, Matrix, ShapeMismatch
 from braidhopf.report import bool_check, eq_check
 
 
@@ -53,6 +53,17 @@ def test_cyclic_group_table():
 def test_group_law_is_verified():
     with pytest.raises(ValueError):
         FiniteGroup.from_table("bad", ["e", "a"], [[0, 1], [1, 1]])
+
+
+def test_constructors_reject_what_no_definition_file_reaches():
+    # the parser rejects a short row or an undeclared element before it
+    # calls from_table, so these messages are reached only directly
+    with pytest.raises(ValueError, match=r"^group g: table must be 2x2$"):
+        FiniteGroup.from_table("g", ["e", "a"], [[0, 1], [1]])
+    with pytest.raises(ValueError, match=r"^group g: table entry out of range$"):
+        FiniteGroup.from_table("g", ["e", "a"], [[0, 1], [1, 2]])
+    with pytest.raises(ShapeMismatch, match=r"^matrix 3x3 does not fit 2x2$"):
+        Morphism(CatObject(2), CatObject(2), Matrix.identity(3))
 
 
 # an order-5 loop: a Latin square with identity e and inverses, not associative

@@ -610,12 +610,37 @@ def test_first_difference_on_selected_columns_reads_only_them(data):
 
 
 def test_a_stage_takes_the_dict_path_with_the_value_the_column_reached_it_with():
-    """Column 0 reaches the stage (a, b) as the one entry 5.  b's column,
-    read first, is the one entry 3 and a's has two entries, so the stage
-    applies the dict path to {0: 5}, not to the 15 it had built from b."""
+    """Column 0 reaches the stage (a, b) as the one entry 5.  b's step,
+    applied first, reads the one entry 3 and carries 15; a's column has two
+    entries, so a's step applies the dict path to {0: 15}, the value the
+    column reached it with."""
     a, b = mat([[1], [2]]), mat([[3]])
     assert Formula(mat([[5]]), (a, b)).column(0) == {0: 15, 1: 30}
     assert pipeline(mat([[5]]), (a, b)) == kron(a, b) * mat([[5]])
+
+
+def test_padded_steps_match_kron_and_compose():
+    # a: column 0 has two entries; b: each column one entry, so a column of
+    # (a, b) takes b's step as a pair and a's on the dict path; a0 and b0
+    # are their first columns
+    a, b = mat([[F(1, 2), 1], [F(-2, 3), 0]]), mat([[0, F(3, 4)], [F(5, 7), 0], [0, 0]])
+    a0, b0 = (Matrix(m.rows, 1, [m.column(0)]) for m in (a, b))
+    i2, i3 = Matrix.identity(2), Matrix.identity(3)
+    zero = Matrix.from_entries(0, 2, ())   # the steps left of it get lo = 0
+    cases = [[(a, zero)], [(a, zero, b)], [(a, i3, b)], [(i2, i3)], [()], [mat([[1, 2, 3]]), ()],
+             [(a, b)], [mat([[F(2, 3), -1]]), (a0, b0)]]
+    for stages in cases:
+        # an adapter first hands the steps columns of two entries (n > 1)
+        n = Formula(*stages).cols
+        for first in ([], [adapter(n, n)]):
+            expected = compose(*[s if isinstance(s, Matrix) else reduce(kron, s, Matrix.identity(1))
+                                 for s in first + stages])
+            assert Formula(*first, *stages).materialize() == expected
+    # the same stage on linear forms: x's one-entry column becomes a form
+    # times b0's entry, then a0's step scatters that form on the dict path
+    rhs = Matrix.from_entries(6, 2, [(1, 0, F(1, 3)), (4, 1, -2)])
+    assert (map_system(1, 2, [(lambda x: pipeline(x, (a0, b0)), lambda x: rhs)]) ==
+            map_system(1, 2, [(lambda x: compose(x, kron(a0, b0)), lambda x: rhs)]))
 
 
 def test_pipeline_needs_a_stage():
@@ -682,13 +707,13 @@ def test_building_a_formula_reads_no_factor_column(monkeypatch):
     # through a tuple stage for some j and the dict path for others
     m, ida = mat([[1, 0, F(1, 2), 1], [0, 2, 0, -1]]), Matrix.identity(2)
     dict_path = []
-    apply = linalg._apply_compiled
+    apply = linalg._apply_padded
 
-    def counted(compiled, vec):
+    def counted(lo, f, vec):
         dict_path.append(vec)
-        return apply(compiled, vec)
+        return apply(lo, f, vec)
 
-    monkeypatch.setattr(linalg, "_apply_compiled", counted)
+    monkeypatch.setattr(linalg, "_apply_padded", counted)
     rec, plain = recorded(m), recorded(m)
     cases = [(Formula((rec, ida), plain), compose(kron(m, ida), m), lambda j: {j // 2}),
              (Formula((rec, rec)), kron(m, m), lambda j: {j // 4, j % 4})]
@@ -706,6 +731,10 @@ def test_building_a_formula_reads_no_factor_column(monkeypatch):
 
 
 def test_formula_column_reads_j_as_the_materialized_matrix_does():
+    # tuple-first, identity-first and plain-first formulas; column(j) and
+    # columns(js) read j as the materialized matrix does, so a number past
+    # the end raises IndexError and -1 is the last column, never a column
+    # wrapped round by the layout's strides
     a, b = mat([[1, 2], [3, 4]]), mat([[0, 1], [5, 6]])
     for f in (Formula((a, b)), Formula((Matrix.identity(2), b)), Formula(kron(a, b)),
               Formula((a, b), kron(b, a))):
@@ -716,6 +745,15 @@ def test_formula_column_reads_j_as_the_materialized_matrix_does():
                 m.column(j)
             with pytest.raises(IndexError):
                 f.column(j)
+        assert list(f.columns([-1])) == list(m.columns([-1])) == [m.column(3)]
+        assert Matrix.first_difference(f, m, [0, -1]) is None
+        for js in ([f.cols], [f.cols + 1], [0, f.cols]):
+            with pytest.raises(IndexError):
+                list(m.columns(js))
+            with pytest.raises(IndexError):
+                list(f.columns(js))
+            with pytest.raises(IndexError):
+                Matrix.first_difference(f, m, js)
 
 
 def test_a_formulas_columns_belong_to_the_caller():
